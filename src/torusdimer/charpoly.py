@@ -10,11 +10,12 @@ finite-size behaviour of the quotient partition functions.
 import cmath
 import math
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
 from .laurent import LaurentPoly2
-from .lattice import verify_orientation, permutation_sign
+from .lattice import verify_orientation
 
 NodeReport = namedtuple("NodeReport", ["location", "arguments", "hessian", "D", "tau", "kind"])
 
@@ -34,13 +35,25 @@ class CharPolyError(ValueError):
 
 
 class CharPoly:
+    """P (and Q for a 2-colored domain) of one domain, with its node data and f0.
+
+    nodes and f0 are computed on first use and kept for the object's life.
+    """
+
     def __init__(self, dom, P, Q=None):
         self.dom = dom
         self.P = P
         self.Q = Q
 
-    def p_eval(self, z, w):
-        return self.P(z, w)
+    @cached_property
+    def nodes(self):
+        """CriticalityReport of find_nodes(self)."""
+        return find_nodes(self)
+
+    @cached_property
+    def f0(self):
+        """Per-cell free energy, free_energy(self)."""
+        return free_energy(self)
 
 
 def build_charpoly(dom, check=True):
@@ -65,10 +78,6 @@ def build_charpoly(dom, check=True):
         raise CharPolyError("P(z, w) != P(1/z, 1/w)")
     Q = None
     if dom.bipartite:
-        blacks, whites = dom.blacks(), dom.whites()
-        pre = permutation_sign(blacks + whites)
-        n = dom.k // 2
-        pre *= (-1) ** (n * (n - 1) // 2)
         Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)), bound)
         rng = np.random.default_rng(11)
         for _ in range(8):
@@ -76,7 +85,6 @@ def build_charpoly(dom, check=True):
             w = cmath.exp(2j * math.pi * rng.random())
             if abs(abs(Q(z, w)) ** 2 - P(z, w).real) > 1e-8 * max(scale, 1.0):
                 raise CharPolyError("P != |Q|^2 on the unit torus")
-        _ = pre  # Pf bridging sign; not needed for |Q|
     cp = CharPoly(dom, P, Q)
     if check:
         rr = np.linspace(-1, 1, 64, endpoint=False) + 1.0 / 64
@@ -90,30 +98,13 @@ def build_charpoly(dom, check=True):
 # -- free energy ---------------------------------------------------------------
 
 
-def free_energy(cp, method="richardson"):
+def free_energy(cp):
     """Per-cell free energy f0 = mean of (1/2) log P over the unit torus.
 
-    "richardson": midpoint grids N = 128, 256, 512 extrapolated with the
-    model f + a/N^2 + b log(N)/N^2 (the log term captures node
-    singularities).  "jensen": exact inner integral via root moduli;
-    slower to write, several digits sharper.
+    Evaluated as half the Ronkin function of P at the origin, whose inner
+    integral is exact by Jensen's formula (see ronkin).
     """
-    if method == "jensen":
-        return 0.5 * ronkin(cp.P, (0.0, 0.0))
-    if method != "richardson":
-        raise ValueError("unknown method %r" % (method,))
-    Ns = (128, 256, 512)
-    fs = []
-    for N in Ns:
-        th = 2 * math.pi * (np.arange(N) + 0.5) / N
-        zz = np.exp(1j * th)
-        vals = cp.P(zz[:, None], zz[None, :]).real
-        if vals.min() <= 0:
-            raise CharPolyError("P vanishes on the midpoint grid")
-        fs.append(0.5 * float(np.mean(np.log(vals))))
-    A = np.array([[1.0, 1.0 / N**2, math.log(N) / N**2] for N in Ns])
-    coef = np.linalg.solve(A, np.array(fs))
-    return float(coef[0])
+    return 0.5 * ronkin(cp.P, (0.0, 0.0))
 
 
 # -- Ronkin function -----------------------------------------------------------
@@ -147,11 +138,6 @@ def _jensen_inner(poly, z, alpha2):
     for r in roots:
         val += max(math.log(abs(r)), alpha2) if r != 0 else alpha2
     return val
-
-
-def _inside_count(poly, z, alpha2):
-    roots, jmin, _ = _slice_roots(poly, z, "w")
-    return jmin + int(np.sum(np.abs(roots) < math.exp(alpha2)))
 
 
 def _golden_min(f, lo, hi, iters=70):
@@ -472,7 +458,7 @@ def level_windings(q, alpha):
 
 def ronkin_gradient_prediction(cp, alpha):
     """Predicted gradient (l_h + s0(alpha), l_v - r0(alpha)) of the Q-Ronkin."""
-    rep = find_nodes(cp)
+    rep = cp.nodes
     if rep.kind != CLASS_CONJUGATE or cp.Q is None:
         raise CharPolyError("gradient formula needs a distinct-conjugate-node curve")
     node = rep.nodes[0]

@@ -202,7 +202,7 @@ def _cmd_criticality(args, mods):
     lattice, kasteleyn, charpoly, fsc = mods
     dom = _load_domain(args, lattice)
     cp = charpoly.build_charpoly(dom)
-    rep = charpoly.find_nodes(cp)
+    rep = cp.nodes
     nodes = []
     for n in rep.nodes:
         nodes.append({
@@ -216,11 +216,11 @@ def _cmd_criticality(args, mods):
     out = {
         "class": rep.kind,
         "outside_conjectured_class": bool(rep.outside_conjectured_class),
-        "free_energy": float(charpoly.free_energy(cp, method="jensen")),
+        "free_energy": float(cp.f0),
         "nodes": nodes,
     }
     if rep.kind == charpoly.CLASS_CONJUGATE and cp.Q is not None:
-        (r0, s0), swapped = fsc.normalized_node_data(cp, rep)
+        (r0, s0), swapped = fsc.normalized_node_data(cp)
         out["normalized_node"] = [float(r0), float(s0)]
         out["color_swapped"] = bool(swapped)
     _emit_json(out)
@@ -234,7 +234,7 @@ def _cmd_winding(args, mods):
     cp = charpoly.build_charpoly(dom)
     law = fsc.winding_law(dom, E, cp=cp)
     model = fsc.winding_distribution_gaussian(dom, E, cp=cp)
-    exact = kasteleyn.winding_distribution_exact(dom, E, M=args.window)
+    exact = kasteleyn.winding_distribution_exact(dom, E, M=args.window, cp=cp)
     tv = exact.tv_against(model)
     center = max(model, key=model.get)
     exact_masses = exact.as_dict(center=center)
@@ -257,9 +257,7 @@ def _cmd_fsc_curve(args, mods):
     family = args.family or args.lattice
     if family in ("square-1x1", "square"):
         family = "square"
-    elif family == "hexagonal":
-        family = "hexagonal"
-    else:
+    elif family != "hexagonal":
         raise _Usage("fsc-curve families: square (square-1x1) or hexagonal")
     rows = []
     if family == "square":
@@ -279,8 +277,7 @@ def _cmd_fsc_curve(args, mods):
             tau = 1j * math.exp(lr)
             for name, zeta, xi_ in classes:
                 rows.append([lr, name, fsc.fsc2(zeta, xi_, tau)])
-    fmt = args.out or args.format
-    if fmt == "json":
+    if args.format == "json":
         _emit_json([{"log_rho": r[0], "class": r[1], "fsc": r[2]} for r in rows])
     else:
         _emit_csv(["log_rho", "class", "fsc"], rows)
@@ -387,8 +384,6 @@ def _build_parser():
     p.add_argument("--range", default="-1:1:41",
                    help="log-aspect sweep as lo:hi:count")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--out", choices=("json", "csv"), default=None,
-                   help="alias for --format")
 
     p = sub.add_parser("verify", help="orientation verification report")
     add_common(p)

@@ -143,28 +143,29 @@ def _node_multiplicity(node):
     return 2 if node.kind == "real-root-of-Q-node" else 1
 
 
-def predict_sector_table(dom, E, cp=None, rep=None, f0=None):
-    """Asymptotic sector table of the E-quotient from the node data alone."""
-    E = np.asarray(E, dtype=int)
-    if cp is None:
-        cp = _charpoly.build_charpoly(dom)
-    if rep is None:
-        rep = _charpoly.find_nodes(cp)
+def _predicted_table(E, cp):
+    """(sector table, per-node (ConformalData, multiplicity)) from the node data."""
+    rep = cp.nodes
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
         raise FscError("non-vanishing spectral curve: no universal correction; "
                        "dense path required")
-    if f0 is None:
-        f0 = free_energy_cached(cp)
-    det = abs(round(np.linalg.det(E)))
+    det = abs(_lattice.int_det(E))
     data = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
     logs = []
     for (za, wa) in _kasteleyn.SLOTS:
-        tot = det * f0
+        tot = det * cp.f0
         for cd, mult in data:
             tot += mult * log_xi(za * cd.zeta, wa * cd.xi, cd.tau)
         logs.append(tot)
     phases = [-1.0, 1.0, 1.0, 1.0]
-    return _kasteleyn.SectorTable(E, phases, logs, "fsc-" + rep.kind)
+    return _kasteleyn.SectorTable(E, phases, logs, "fsc-" + rep.kind), data
+
+
+def predict_sector_table(dom, E, cp=None):
+    """Asymptotic sector table of the E-quotient from the node data alone."""
+    if cp is None:
+        cp = _charpoly.build_charpoly(dom)
+    return _predicted_table(np.asarray(E, dtype=int), cp)[0]
 
 
 def predict(dom, E, cp=None):
@@ -173,20 +174,20 @@ def predict(dom, E, cp=None):
     A non-vanishing (gaseous) curve has exponentially small corrections:
     the result carries value 0 with no sector refinement.
     """
+    E = np.asarray(E, dtype=int)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)
-    rep = _charpoly.find_nodes(cp)
-    f0 = free_energy_cached(cp)
-    det = abs(round(np.linalg.det(np.asarray(E, dtype=float))))
+    rep = cp.nodes
+    f0 = cp.f0
+    det = abs(_lattice.int_det(E))
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
         return FscResult(rep.kind, 0.0, None, None, None, None, None, None,
                          f0, det * f0, [])
-    table = predict_sector_table(dom, E, cp=cp, rep=rep, f0=f0)
+    table, nodes = _predicted_table(E, cp)
     value = table.log_Z - det * f0
     per_sector = {
         rs: table.log_sector(*rs) - det * f0 for rs in _kasteleyn.SECTOR_ORDER
     }
-    nodes = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
     cd0 = nodes[0][0]
     if rep.kind == _charpoly.CLASS_TWO_REAL:
         # the effective phase is the product over the two real nodes
@@ -227,12 +228,6 @@ def predict_logZ(dom, E, cp=None):
     return predict(dom, E, cp=cp).log_Z
 
 
-def free_energy_cached(cp):
-    if not hasattr(cp, "_f0"):
-        cp._f0 = _charpoly.free_energy(cp, method="jensen")
-    return cp._f0
-
-
 def sector_table_auto(dom, E, cp=None, cap=_kasteleyn.DENSE_CAP):
     """Exact sector table: dense Pfaffians when small, else magnitudes + signs.
 
@@ -242,13 +237,13 @@ def sector_table_auto(dom, E, cp=None, cap=_kasteleyn.DENSE_CAP):
     curve -- those raise, since their Pfaffian signs are not universal.
     """
     E = np.asarray(E, dtype=int)
-    det = abs(round(np.linalg.det(E)))
+    det = abs(_lattice.int_det(E))
     dense_cap = cap if dom.bipartite else min(cap, 640)
     if dom.k * det <= dense_cap:
         return _kasteleyn.sector_table(dom, E, cap=cap)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)
-    rep = _charpoly.find_nodes(cp)
+    rep = cp.nodes
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
         raise FscError("quotient too large for dense Pfaffians and the curve is "
                        "non-vanishing: dense path required")
@@ -264,7 +259,7 @@ def sector_table_auto(dom, E, cp=None, cap=_kasteleyn.DENSE_CAP):
 # -- winding statistics ----------------------------------------------------------
 
 
-def normalized_node_data(cp, rep=None):
+def normalized_node_data(cp):
     """Distinguished node in the color convention with increasing spectral flow.
 
     Returns ((r0, s0), color_swapped): the stored black/white convention is
@@ -274,8 +269,7 @@ def normalized_node_data(cp, rep=None):
     """
     if cp.Q is None:
         raise FscError("node normalization needs a 2-colored domain")
-    if rep is None:
-        rep = _charpoly.find_nodes(cp)
+    rep = cp.nodes
     if rep.kind != _charpoly.CLASS_CONJUGATE:
         raise FscError("node normalization applies to conjugate-node curves")
     counts = _charpoly.root_counts(cp.Q, rep.nodes)
@@ -302,7 +296,7 @@ def winding_law(dom, E, cp=None):
     E = np.asarray(E, dtype=int)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)
-    rep = _charpoly.find_nodes(cp)
+    rep = cp.nodes
     if rep.kind != _charpoly.CLASS_CONJUGATE:
         raise FscError("winding law needs a distinct-conjugate-node curve")
     node = rep.nodes[0]
@@ -329,7 +323,7 @@ def winding_law(dom, E, cp=None):
     mu = (1.0 / math.pi) * np.array([x * argz + y * argw, -u * argz - v * argw])
     mu = mu - jump @ ell
     H = node.hessian
-    det = abs(round(np.linalg.det(E)))
+    det = abs(_lattice.int_det(E))
     Einv = np.linalg.inv(E.astype(float))
     sigma = Einv.T @ H @ Einv * det / math.sqrt(np.linalg.det(H))
     return WindingLaw((float(mu[0]), float(mu[1])), sigma, swapped,
@@ -395,7 +389,7 @@ def square_quotient(a, b, c, d):
     one.  Returns None when a d - b c is odd.
     """
     E = np.array([[a, b], [c, d]], dtype=int)
-    if round(np.linalg.det(E)) % 2:
+    if _lattice.int_det(E) % 2:
         return None
     base = _lattice.builtin("square-1x1")
     if (a + b) % 2 == 0 and (c + d) % 2 == 0:
@@ -408,10 +402,7 @@ def square_quotient(a, b, c, d):
         return None
     F = _lattice.DOUBLE_MODES[mode]
     dom = _lattice.double_domain(base, mode)
-    Ep = E @ np.linalg.inv(F.astype(float))
-    Epi = np.rint(Ep).astype(int)
-    assert np.max(np.abs(Ep - Epi)) < 1e-9
-    return dom, Epi
+    return dom, _lattice.lattice_coords(E, F)
 
 
 # -- Fisher lattice / Ising specialization ----------------------------------------
@@ -440,7 +431,7 @@ def ising_log_Z_from_dimers(E, beta_a, beta_b, beta_c):
     a, b, c = ising_weights(beta_a, beta_b, beta_c)
     dom = _lattice.builtin("fisher", a=a, b=b, c=c)
     E = np.asarray(E, dtype=int)
-    det = abs(round(np.linalg.det(E)))
+    det = abs(_lattice.int_det(E))
     table = _kasteleyn.sector_table(dom, E)
     log_z00 = table.log_sector(0, 0)
     return LOG2 + log_z00 - det * (beta_a + beta_b + beta_c)

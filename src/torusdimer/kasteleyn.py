@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .lattice import hnf_residues, permutation_sign
+from . import charpoly as _charpoly
+from .lattice import hnf_residues, instance_edges, int_det, lattice_coords, permutation_sign
 
 # sector mixing: canonical vector c = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1))
 # satisfies c = S_MATRIX @ (Z00, Z10, Z01, Z11), and S_MATRIX^2 = 4.
@@ -37,7 +38,7 @@ def _as_E(E):
     E = np.asarray(E, dtype=int)
     if E.shape != (2, 2):
         raise QuotientError("E must be an integer 2x2 matrix")
-    if round(np.linalg.det(E)) == 0:
+    if int_det(E) == 0:
         raise QuotientError("E must be nonsingular")
     return E
 
@@ -53,29 +54,32 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
     it requires a 2-colored domain.
     """
     E = _as_E(E)
-    _, reps, reduce = hnf_residues(E)
-    d = len(reps)
-    n = dom.k * d
-    K = np.zeros((n, n), dtype=complex)
-    zeta, xi = complex(zeta), complex(xi)
-    beta = None
+    tail, head, jump = instance_edges(dom, E)
+    d = abs(int_det(E))
+    K = np.zeros((dom.k * d, dom.k * d), dtype=complex)
+    ph = _powers(complex(zeta), jump[:, 0]) * _powers(complex(xi), jump[:, 1])
+    val = np.tile([e.sign * e.weight for e in dom.edges], d)
     if twist is not None:
         if not dom.bipartite:
             raise QuotientError("twists require a 2-colored domain")
         beta = np.linalg.inv(E.astype(float)) @ np.asarray(twist, dtype=float)
-    for ridx, rho in enumerate(reps):
-        for e in dom.edges:
-            tgt, jump = reduce((rho[0] + e.dx, rho[1] + e.dy))
-            ph = zeta ** jump[0] * xi ** jump[1]
-            tw = 1.0 + 0j
-            if beta is not None:
-                s = 1.0 if dom.colors[e.tail] == 0 else -1.0
-                tw = cmath.exp(1j * s * (beta[0] * e.dx + beta[1] * e.dy))
-            i = ridx * dom.k + e.tail
-            j = tgt * dom.k + e.head
-            K[i, j] += e.sign * e.weight * ph * tw
-            K[j, i] -= e.sign * e.weight * tw / ph
+        val = val * np.tile([
+            cmath.exp(1j * (1.0 if dom.colors[e.tail] == 0 else -1.0)
+                      * (beta[0] * e.dx + beta[1] * e.dy))
+            for e in dom.edges], d)
+    # forward and backward entries interleaved in edge-table order, so each
+    # entry sums its contributions in a fixed order
+    rows = np.stack([tail, head], axis=1).ravel()
+    cols = np.stack([head, tail], axis=1).ravel()
+    np.add.at(K, (rows, cols), np.stack([val * ph, -(val / ph)], axis=1).ravel())
     return K
+
+
+def _powers(base, n):
+    """base ** n for an int array n; exact for the +-1 boundary phases at any n."""
+    if base.imag == 0:
+        return np.power(base.real, n.astype(float))
+    return np.power(base, n)
 
 
 # -- Pfaffians ----------------------------------------------------------------
@@ -195,10 +199,6 @@ class SectorTable:
         v = self.sectors_scaled[idx]
         return -math.inf if v <= 0 else self.logscale + math.log(v)
 
-    def sector_dict(self):
-        return {rs: self.sectors_scaled[i] * math.exp(self.logscale)
-                for i, rs in enumerate(SECTOR_ORDER)}
-
     def double_dimer_sectors(self):
         """ZZ^{rs} = sum_{r's'} Z^{r's'} Z^{(r'+r)(s'+s)}, scaled by exp(2*logscale)."""
         z = {rs: self.sectors_scaled[i] for i, rs in enumerate(SECTOR_ORDER)}
@@ -218,7 +218,7 @@ def sector_table(dom, E, cap=DENSE_CAP):
     criticality-aware path in the fsc module for large tori.
     """
     E = _as_E(E)
-    d = abs(round(np.linalg.det(E)))
+    d = abs(int_det(E))
     n = dom.k * d
     if n > cap:
         raise QuotientError(
@@ -237,18 +237,6 @@ def sector_table(dom, E, cap=DENSE_CAP):
     return SectorTable(E, phases, logs, "dense")
 
 
-def sector_table_from_magnitudes(E, log_slots, kind):
-    """Sector table of a critical quotient from Pfaffian magnitudes alone.
-
-    For the vanishing classes the canonical Pfaffian vector
-    (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1)) is entrywise nonnegative, so
-    the four signs are determined and magnitudes |P_E|^(1/2) from
-    double_product suffice.  Not valid in the non-vanishing class.
-    """
-    phases = [-1.0, 1.0, 1.0, 1.0]
-    return SectorTable(E, phases, list(log_slots), "magnitude+" + kind)
-
-
 # -- fiber products -----------------------------------------------------------
 
 
@@ -258,8 +246,10 @@ def fiber_points(E, zeta=1.0, xi=1.0):
     phi = cmath.phase(complex(zeta)) / (2 * math.pi)
     psi = cmath.phase(complex(xi)) / (2 * math.pi)
     _, reps, _ = hnf_residues(E.T)
-    Einv = np.linalg.inv(E.astype(float))
-    ab = np.array([Einv @ np.array([phi + j, psi + k]) for (j, k) in reps])
+    # E^-1 = adj(E) / det; the integer part is reduced mod det exactly
+    det = int_det(E)
+    adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
+    ab = ((reps @ adj.T) % det + adj @ np.array([phi, psi])) / det
     return np.exp(2j * math.pi * ab[:, 0]), np.exp(2j * math.pi * ab[:, 1])
 
 
@@ -283,9 +273,8 @@ def double_product(p_eval, E, zeta=1.0, xi=1.0, zero_tol=0.0):
 
 
 class EnumResult:
-    def __init__(self, E, Einv, matchings, bipartite):
+    def __init__(self, E, matchings, bipartite):
         self.E = E
-        self._Einv = Einv
         self._matchings = matchings  # (weight, sign, disp or loop disps)
         self.bipartite = bipartite
         self.count = len(matchings)
@@ -295,67 +284,35 @@ class EnumResult:
         if bipartite:
             self.winding = {}
             for (w, _s, d) in matchings:
-                e = self._wind(d)
+                e = tuple(int(x) for x in lattice_coords(d, E))
                 self.winding[e] = self.winding.get(e, 0.0) + w
 
-    def _wind(self, disp):
-        v = np.array(disp, dtype=float) @ self._Einv
-        n = np.rint(v)
-        assert np.max(np.abs(v - n)) < 1e-9, "non-integral homology class"
-        return int(n[0]), int(n[1])
+    def _sector(self, d, E):
+        """Homology class mod 2 of one matching's winding (or of its loops)."""
+        loops = np.array([d] if self.bipartite else d, dtype=np.int64).reshape(-1, 2)
+        r, s = lattice_coords(loops, E).sum(axis=0) % 2
+        return int(r), int(s)
 
     def classify(self, E):
         """Sector masses (Z00, Z10, Z01, Z11) for any E with the same row lattice."""
-        Einv = np.linalg.inv(np.asarray(E, dtype=float))
         out = {rs: 0.0 for rs in SECTOR_ORDER}
         for (w, _s, d) in self._matchings:
-            if self.bipartite:
-                v = np.array(d, dtype=float) @ Einv
-                n = np.rint(v)
-                assert np.max(np.abs(v - n)) < 1e-9
-                rs = (int(n[0]) % 2, int(n[1]) % 2)
-            else:
-                r = s = 0
-                for loop in d:
-                    v = np.array(loop, dtype=float) @ Einv
-                    n = np.rint(v)
-                    assert np.max(np.abs(v - n)) < 1e-9
-                    r ^= int(n[0]) % 2
-                    s ^= int(n[1]) % 2
-                rs = (r, s)
-            out[rs] += w
+            out[self._sector(d, E)] += w
         return np.array([out[rs] for rs in SECTOR_ORDER])
 
     def pf_signs_by_class(self):
         table = {}
-        for (w, s, d) in self._matchings:
-            if self.bipartite:
-                e = self._wind(d)
-                rs = (e[0] % 2, e[1] % 2)
-            else:
-                cls = [0, 0]
-                for loop in d:
-                    v = np.array(loop, dtype=float) @ self._Einv
-                    n = np.rint(v)
-                    cls[0] ^= int(n[0]) % 2
-                    cls[1] ^= int(n[1]) % 2
-                rs = (cls[0], cls[1])
-            table.setdefault(rs, set()).add(s)
+        for (_w, s, d) in self._matchings:
+            table.setdefault(self._sector(d, self.E), set()).add(s)
         return table
 
 
 def _instance_edges(dom, E):
     E = _as_E(E)
-    _, reps, reduce = hnf_residues(E)
-    d = len(reps)
-    edges = []
-    for ridx, rho in enumerate(reps):
-        for ei, e in enumerate(dom.edges):
-            tgt, _ = reduce((rho[0] + e.dx, rho[1] + e.dy))
-            i = ridx * dom.k + e.tail
-            j = tgt * dom.k + e.head
-            edges.append((i, j, ei))
-    return dom.k * d, edges
+    d = abs(int_det(E))
+    tail, head, _ = instance_edges(dom, E)
+    ei = np.tile(np.arange(len(dom.edges)), d)
+    return dom.k * d, list(zip(tail.tolist(), head.tolist(), ei.tolist()))
 
 
 def _dfs_matchings(n, edges):
@@ -398,7 +355,7 @@ def enumerate_matchings(dom, E, cap=ENUM_CAP):
     if n > cap:
         raise QuotientError("quotient too large to enumerate (%d > %d)" % (n, cap))
     if n % 2:
-        return EnumResult(E, np.linalg.inv(E.astype(float)), [], dom.bipartite)
+        return EnumResult(E, [], dom.bipartite)
     # instance pairing of m0 (tail->head traversal counts +1)
     m0_set = set(dom.m0 or ())
     pair_0 = {}
@@ -406,7 +363,6 @@ def enumerate_matchings(dom, E, cap=ENUM_CAP):
         if ei in m0_set:
             pair_0[i] = (j, ei, +1)
             pair_0[j] = (i, ei, -1)
-    Einv = np.linalg.inv(E.astype(float))
 
     matchings = []
     for chosen in _dfs_matchings(n, iedges):
@@ -458,7 +414,7 @@ def enumerate_matchings(dom, E, cap=ENUM_CAP):
                 if disp.any():
                     loops.append((int(disp[0]), int(disp[1])))
             matchings.append((weight, sgn, tuple(loops)))
-    return EnumResult(E, Einv, matchings, dom.bipartite)
+    return EnumResult(E, matchings, dom.bipartite)
 
 
 def matching_sign_classes(dom, E):
@@ -471,65 +427,51 @@ def matching_sign_classes(dom, E):
 _CALIBRATION_TWIST = (0.731, -0.417)
 
 
-def winding_distribution_exact(dom, E, M=16):
+def winding_distribution_exact(dom, E, M=16, cp=None):
     """Exact law of the winding of m (+) m0 on the E-quotient, mod M.
 
     Computes the twisted partition function Z(theta) on the M x M Fourier
-    grid from per-slot fiber products of the bipartite block (one dense
-    determinant per slot calibrates the constant), then reads the winding
-    masses off a 2-D DFT.  Returns a WindingTable; masses at winding e are
-    folded modulo M, so M must exceed the spread of the distribution.
+    grid from per-slot fiber products of Q(z, w), the black/white block
+    determinant of the caller's CharPoly (built here when cp is None),
+    evaluated once per slot over the whole (p, q, fiber) array.  One dense
+    twisted determinant per slot calibrates the constant.  The winding
+    masses are read off a 2-D DFT and returned as a WindingTable; masses at
+    winding e are folded modulo M, so M must exceed the spread of the
+    distribution.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     E = _as_E(E)
-    d = abs(round(np.linalg.det(E)))
+    if cp is None:
+        cp = _charpoly.build_charpoly(dom)
+    d = abs(int_det(E))
     colors = instance_colors(dom, d)
     blacks = [i for i, c in enumerate(colors) if c == 0]
     whites = [i for i, c in enumerate(colors) if c == 1]
     m = len(blacks)
     pre = permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
 
-    def q_eval(z, w):
-        out = np.empty(np.broadcast(z, w).shape, dtype=complex)
-        it = np.nditer([np.asarray(z), np.asarray(w)], flags=["multi_index"])
-        for zv, wv in it:
-            block = dom.Qblock(complex(zv), complex(wv))
-            out[it.multi_index] = np.linalg.det(block)
-        return out
-
     Einv = np.linalg.inv(E.astype(float))
     theta_star = np.array(_CALIBRATION_TWIST)
+    beta_star = Einv @ theta_star
+    pq = np.stack(np.meshgrid(np.arange(M), np.arange(M), indexing="ij"), axis=-1)
+    beta = (2 * math.pi * pq / M) @ Einv.T  # beta[p, q] = E^-1 (2 pi (p, q) / M)
+    twist_z = np.exp(1j * beta[..., 0])[..., None]
+    twist_w = np.exp(1j * beta[..., 1])[..., None]
 
-    slot_phase = np.empty((4,), dtype=complex)
-    slot_log = np.empty((4,))
-    fibers = []
-    for si, (zslot, wslot) in enumerate(SLOTS):
-        zs, ws = fiber_points(E, zslot, wslot)
-        fibers.append((zs, ws))
-        K = build_KE(dom, E, zslot, wslot, twist=theta_star)
-        sign, logdet = np.linalg.slogdet(K[np.ix_(blacks, whites)])
-        beta = Einv @ theta_star
-        vals = q_eval(zs * cmath.exp(1j * beta[0]), ws * cmath.exp(1j * beta[1]))
-        base_log = float(np.sum(np.log(np.abs(vals))))
-        base_phase = cmath.exp(1j * float(np.sum(np.angle(vals))))
-        slot_phase[si] = pre * sign / base_phase
-        slot_log[si] = logdet - base_log
-
-    # twisted Pfaffians on the Fourier grid
     grid_phase = np.empty((4, M, M), dtype=complex)
     grid_log = np.empty((4, M, M))
-    for si in range(4):
-        zs, ws = fibers[si]
-        for p in range(M):
-            for q in range(M):
-                beta = Einv @ (2 * math.pi * np.array([p, q]) / M)
-                vals = q_eval(zs * cmath.exp(1j * beta[0]), ws * cmath.exp(1j * beta[1]))
-                with np.errstate(divide="ignore"):
-                    grid_log[si, p, q] = float(np.sum(np.log(np.abs(vals)))) + slot_log[si]
-                grid_phase[si, p, q] = (
-                    cmath.exp(1j * float(np.sum(np.angle(vals)))) * slot_phase[si]
-                )
+    for si, (zslot, wslot) in enumerate(SLOTS):
+        zs, ws = fiber_points(E, zslot, wslot)
+        K = build_KE(dom, E, zslot, wslot, twist=theta_star)
+        sign, logdet = np.linalg.slogdet(K[np.ix_(blacks, whites)])
+        vals = cp.Q(zs * cmath.exp(1j * beta_star[0]), ws * cmath.exp(1j * beta_star[1]))
+        base_log = float(np.sum(np.log(np.abs(vals))))
+        base_phase = cmath.exp(1j * float(np.sum(np.angle(vals))))
+        vals = cp.Q(zs * twist_z, ws * twist_w)
+        with np.errstate(divide="ignore"):
+            grid_log[si] = np.sum(np.log(np.abs(vals)), axis=-1) + (logdet - base_log)
+        grid_phase[si] = np.exp(1j * np.sum(np.angle(vals), axis=-1)) * (pre * sign / base_phase)
     L = float(np.max(grid_log))
     signs = np.array([-0.5, 0.5, 0.5, 0.5])
     Zg = np.zeros((M, M), dtype=complex)

@@ -260,49 +260,84 @@ BUILTIN_NAMES = ("square-2x1", "square-1x2", "square-bip", "hexagonal", "fisher"
 # -- integer lattice helpers --------------------------------------------------
 
 
+def int_det(E):
+    """det E = ad - bc of an integer 2x2 matrix, in Python ints."""
+    (a, b), (c, d) = ((int(x) for x in row) for row in np.asarray(E))
+    return a * d - b * c
+
+
+def lattice_coords(V, E):
+    """Integer n with V = n E, for one vector or an (..., 2) array of them.
+
+    Computed exactly as V adj(E) / det E; raises DomainError when some V
+    is not in the row lattice of E.
+    """
+    (a, b), (c, d) = ((int(x) for x in row) for row in np.asarray(E))
+    det = a * d - b * c
+    V = np.asarray(V, dtype=np.int64)
+    num = np.stack([V[..., 0] * d - V[..., 1] * c, V[..., 1] * a - V[..., 0] * b], axis=-1)
+    n, rem = np.divmod(num, det)
+    if rem.any():
+        raise DomainError("vector is not in the row lattice of E")
+    return n
+
+
 def hnf_residues(E):
     """Row Hermite form of an integer 2x2 matrix and coset representatives.
 
-    Returns (H, reps, reduce) where H = [[p, q], [0, r]] spans the same row
-    lattice as E, reps lists the |det| residues of Z^2 / Z^2 E in
-    lexicographic order, and reduce(v) maps an integer vector to
-    (rep_index, n) with v = rep + n E, n integral.
+    Returns (H, reps, reduce) where H = [[p, q], [0, r]] (0 <= q < r) spans
+    the same row lattice as E and reps is the (|det E|, 2) int array of the
+    residues (i, j), 0 <= i < p, 0 <= j < r, of Z^2 / Z^2 E in lexicographic
+    order, so residue (i, j) has index i r + j.  reduce(V) maps an integer
+    vector, or an (..., 2) int array of them, to (index, jump) with
+    V = reps[index] + jump E; index has V's leading shape and jump is
+    (..., 2), both exact integers.
     """
     E = np.asarray(E, dtype=int)
-    det = int(round(np.linalg.det(E)))
+    det = int_det(E)
     if det == 0:
         raise DomainError("singular quotient matrix")
     r1, r2 = [int(E[0, 0]), int(E[0, 1])], [int(E[1, 0]), int(E[1, 1])]
     while r2[0] != 0:
-        if r1[0] == 0 or (r2[0] != 0 and abs(r2[0]) < abs(r1[0])):
+        if r1[0] == 0 or abs(r2[0]) < abs(r1[0]):
             r1, r2 = r2, r1
-        if r2[0] != 0 and r1[0] != 0:
+        if r2[0] != 0:
             q = r2[0] // r1[0]
             r2 = [r2[0] - q * r1[0], r2[1] - q * r1[1]]
     if r1[0] < 0:
         r1 = [-r1[0], -r1[1]]
-    if r2[1] < 0:
-        r2 = [r2[0], -r2[1]]
-    p, q, r = r1[0], r1[1], r2[1]
+    p, r = r1[0], abs(r2[1])
+    q = r1[1] % r
     assert p > 0 and r > 0 and p * r == abs(det)
     H = np.array([[p, q], [0, r]], dtype=int)
-    reps = [(i, j) for i in range(p) for j in range(r)]
-    index = {rep: n for n, rep in enumerate(reps)}
-    Einv = np.linalg.inv(E.astype(float))
+    i, j = np.divmod(np.arange(p * r), r)
+    reps = np.stack([i, j], axis=1)
 
-    def reduce(v):
-        v1, v2 = int(v[0]), int(v[1])
-        m1 = v1 // p
-        v2 -= m1 * q
-        v1 -= m1 * p
-        m2 = v2 // r
-        v2 -= m2 * r
-        jump = np.array([v[0] - v1, v[1] - v2], dtype=float) @ Einv
-        n = np.rint(jump).astype(int)
-        assert np.max(np.abs(jump - n)) < 1e-9
-        return index[(v1, v2)], (int(n[0]), int(n[1]))
+    def reduce(V):
+        V = np.asarray(V, dtype=np.int64)
+        m1 = V[..., 0] // p
+        rep1 = V[..., 0] - m1 * p
+        rep2 = (V[..., 1] - m1 * q) % r
+        rep = np.stack([rep1, rep2], axis=-1)
+        return rep1 * r + rep2, lattice_coords(V - rep, E)
 
     return H, reps, reduce
+
+
+def instance_edges(dom, E):
+    """Residue-major edge table of the E-quotient: (tail, head, jump).
+
+    Row ridx * len(dom.edges) + ei is edge ei leaving residue ridx; tail and
+    head are instance indices (residue index * k + vertex) and jump is the
+    (rows, 2) cell jump of the head in E-coordinates.
+    """
+    _, reps, reduce = hnf_residues(E)
+    ed = np.array([(e.tail, e.head, e.dx, e.dy) for e in dom.edges], dtype=np.int64)
+    ed = ed.reshape(-1, 4)
+    tgt, jump = reduce(reps[:, None, :] + ed[None, :, 2:])
+    tail = np.arange(len(reps))[:, None] * dom.k + ed[None, :, 0]
+    head = tgt * dom.k + ed[None, :, 1]
+    return tail.ravel(), head.ravel(), jump.reshape(-1, 2)
 
 
 # -- sign verification --------------------------------------------------------
@@ -507,37 +542,28 @@ def sublattice_domain(dom, F, reorient=True):
     _, reps, reduce = hnf_residues(F)
     d = len(reps)
     k2 = dom.k * d
+    ne = len(dom.edges)
 
-    def inst(rep_idx, v):
-        return rep_idx * dom.k + v
+    tail, head, jump = instance_edges(dom, F)
+    new_edges = [(t, h, n[0], n[1], e.weight, 1) for t, h, n, e
+                 in zip(tail.tolist(), head.tolist(), jump.tolist(), dom.edges * d)]
 
-    new_edges = []
-    edge_key = {}
-    for rho_idx, rho in enumerate(reps):
-        for ei, e in enumerate(dom.edges):
-            tgt_idx, n = reduce((rho[0] + e.dx, rho[1] + e.dy))
-            edge_key[(ei, rho_idx)] = len(new_edges)
-            new_edges.append((inst(rho_idx, e.tail), inst(tgt_idx, e.head),
-                              n[0], n[1], e.weight, 1))
-
+    # a face step uses the instance of its edge leaving the step's tail cell
     new_faces = []
     for face in dom.faces:
-        for rho in reps:
-            steps = []
-            cell = np.array(rho, dtype=int)
-            for (ei, dd) in face:
-                e = dom.edges[ei]
-                if dd == 1:
-                    rep_idx, _ = reduce(tuple(cell))
-                    steps.append((edge_key[(ei, rep_idx)], 1))
-                    cell = cell + np.array([e.dx, e.dy])
-                else:
-                    cell = cell - np.array([e.dx, e.dy])
-                    rep_idx, _ = reduce(tuple(cell))
-                    steps.append((edge_key[(ei, rep_idx)], -1))
-            new_faces.append(steps)
+        cells, cell = [], np.zeros(2, dtype=int)
+        for (ei, dd) in face:
+            e = dom.edges[ei]
+            if dd == -1:
+                cell = cell - (e.dx, e.dy)
+            cells.append(cell)
+            if dd == 1:
+                cell = cell + (e.dx, e.dy)
+        rows, _ = reduce(reps[:, None, :] + np.array(cells)[None])
+        new_faces.extend([(rho * ne + ei, dd) for rho, (ei, dd) in zip(row, face)]
+                         for row in rows.tolist())
 
-    new_m0 = [edge_key[(ei, rho_idx)] for rho_idx in range(d) for ei in dom.m0]
+    new_m0 = [rho * ne + ei for rho in range(d) for ei in dom.m0]
 
     colors = None
     if dom.colors is not None:

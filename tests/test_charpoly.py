@@ -66,26 +66,24 @@ def test_build_rejects_broken_signs():
 def test_square_free_energy_is_two_catalan_over_pi():
     cp = build_charpoly(lattice.builtin("square-2x1"))
     want = 2 * CATALAN / math.pi
-    assert abs(free_energy(cp, method="richardson") - want) < 1e-5
-    assert abs(free_energy(cp, method="jensen") - want) < 1e-9
+    assert abs(free_energy(cp) - want) < 1e-9
 
 
 def test_hexagonal_free_energy():
     cp = build_charpoly(lattice.builtin("hexagonal"))
     # (1/pi) Cl2(pi/3) with Cl2 the Clausen function, frozen here
-    assert abs(free_energy(cp, method="jensen") - 0.3230659472269729) < 1e-10
+    assert abs(free_energy(cp) - 0.3230659472269729) < 1e-10
 
 
 def test_gaseous_free_energy_is_log_dominant_weight():
     cp = build_charpoly(lattice.builtin("hexagonal", a=3.0))
-    assert abs(free_energy(cp, method="jensen") - math.log(3.0)) < 1e-12
-    assert abs(free_energy(cp, method="richardson") - math.log(3.0)) < 1e-8
+    assert abs(free_energy(cp) - math.log(3.0)) < 1e-12
 
 
 def test_ronkin_basics():
     cp = build_charpoly(lattice.builtin("hexagonal"))
     # R(0, 0) is twice the free energy; R is convex and grows linearly far out
-    assert abs(ronkin(cp.P, (0.0, 0.0)) - 2 * free_energy(cp, method="jensen")) < 1e-9
+    assert abs(ronkin(cp.P, (0.0, 0.0)) - 2 * free_energy(cp)) < 1e-9
     r0 = ronkin(cp.P, (0.0, 0.0))
     r1 = ronkin(cp.P, (0.4, 0.0))
     r2 = ronkin(cp.P, (0.8, 0.0))

@@ -41,6 +41,16 @@ def test_sectors_weighted_fisher_values(capsys):
     assert list(out.keys()) == sorted(out.keys())
 
 
+def test_partition_exact_for_huge_unimodular_E(capsys):
+    # det 1 with entries near 1e8: the same one-cell torus as E = 1
+    for name in ("hexagonal", "fisher", "square-2x1"):
+        argv = ["partition", "--lattice", name, "--weights", "a=1.3,b=0.7"]
+        assert cli.run(argv + ["--E", "1,0,0,1"]) == 0
+        want = capsys.readouterr().out
+        assert cli.run(argv + ["--E", "100000000,100000001,99999999,100000000"]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_json_reruns_are_byte_identical(capsys):
     argv = ["criticality", "--lattice", "hexagonal"]
     code1 = cli.run(argv)

@@ -74,3 +74,64 @@ def test_variance_tracks_law_sigma():
     # discrete-Gaussian covariance of exp(-pi/2 e Sigma^-1 e) approaches
     # Sigma/pi as the lattice refines; sizes this small track it loosely
     assert np.allclose(cov, np.array(law.sigma) / math.pi, rtol=0.2, atol=0.02)
+
+
+def qblock_winding_reference(dom, E, M=16):
+    """Winding law with one det(Qblock) per fiber point and grid point."""
+    E = np.asarray(E, dtype=int)
+    d = abs(int(round(np.linalg.det(E))))
+    colors = kasteleyn.instance_colors(dom, d)
+    blacks = [i for i, c in enumerate(colors) if c == 0]
+    whites = [i for i, c in enumerate(colors) if c == 1]
+    m = len(blacks)
+    pre = lattice.permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
+
+    def q_eval(z, w):
+        return np.array([np.linalg.det(dom.Qblock(zv, wv)) for zv, wv in zip(z, w)])
+
+    Einv = np.linalg.inv(E.astype(float))
+    theta_star = np.array((0.731, -0.417))
+    Zg = np.zeros((M, M), dtype=complex)
+    logs, phases = np.empty((4, M, M)), np.empty((4, M, M), dtype=complex)
+    for si, (zslot, wslot) in enumerate(kasteleyn.SLOTS):
+        zs, ws = kasteleyn.fiber_points(E, zslot, wslot)
+        K = kasteleyn.build_KE(dom, E, zslot, wslot, twist=theta_star)
+        sign, logdet = np.linalg.slogdet(K[np.ix_(blacks, whites)])
+        beta = Einv @ theta_star
+        vals = q_eval(zs * np.exp(1j * beta[0]), ws * np.exp(1j * beta[1]))
+        slot_log = logdet - np.sum(np.log(np.abs(vals)))
+        slot_phase = pre * sign / np.exp(1j * np.sum(np.angle(vals)))
+        for p in range(M):
+            for q in range(M):
+                beta = Einv @ (2 * math.pi * np.array([p, q]) / M)
+                vals = q_eval(zs * np.exp(1j * beta[0]), ws * np.exp(1j * beta[1]))
+                logs[si, p, q] = np.sum(np.log(np.abs(vals))) + slot_log
+                phases[si, p, q] = np.exp(1j * np.sum(np.angle(vals))) * slot_phase
+    for si, sgn in enumerate((-0.5, 0.5, 0.5, 0.5)):
+        Zg += sgn * phases[si] * np.exp(logs[si] - logs.max())
+    return np.fft.fft2(Zg).real / (M * M) / Zg[0, 0].real
+
+
+def test_polynomial_grid_matches_qblock_determinants():
+    for dom, E in ((lattice.builtin("hexagonal", a=1.2, b=0.9, c=1.1), [[3, 1], [0, 2]]),
+                   (lattice.builtin("hexagonal"), [[2, 1], [-1, 2]]),
+                   (lattice.builtin("square-bip", a=1.3, b=0.8), [[2, 1], [0, 3]])):
+        got = kasteleyn.winding_distribution_exact(dom, E, M=8).probs
+        want = qblock_winding_reference(dom, E, M=8)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_winding_command_finds_nodes_once_per_charpoly(monkeypatch, capsys):
+    from torusdimer import charpoly, cli
+
+    calls = {}
+    original = charpoly.find_nodes
+
+    def counting(cp, *args, **kwargs):
+        calls[id(cp)] = calls.get(id(cp), 0) + 1
+        return original(cp, *args, **kwargs)
+
+    monkeypatch.setattr(charpoly, "find_nodes", counting)
+    assert cli.run(["winding", "--lattice", "hexagonal", "--E", "3,0,0,3"]) == 0
+    capsys.readouterr()
+    assert list(calls.values()) == [1]
