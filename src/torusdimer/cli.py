@@ -3,8 +3,8 @@
 Subcommands: partition, sectors, winding, criticality, fsc-curve, verify,
 ising.  All outputs are deterministic: JSON is emitted with sorted keys and
 floats at 15 significant digits, CSV with a header row and LF endings.
-Exit status: 0 success, 2 bad input (unknown lattice, malformed file,
-cap exceeded), 3 numerical-classification failure (failed orientation
+Exit status: 0 success, 2 bad input (unknown lattice, malformed file),
+3 numerical-classification failure (failed orientation
 check, unclassifiable or out-of-class spectral curve).
 """
 
@@ -121,6 +121,14 @@ def _load_domain(args, lattice):
     raise _Usage("unknown lattice %r (not a builtin name or readable file)" % name)
 
 
+def _unscaled(x, logscale):
+    """x * e^logscale as a float, or None once its magnitude passes e^700."""
+    lg = math.log(abs(x)) + logscale if x else -math.inf
+    if lg >= 700:
+        return None
+    return float(x) * math.exp(logscale) if logscale < 700 else math.copysign(math.exp(lg), x)
+
+
 def _complex_pair(z):
     return [float(z.real), float(z.imag)]
 
@@ -140,13 +148,12 @@ def _cmd_partition(args, mods):
     lattice, kasteleyn, charpoly, fsc = mods
     dom = _load_domain(args, lattice)
     E = _parse_E(args.E)
-    table = fsc.sector_table_auto(dom, E, cap=args.cap)
+    table = fsc.sector_table_auto(dom, E)
     log_z = table.log_Z
     out = {
         "det_E": int(round(E[0][0] * E[1][1] - E[0][1] * E[1][0])),
         "log_Z": None if log_z == -math.inf else log_z,
-        "Z": 0.0 if log_z == -math.inf else (
-            math.exp(log_z) if log_z < 700 else None),
+        "Z": _unscaled(table.Z_scaled, table.logscale),
         "method": table.method,
     }
     if args.dump_matrix:
@@ -167,21 +174,17 @@ def _cmd_sectors(args, mods):
     lattice, kasteleyn, charpoly, fsc = mods
     dom = _load_domain(args, lattice)
     E = _parse_E(args.E)
-    table = fsc.sector_table_auto(dom, E, cap=args.cap)
-    sectors = table.sectors
-    pf = table.pf
+    table = fsc.sector_table_auto(dom, E)
+    sectors = [_unscaled(x, table.logscale) for x in table.sectors_scaled]
     out = {
-        "Z00": float(sectors[0]), "Z10": float(sectors[1]),
-        "Z01": float(sectors[2]), "Z11": float(sectors[3]),
-        "Z": float(table.Z),
-        "pf": [_complex_pair(complex(p)) for p in pf],
+        "Z00": sectors[0], "Z10": sectors[1], "Z01": sectors[2], "Z11": sectors[3],
+        "Z": _unscaled(table.Z_scaled, table.logscale),
+        "pf": [[_unscaled(x, table.logscale), 0.0] for x in table.pf_scaled],
         "method": table.method,
     }
     if args.double_dimer:
         dd, logscale = table.double_dimer_sectors()
-        out["ZZ"] = {"%d%d" % rs: (float(v * math.exp(logscale))
-                                   if logscale < 600 else None)
-                     for rs, v in dd.items()}
+        out["ZZ"] = {"%d%d" % rs: _unscaled(v, logscale) for rs, v in dd.items()}
         out["log_ZZ"] = {"%d%d" % rs: (math.log(v) + logscale if v > 0
                                        else None)
                          for rs, v in dd.items()}
@@ -191,8 +194,8 @@ def _cmd_sectors(args, mods):
                          "entries": _matrix_triplets(K)}
     if args.format == "csv":
         _emit_csv(["sector", "value"],
-                  [["Z00", out["Z00"]], ["Z10", out["Z10"]],
-                   ["Z01", out["Z01"]], ["Z11", out["Z11"]], ["Z", out["Z"]]])
+                  [[key, math.nan if out[key] is None else out[key]]
+                   for key in ("Z00", "Z10", "Z01", "Z11", "Z")])
     else:
         _emit_json(out)
     return 0
@@ -356,14 +359,11 @@ def _build_parser():
 
     p = sub.add_parser("partition", help="total partition function on the E-quotient")
     add_common(p, need_E=True)
-    p.add_argument("--cap", type=int, default=4096,
-                   help="max dense matrix dimension")
     p.add_argument("--dump-matrix", action="store_true",
                    help="include K_E(1,1) as coordinate triplets")
 
     p = sub.add_parser("sectors", help="homology-sector decomposition")
     add_common(p, need_E=True)
-    p.add_argument("--cap", type=int, default=4096)
     p.add_argument("--double-dimer", action="store_true",
                    help="include double-dimer sectors")
     p.add_argument("--dump-matrix", action="store_true")

@@ -147,8 +147,7 @@ def _predicted_table(E, cp):
     """(sector table, per-node (ConformalData, multiplicity)) from the node data."""
     rep = cp.nodes
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        raise FscError("non-vanishing spectral curve: no universal correction; "
-                       "dense path required")
+        raise FscError("non-vanishing spectral curve: no nodes, no universal correction")
     det = abs(_lattice.int_det(E))
     data = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
     logs = []
@@ -157,8 +156,7 @@ def _predicted_table(E, cp):
         for cd, mult in data:
             tot += mult * log_xi(za * cd.zeta, wa * cd.xi, cd.tau)
         logs.append(tot)
-    phases = [-1.0, 1.0, 1.0, 1.0]
-    return _kasteleyn.SectorTable(E, phases, logs, "fsc-" + rep.kind), data
+    return _kasteleyn.SectorTable(E, [-1, 1, 1, 1], logs, "fsc-" + rep.kind), data
 
 
 def predict_sector_table(dom, E, cp=None):
@@ -171,8 +169,10 @@ def predict_sector_table(dom, E, cp=None):
 def predict(dom, E, cp=None):
     """FscResult for the E-quotient: correction value, sector shares, shape data.
 
-    A non-vanishing (gaseous) curve has exponentially small corrections:
-    the result carries value 0 with no sector refinement.
+    On a non-vanishing (gaseous) curve every |Pf| is exp(|det E| f0) up to
+    exponentially small terms, so the value is log((-s1 + s2 + s3 + s4) / 2)
+    from the exact slot signs (kasteleyn.real_point_factors), with no
+    sector refinement.
     """
     E = np.asarray(E, dtype=int)
     if cp is None:
@@ -181,8 +181,12 @@ def predict(dom, E, cp=None):
     f0 = cp.f0
     det = abs(_lattice.int_det(E))
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        return FscResult(rep.kind, 0.0, None, None, None, None, None, None,
-                         f0, det * f0, [])
+        s1, s2, s3, s4 = signs = [sg for sg, _lg in _kasteleyn.real_point_factors(dom, E)]
+        if -s1 + s2 + s3 + s4 <= 0:
+            raise FscError("gaseous slot signs %r cancel: no leading term" % (signs,))
+        value = math.log(0.5 * (-s1 + s2 + s3 + s4))
+        return FscResult(rep.kind, value, None, None, None, None, None, None,
+                         f0, det * f0 + value, [])
     table, nodes = _predicted_table(E, cp)
     value = table.log_Z - det * f0
     per_sector = {
@@ -228,32 +232,18 @@ def predict_logZ(dom, E, cp=None):
     return predict(dom, E, cp=cp).log_Z
 
 
-def sector_table_auto(dom, E, cp=None, cap=_kasteleyn.DENSE_CAP):
-    """Exact sector table: dense Pfaffians when small, else magnitudes + signs.
+def sector_table_auto(dom, E, cp=None):
+    """kasteleyn.sector_table with the method label that the CLI prints.
 
-    The large path evaluates |Pf| = |prod over the fiber of P|^(1/2) per
-    boundary slot and fills in the universal canonical signs, which is
-    valid in every critical class but not for a gaseous (non-vanishing)
-    curve -- those raise, since their Pfaffian signs are not universal.
+    "dense" up to 4096 vertices (640 for a non-bipartite domain), else
+    "magnitude+" and the class of cp.nodes (cp built here when None).
     """
-    E = np.asarray(E, dtype=int)
-    det = abs(_lattice.int_det(E))
-    dense_cap = cap if dom.bipartite else min(cap, 640)
-    if dom.k * det <= dense_cap:
-        return _kasteleyn.sector_table(dom, E, cap=cap)
-    if cp is None:
-        cp = _charpoly.build_charpoly(dom)
-    rep = cp.nodes
-    if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        raise FscError("quotient too large for dense Pfaffians and the curve is "
-                       "non-vanishing: dense path required")
-    scale = sum(abs(c) for c in cp.P.coeffs.values())
-    logs = []
-    for (za, wa) in _kasteleyn.SLOTS:
-        _ph, lg = _kasteleyn.double_product(cp.P, E, za, wa, zero_tol=1e-10 * scale)
-        logs.append(0.5 * lg)
-    return _kasteleyn.SectorTable(E, [-1.0, 1.0, 1.0, 1.0], logs,
-                                  "magnitude+" + rep.kind)
+    table = _kasteleyn.sector_table(dom, E)
+    if dom.k * abs(_lattice.int_det(E)) <= (4096 if dom.bipartite else 640):
+        table.method = "dense"
+    else:
+        table.method = "magnitude+" + (cp or _charpoly.build_charpoly(dom)).nodes.kind
+    return table
 
 
 # -- winding statistics ----------------------------------------------------------
@@ -487,9 +477,8 @@ def ising_critical_check(beta_a, beta_b, beta_c, sizes=(2, 4), tol=1e-9):
         zeta = z0 ** E[0, 0] * w0 ** E[0, 1]
         xi_ = z0 ** E[1, 0] * w0 ** E[1, 1]
         rE, sE = (0 if zeta == 1 else 1), (0 if xi_ == 1 else 1)
-        lhs = table.Z
-        rhs = 2.0 * table.sectors[_kasteleyn.SECTOR_ORDER.index((sE, rE))]
-        checks.append((m, (sE, rE), abs(lhs - rhs) <= 1e-10 * abs(lhs)))
+        twice = 2.0 * table.sectors_scaled[_kasteleyn.SECTOR_ORDER.index((sE, rE))]
+        checks.append((m, (sE, rE), abs(table.Z_scaled - twice) <= 1e-10 * abs(table.Z_scaled)))
     return IsingReport(kap, vanishing, lines, node_loc, checks, logz)
 
 

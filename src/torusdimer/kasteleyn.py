@@ -5,9 +5,12 @@ matrix E (rows span the identified translations).  Vertex instances are
 ordered (residue index, vertex index) with the |det E| residues of
 Z^2 / Z^2 E in lexicographic order.
 
-Partition functions are kept as (phase, log magnitude) pairs internally,
-since Pfaffians of large quotients overflow double precision long before
-the matrices become expensive.
+A Fourier transform over the residues block-diagonalises K_E(zeta, xi) into
+the k x k cell matrices K(z, w) at the fiber points of (zeta, xi), so
+Pf K_E = prod_{real points} Pf K(s) * prod_{conjugate pairs} det K(z, w),
+with det K = P >= 0 on the unit torus.  sector_table uses this for every
+quotient, in (sign, log magnitude) form; build_KE, the dense Pfaffians and
+enumerate_matchings are independent oracles (and serve --dump-matrix).
 """
 
 import cmath
@@ -26,8 +29,9 @@ S_MATRIX = np.array(
 SLOTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 SECTOR_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-DENSE_CAP = 4096
 ENUM_CAP = 28
+FIBER_CHUNK = 4096  # fiber points per batched det K(z, w): bounds the work array
+ZERO_ULPS = 64  # det K within this many rounding units of its bound is a node
 
 
 class QuotientError(ValueError):
@@ -136,7 +140,11 @@ def instance_colors(dom, d):
 
 
 def pfaffian_log_bipartite(A, colors):
-    """Pfaffian of a 2-colored skew matrix through the black/white block."""
+    """Pfaffian of a 2-colored skew matrix through the black/white block.
+
+    A test oracle only: slogdet loses digits on periodic quotients from
+    about 1000 vertices on (5.7e-3 in log|Pf| at 2048 hexagonal vertices).
+    """
     blacks = [i for i, c in enumerate(colors) if c == 0]
     whites = [i for i, c in enumerate(colors) if c == 1]
     m = len(blacks)
@@ -151,42 +159,23 @@ def pfaffian_log_bipartite(A, colors):
 class SectorTable:
     """Pfaffian and homology-sector data of one toric quotient.
 
-    Values are exposed both directly (pf, sectors, Z; these may overflow to
-    inf for very large quotients) and in log form.  Sector order is
-    (0,0), (1,0), (0,1), (1,1).
+    Values are kept scaled by exp(-logscale) (pf_scaled, sectors_scaled,
+    Z_scaled), since unscaled ones overflow doubles on large quotients, and
+    in log form.  Sector order is (0,0), (1,0), (0,1), (1,1).
     """
 
-    def __init__(self, E, pf_phases, pf_logs, method):
+    def __init__(self, E, pf_signs, pf_logs, method):
         self.E = np.asarray(E, dtype=int)
         self.method = method
         finite = [x for x in pf_logs if x != -math.inf]
         # all four Pfaffians vanish on a coverless quotient
         self.logscale = max(finite) if finite else 0.0
-        scaled = []
-        for ph, lg in zip(pf_phases, pf_logs):
-            if lg == -math.inf:
-                scaled.append(0.0)
-            else:
-                val = ph * math.exp(lg - self.logscale)
-                if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
-                    raise QuotientError("Pfaffian of a real quotient came out complex")
-                scaled.append(val.real)
-        self.pf_scaled = np.array(scaled)
+        self.pf_scaled = np.array([
+            0.0 if lg == -math.inf else sg * math.exp(lg - self.logscale)
+            for sg, lg in zip(pf_signs, pf_logs)])
         canon = self.pf_scaled * np.array([-1.0, 1.0, 1.0, 1.0])
         self.sectors_scaled = 0.25 * (S_MATRIX @ canon)
         self.Z_scaled = float(self.sectors_scaled.sum())
-
-    @property
-    def pf(self):
-        return self.pf_scaled * math.exp(self.logscale)
-
-    @property
-    def sectors(self):
-        return self.sectors_scaled * math.exp(self.logscale)
-
-    @property
-    def Z(self):
-        return self.Z_scaled * math.exp(self.logscale)
 
     @property
     def log_Z(self):
@@ -211,30 +200,61 @@ class SectorTable:
         return out, 2.0 * self.logscale
 
 
-def sector_table(dom, E, cap=DENSE_CAP):
-    """Exact Pfaffian/sector table of the E-quotient by dense elimination.
+def real_point_factors(dom, E):
+    """Per slot, (sign, log|.|) of prod Pf K(s) over the real fiber points s.
 
-    Quotients with more than `cap` vertices are refused here; use the
-    criticality-aware path in the fsc module for large tori.
+    s = ((-1)^a, (-1)^b) lies in the fiber of the slot with half-turns
+    E (a, b) mod 2; conjugate pairs give det K >= 0, so this is sign Pf K_E.
     """
     E = _as_E(E)
-    d = abs(int_det(E))
-    n = dom.k * d
-    if n > cap:
-        raise QuotientError(
-            "quotient has %d vertices > cap %d; large tori need the "
-            "criticality-class path" % (n, cap)
-        )
-    phases, logs = [], []
-    for (z, w) in SLOTS:
-        K = build_KE(dom, E, z, w)
-        if dom.bipartite:
-            ph, lg = pfaffian_log_bipartite(K, instance_colors(dom, d))
-        else:
-            ph, lg = pfaffian_log(K)
-        phases.append(ph)
-        logs.append(lg)
-    return SectorTable(E, phases, logs, "dense")
+    points = [(a, b) for a in (0, 1) for b in (0, 1)]
+    pf = {p: pfaffian_log(dom.K((-1) ** p[0], (-1) ** p[1])) for p in points}
+    per_slot = [[pf[p] for p in points if tuple(E @ p % 2) == (zeta < 0, xi < 0)]
+                for zeta, xi in SLOTS]
+    return [(int(math.prod(np.sign(ph.real) for ph, _lg in pfs)), sum(lg for _ph, lg in pfs))
+            for pfs in per_slot]
+
+
+def _cell_det(M):
+    """det of a stack of small matrices, in closed form up to 2 x 2."""
+    if M.shape[-1] == 1:
+        return M[..., 0, 0]
+    if M.shape[-1] == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.linalg.det(M)
+
+
+def sector_table(dom, E):
+    """Exact Pfaffian/sector table of the E-quotient from its fiber.
+
+    Per slot, Pf K_E is real_point_factors times det K(z, w) at one member
+    of each conjugate pair (Im z > 0, or z real and Im w > 0), multiplied
+    by double_product in batches of FIBER_CHUNK points; on a 2-colored
+    domain det K = |det Q|^2 with Q the black/white block.  A point on a node
+    (a zero real Pfaffian, or det K within ZERO_ULPS rounding units of its
+    Hadamard bound) makes the slot exactly zero.
+    """
+    E = _as_E(E)
+    if dom.k % 2:
+        raise QuotientError("odd cell: its quotients carry no Kasteleyn signs; "
+                            "double the domain first")
+    ends = [v for e in dom.edges for v in (e.tail, e.head)]
+    rows = np.bincount(ends, np.repeat([e.weight for e in dom.edges], 2), dom.k)
+    zero_tol = ZERO_ULPS * dom.k * np.finfo(float).eps * float(np.prod(rows))
+    # fiber coordinates are multiples of 1/(2d) turns: a nonreal one has |Im| >= 2/d
+    tol = 1.0 / abs(int_det(E))
+
+    def pair_det(z, w):
+        upper = (z.imag > tol) | ((np.abs(z.imag) < tol) & (w.imag > tol))
+        vals = np.ones(len(z))
+        cell = dom.Qblock if dom.bipartite else dom.K
+        vals[upper] = np.abs(_cell_det(cell(z[upper], w[upper]))) ** (2 if dom.bipartite else 1)
+        return vals
+
+    factors = real_point_factors(dom, E)
+    logs = [lg + double_product(pair_det, E, zeta, xi, zero_tol=zero_tol)[1] if sign else lg
+            for (zeta, xi), (sign, lg) in zip(SLOTS, factors)]
+    return SectorTable(E, [sign for sign, _lg in factors], logs, "fiber")
 
 
 # -- fiber products -----------------------------------------------------------
@@ -256,17 +276,21 @@ def fiber_points(E, zeta=1.0, xi=1.0):
 def double_product(p_eval, E, zeta=1.0, xi=1.0, zero_tol=0.0):
     """log of prod_{fiber} p(z, w) as (phase, log magnitude).
 
-    p_eval must accept numpy arrays.  A vanishing factor (within zero_tol)
-    makes the magnitude -inf, reported cleanly rather than raising.
+    p_eval must accept numpy arrays; it sees at most FIBER_CHUNK points at a
+    time.  A vanishing factor (within zero_tol) makes the magnitude -inf,
+    reported cleanly rather than raising.
     """
     zs, ws = fiber_points(E, zeta, xi)
-    vals = np.asarray(p_eval(zs, ws), dtype=complex)
-    mags = np.abs(vals)
-    if np.any(mags <= zero_tol):
-        return 0j, -math.inf
-    logabs = float(np.sum(np.log(mags)))
-    phase = cmath.exp(1j * float(np.sum(np.angle(vals))))
-    return phase, logabs
+    logabs = angle = 0.0
+    for lo in range(0, len(zs), FIBER_CHUNK):
+        vals = np.asarray(p_eval(zs[lo:lo + FIBER_CHUNK], ws[lo:lo + FIBER_CHUNK]),
+                          dtype=complex)
+        mags = np.abs(vals)
+        if np.any(mags <= zero_tol):
+            return 0j, -math.inf
+        logabs += float(np.sum(np.log(mags)))
+        angle += float(np.sum(np.angle(vals)))
+    return cmath.exp(1j * angle), logabs
 
 
 # -- enumeration --------------------------------------------------------------
@@ -424,38 +448,32 @@ def matching_sign_classes(dom, E):
 
 # -- winding distribution via twisted Pfaffians --------------------------------
 
-_CALIBRATION_TWIST = (0.731, -0.417)
-
-
 def winding_distribution_exact(dom, E, M=16, cp=None):
     """Exact law of the winding of m (+) m0 on the E-quotient, mod M.
 
     Computes the twisted partition function Z(theta) on the M x M Fourier
-    grid from per-slot fiber products of Q(z, w), the black/white block
-    determinant of the caller's CharPoly (built here when cp is None),
-    evaluated once per slot over the whole (p, q, fiber) array.  One dense
-    twisted determinant per slot calibrates the constant.  The winding
-    masses are read off a 2-D DFT and returned as a WindingTable; masses at
-    winding e are folded modulo M, so M must exceed the spread of the
-    distribution.
+    grid.  A twist theta moves the fiber points by exp(i E^-1 theta), and
+    the black/white block of the twisted K_E has determinant prod_{fiber}
+    Q(z, w), so each slot is the ordering sign times one product of the
+    caller's Q (cp built here when None) over the (p, q, fiber) array.  The
+    winding masses are read off a 2-D DFT and returned as a WindingTable,
+    folded modulo M, so M must exceed the spread of the distribution.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     E = _as_E(E)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)
-    d = abs(int_det(E))
-    colors = instance_colors(dom, d)
+    det = int_det(E)
+    colors = instance_colors(dom, abs(det))
     blacks = [i for i, c in enumerate(colors) if c == 0]
     whites = [i for i, c in enumerate(colors) if c == 1]
     m = len(blacks)
     pre = permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
 
-    Einv = np.linalg.inv(E.astype(float))
-    theta_star = np.array(_CALIBRATION_TWIST)
-    beta_star = Einv @ theta_star
+    adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
     pq = np.stack(np.meshgrid(np.arange(M), np.arange(M), indexing="ij"), axis=-1)
-    beta = (2 * math.pi * pq / M) @ Einv.T  # beta[p, q] = E^-1 (2 pi (p, q) / M)
+    beta = (2 * math.pi / (M * det)) * (pq @ adj.T)  # E^-1 (2 pi (p, q) / M)
     twist_z = np.exp(1j * beta[..., 0])[..., None]
     twist_w = np.exp(1j * beta[..., 1])[..., None]
 
@@ -463,15 +481,10 @@ def winding_distribution_exact(dom, E, M=16, cp=None):
     grid_log = np.empty((4, M, M))
     for si, (zslot, wslot) in enumerate(SLOTS):
         zs, ws = fiber_points(E, zslot, wslot)
-        K = build_KE(dom, E, zslot, wslot, twist=theta_star)
-        sign, logdet = np.linalg.slogdet(K[np.ix_(blacks, whites)])
-        vals = cp.Q(zs * cmath.exp(1j * beta_star[0]), ws * cmath.exp(1j * beta_star[1]))
-        base_log = float(np.sum(np.log(np.abs(vals))))
-        base_phase = cmath.exp(1j * float(np.sum(np.angle(vals))))
         vals = cp.Q(zs * twist_z, ws * twist_w)
         with np.errstate(divide="ignore"):
-            grid_log[si] = np.sum(np.log(np.abs(vals)), axis=-1) + (logdet - base_log)
-        grid_phase[si] = np.exp(1j * np.sum(np.angle(vals), axis=-1)) * (pre * sign / base_phase)
+            grid_log[si] = np.sum(np.log(np.abs(vals)), axis=-1)
+        grid_phase[si] = pre * np.exp(1j * np.sum(np.angle(vals), axis=-1))
     L = float(np.max(grid_log))
     signs = np.array([-0.5, 0.5, 0.5, 0.5])
     Zg = np.zeros((M, M), dtype=complex)

@@ -101,21 +101,20 @@ class FundamentalDomain:
     # -- matrices -----------------------------------------------------------
 
     def K(self, z, w):
-        """Signed adjacency (Kasteleyn) matrix of the 1x1 quotient at (z, w)."""
-        z, w = complex(z), complex(w)
-        mat = np.zeros((self.k, self.k), dtype=complex)
+        """Kasteleyn matrix of the 1x1 quotient at (z, w), (..., k, k) for arrays."""
+        z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        mat = np.zeros(np.broadcast_shapes(z.shape, w.shape) + (self.k,) * 2, dtype=complex)
         for e in self.edges:
-            val = e.sign * e.weight * z**e.dx * w**e.dy
-            mat[e.tail, e.head] += val
-            mat[e.head, e.tail] -= e.sign * e.weight * z**-e.dx * w**-e.dy
+            val = z**e.dx * w**e.dy if e.dx or e.dy else 1.0
+            mat[..., e.tail, e.head] += e.sign * e.weight * val
+            mat[..., e.head, e.tail] -= e.sign * e.weight / val
         return mat
 
     def Qblock(self, z, w):
-        """Black-row/white-column block of K; requires a coloring."""
+        """Black-row/white-column block of K, batched like K; requires a coloring."""
         if not self.bipartite:
             raise DomainError("Qblock needs a 2-colored domain")
-        full = self.K(z, w)
-        return full[np.ix_(self.blacks(), self.whites())]
+        return self.K(z, w)[..., self.blacks(), :][..., self.whites()]
 
     def with_signs(self, signs):
         return FundamentalDomain(

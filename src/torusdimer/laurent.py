@@ -31,11 +31,12 @@ class LaurentPoly2:
     def from_evaluator(cls, fun, bound, residual_tol=1e-8, prune_rel=1e-10):
         """Recover a Laurent polynomial from point evaluations.
 
-        `bound` is (bz, bw): exponents are assumed to lie in
-        [-bz, bz] x [-bw, bw].  Samples the evaluator on the roots-of-unity
-        grid of size (2bz+1) x (2bw+1), reads coefficients off a 2-D DFT,
-        prunes entries below prune_rel times the largest, and then checks
-        the result against the evaluator at a few off-grid points.  A
+        `bound` is (bz, bw): exponents are assumed to lie in [-bz, bz] x
+        [-bw, bw].  Samples the evaluator, which must accept numpy arrays,
+        in one call on the roots-of-unity grid of size (2bz+1) x (2bw+1),
+        reads coefficients off a 2-D DFT, prunes entries below prune_rel
+        times the largest, and then checks the result against the
+        evaluator at a few off-grid points in one more call.  A
         residual above residual_tol (relative to the sampled scale) raises
         DegreeBoundError, which normally means `bound` was too small.
         """
@@ -43,9 +44,7 @@ class LaurentPoly2:
         n1, n2 = 2 * bz + 1, 2 * bw + 1
         za = np.exp(2j * np.pi * np.arange(n1) / n1)
         wb = np.exp(2j * np.pi * np.arange(n2) / n2)
-        samples = np.asarray(
-            [[complex(fun(z, w)) for w in wb] for z in za], dtype=complex
-        )
+        samples = np.asarray(fun(za[:, None], wb[None, :]), dtype=complex)
         # c[i,j] = (1/N) sum_ab f(z_a, w_b) z_a^-i w_b^-j  -- a forward FFT.
         table = np.fft.fft2(samples) / (n1 * n2)
         scale = max(np.max(np.abs(samples)), 1e-300)
@@ -62,14 +61,13 @@ class LaurentPoly2:
         }
         # off-grid check at irrational angles
         rng = np.random.default_rng(20240817)
-        for _ in range(6):
-            t1, t2 = rng.random(2)
-            z = np.exp(2j * np.pi * (t1 + np.sqrt(2) / 10))
-            w = np.exp(2j * np.pi * (t2 + np.sqrt(3) / 10))
-            if abs(poly(z, w) - complex(fun(z, w))) > residual_tol * scale:
-                raise DegreeBoundError(
-                    "evaluator disagrees with degree-(%d,%d) reconstruction" % (bz, bw)
-                )
+        t = rng.random((6, 2))
+        z = np.exp(2j * np.pi * (t[:, 0] + np.sqrt(2) / 10))
+        w = np.exp(2j * np.pi * (t[:, 1] + np.sqrt(3) / 10))
+        if np.any(np.abs(poly(z, w) - fun(z, w)) > residual_tol * scale):
+            raise DegreeBoundError(
+                "evaluator disagrees with degree-(%d,%d) reconstruction" % (bz, bw)
+            )
         return poly
 
     # -- basic queries -----------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from torusdimer import cli, lattice
+from torusdimer import cli, fsc, lattice
 
 
 def run_json(capsys, argv):
@@ -121,8 +121,7 @@ def test_partition_dump_matrix_is_skew(capsys):
 def test_partition_large_quotient_magnitude_path(capsys):
     code, out, _ = run_json(
         capsys,
-        ["partition", "--lattice", "hexagonal", "--E", "48,0,0,48",
-         "--cap", "512"],
+        ["partition", "--lattice", "hexagonal", "--E", "48,0,0,48"],
     )
     assert code == 0
     assert out["method"].startswith("magnitude+")
@@ -275,12 +274,42 @@ def test_weights_rejected_for_file_domains(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gaseous_large_quotient_exit_3(capsys):
-    code = cli.run(["partition", "--lattice", "hexagonal", "--weights", "a=3",
-                    "--E", "64,0,0,64"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "dense" in err
+def test_gaseous_large_quotient_magnitude_path(capsys):
+    code, out, _ = run_json(
+        capsys, ["partition", "--lattice", "hexagonal", "--weights", "a=3",
+                 "--E", "64,0,0,64"])
+    assert code == 0
+    assert out["method"] == "magnitude+non-vanishing"
+    want = fsc.predict_logZ(lattice.builtin("hexagonal", a=3.0), [[64, 0], [0, 64]])
+    assert abs(out["log_Z"] - want) < 1e-6
+
+
+def test_gaseous_rhombi_above_label_limit(capsys):
+    code, out, _ = run_json(
+        capsys, ["partition", "--lattice", "rhombi-3464", "--E", "11,2,0,12"])
+    assert code == 0
+    assert out["method"] == "magnitude+non-vanishing"
+
+
+def test_sectors_print_null_past_e700(capsys):
+    code, out, _ = run_json(
+        capsys, ["sectors", "--lattice", "hexagonal", "--E", "100,0,0,100"])
+    assert code == 0
+    assert out["method"] == "magnitude+distinct-conjugate-nodes"
+    # about e^3231: every sector and Pfaffian is within e^2 of the largest
+    assert [out[k] for k in ("Z00", "Z10", "Z01", "Z11", "Z")] == [None] * 5
+    assert out["pf"] == [[None, 0.0]] * 4
+    # 3 | 99 puts a node in the (-1, -1) fiber: that Pfaffian prints as 0
+    code, out, _ = run_json(
+        capsys, ["sectors", "--lattice", "hexagonal", "--E", "99,0,0,99"])
+    assert code == 0
+    assert out["pf"] == [[None, 0.0]] * 3 + [[0.0, 0.0]]
+    # double-dimer sectors near e^662 are still below e^700, so they print
+    code, out, _ = run_json(
+        capsys, ["sectors", "--lattice", "hexagonal", "--E", "32,0,0,32", "--double-dimer"])
+    assert code == 0
+    for rs, v in out["ZZ"].items():
+        assert abs(math.log(v) - out["log_ZZ"][rs]) < 1e-12 * out["log_ZZ"][rs]
 
 
 def test_threads_flag_pins_environment(capsys, monkeypatch):

@@ -247,10 +247,62 @@ def test_predict_gaseous():
     assert errs[1] < 1e-2
 
 
-def test_gaseous_fast_path_refused():
+def test_gaseous_sector_table_matches_parlett_reid():
     dom = lattice.builtin("hexagonal", a=3.0)
-    with pytest.raises(FscError, match="dense"):
-        sector_table_auto(dom, np.array([[64, 0], [0, 64]]), cap=128)
+    for E in ([[8, 0], [0, 8]], [[6, 2], [0, 7]]):
+        tab = sector_table_auto(dom, E)
+        want = [kasteleyn.pfaffian_log(kasteleyn.build_KE(dom, E, z, w))
+                for z, w in kasteleyn.SLOTS]
+        top = max(lg for _ph, lg in want)
+        for got, (ph, lg) in zip(tab.pf_scaled, want):
+            assert abs(got - ph.real * math.exp(lg - top)) < 1e-10
+            assert abs(ph.imag) < 1e-12
+        # Pf(1,1) > 0: the critical classes' canonical sign -Pf(1,1) >= 0 fails here
+        assert tab.pf_scaled[0] > 0
+
+
+def test_predict_gaseous_sign_constant():
+    # unit-weight rhombi-3464 is gaseous with slot signs (-, +, +, +), so the
+    # correction is log((1 + 1 + 1 + 1) / 2) = log 2, not 0
+    dom = lattice.builtin("rhombi-3464")
+    E = np.array([[24, 0], [0, 24]])
+    assert [sg for sg, _lg in kasteleyn.real_point_factors(dom, E)] == [-1, 1, 1, 1]
+    pred = predict(dom, E)
+    assert pred.kind == "non-vanishing"
+    assert abs(pred.value - math.log(2.0)) < 1e-15
+    assert abs(predict_logZ(dom, E) - kasteleyn.sector_table(dom, E).log_Z) < 1e-6
+
+
+def test_predict_gaseous_cancelling_signs_raise(monkeypatch):
+    monkeypatch.setattr(kasteleyn, "real_point_factors",
+                        lambda dom, E: [(1, 0.0), (1, 0.0), (1, 0.0), (-1, 0.0)])
+    with pytest.raises(FscError, match="no leading term"):
+        predict(lattice.builtin("hexagonal", a=3.0), np.array([[4, 0], [0, 4]]))
+
+
+# (lattice, weights, E, method, log_Z, scaled (Pf(1,1), Pf(1,-1), Pf(-1,1),
+# Pf(-1,-1))) of critical quotients above the "dense" label limit, pinned from
+# the P-magnitude path with canonical signs that the fiber path replaced
+_ABOVE_LABEL_LIMIT = (
+    ("hexagonal", {}, [[48, 0], [0, 48]], "magnitude+distinct-conjugate-nodes",
+     745.2111694483053, (0.0, 1.0, 1.0, 0.9999999999998863)),
+    ("square-2x1", {}, [[31, 3], [0, 30]], "magnitude+two-real-nodes",
+     543.3881838589491, (0.0, 1.0, 0.0, 1.0)),
+    ("fisher", {"a": math.sqrt(3.0), "b": math.sqrt(3.0), "c": math.sqrt(3.0)},
+     [[11, 0], [3, 13]], "magnitude+single-real-node",
+     244.24650440051434, (0.0, 0.8347529730431299, 1.0, 0.8640373862429843)),
+    ("square-bip", {}, [[50, 1], [0, 50]], "magnitude+distinct-conjugate-nodes",
+     1458.6783026903213, (-1.0, 0.41444555981283854, 1.0, 0.41444555981283854)),
+)
+
+
+@pytest.mark.parametrize("name,weights,E,method,log_z,pf", _ABOVE_LABEL_LIMIT,
+                         ids=[row[0] for row in _ABOVE_LABEL_LIMIT])
+def test_critical_tables_above_label_limit_unchanged(name, weights, E, method, log_z, pf):
+    tab = sector_table_auto(lattice.builtin(name, **weights), E)
+    assert tab.method == method
+    assert abs(tab.log_Z - log_z) < 1e-12 * log_z
+    assert np.max(np.abs(tab.pf_scaled - np.array(pf))) < 1e-12
 
 
 def test_per_sector_prediction_tracks_exact_sectors():
@@ -365,7 +417,7 @@ def test_square_quotient_identity_small():
         assert pair is not None
         dom2, E2 = pair
         tab = kasteleyn.sector_table(dom2, E2)
-        assert abs(tab.Z - z) < 1e-9 * max(1.0, z)
+        assert abs(tab.Z_scaled * math.exp(tab.logscale) - z) < 1e-9 * max(1.0, z)
 
 
 def test_square_odd_det_has_no_covers():
@@ -441,6 +493,14 @@ def test_ising_critical_onsager_point():
     assert all(ok for _, _, ok in report.pattern_checks)
 
 
+def test_ising_pattern_check_beyond_overflow():
+    # 28 x 28 has 4704 vertices; the unscaled Z overflows a double there
+    ba = bb = 0.5 * math.log(math.sqrt(2.0) + 1.0)
+    report = ising_critical_check(ba, bb, 0.0, sizes=(28,))
+    assert report.vanishing == ["kappa_0"]
+    assert [ok for _, _, ok in report.pattern_checks] == [True]
+
+
 def test_kappa_frozen_example():
     k = kappa(2.0, 3.0, 5.0)
     assert k == (-20.0, 36.0, 34.0, 30.0)
@@ -449,17 +509,17 @@ def test_kappa_frozen_example():
 def test_fisher_one_cell_pfaffians_are_kappa():
     dom = lattice.builtin("fisher", a=2.0, b=3.0, c=5.0)
     tab = kasteleyn.sector_table(dom, np.eye(2, dtype=int))
-    pf = [p.real for p in tab.pf]
-    assert np.allclose(pf, (20.0, 36.0, 34.0, 30.0), atol=1e-9)
-    assert np.allclose(tab.sectors, (30.0, 2.0, 3.0, 5.0), atol=1e-9)
+    scale = math.exp(tab.logscale)
+    assert np.allclose(tab.pf_scaled * scale, (20.0, 36.0, 34.0, 30.0), atol=1e-9)
+    assert np.allclose(tab.sectors_scaled * scale, (30.0, 2.0, 3.0, 5.0), atol=1e-9)
 
 
 def test_rhombi_one_cell_pfaffians_are_twice_kappa():
     dom = lattice.builtin("rhombi-3464", a=2.0, b=3.0, c=5.0)
     tab = kasteleyn.sector_table(dom, np.eye(2, dtype=int))
-    pf = [p.real for p in tab.pf]
-    assert np.allclose(pf, (40.0, 72.0, 68.0, 60.0), atol=1e-9)
-    assert np.allclose(tab.sectors, (60.0, 4.0, 6.0, 10.0), atol=1e-9)
+    scale = math.exp(tab.logscale)
+    assert np.allclose(tab.pf_scaled * scale, (40.0, 72.0, 68.0, 60.0), atol=1e-9)
+    assert np.allclose(tab.sectors_scaled * scale, (60.0, 4.0, 6.0, 10.0), atol=1e-9)
 
 
 def test_one_vertex_square_charpoly_is_refused():

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -92,8 +93,8 @@ def test_sector_table_matches_enumeration(name, E):
     E = np.array(E)
     enum = enumerate_matchings(dom, E)
     table = sector_table(dom, E)
-    assert abs(table.Z - enum.Z) <= 1e-9 * max(1.0, enum.Z)
-    got = table.sectors
+    got = table.sectors_scaled * math.exp(table.logscale)
+    assert abs(got.sum() - enum.Z) <= 1e-9 * max(1.0, enum.Z)
     for k in range(4):
         assert abs(got[k] - enum.sectors[k]) <= 1e-9 * max(1.0, enum.Z)
 
@@ -103,7 +104,7 @@ def test_sector_table_weighted():
     E = np.array([[2, 1], [0, 1]])
     enum = enumerate_matchings(dom, E)
     table = sector_table(dom, E)
-    assert abs(table.Z - enum.Z) <= 1e-9 * enum.Z
+    assert abs(table.log_Z - math.log(enum.Z)) <= 1e-9
 
 
 def test_fiber_points_and_double_product():
@@ -180,3 +181,45 @@ def test_pfaffian_sign_classes_on_builtin():
     signs = enum.pf_signs_by_class()
     for cls, ss in signs.items():
         assert ss == {1 if cls == (0, 0) else -1}
+
+
+@pytest.mark.parametrize("weights,E", [
+    ({"a": 1.064432, "b": 1.477222, "c": 1.381871}, [[64, 0], [0, 16]]),
+    ({"a": 0.839226, "b": 0.785111, "c": 0.845923}, [[32, 0], [11, 18]]),
+])
+def test_sectors_pfaffians_match_svd(weights, E, capsys):
+    # np.linalg.slogdet of these 2048-vertex black/white blocks was off by up
+    # to 5.7e-3 in log|Pf|; singular values are accurate to rounding
+    from torusdimer import cli
+
+    assert cli.run(["sectors", "--lattice", "hexagonal",
+                    "--weights", ",".join("%s=%r" % kv for kv in weights.items()),
+                    "--E", ",".join(str(x) for row in E for x in row)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    dom = lattice.builtin("hexagonal", **weights)
+    colors = kasteleyn.instance_colors(dom, lattice.int_det(E))
+    blacks = [i for i, c in enumerate(colors) if c == 0]
+    whites = [i for i, c in enumerate(colors) if c == 1]
+    for (z, w), (pf, im) in zip(SLOTS, out["pf"]):
+        block = build_KE(dom, E, z, w)[np.ix_(blacks, whites)].real
+        want = float(np.sum(np.log(np.linalg.svd(block, compute_uv=False))))
+        assert im == 0.0
+        assert abs(math.log(abs(pf)) - want) < 1e-10
+
+
+def test_small_quotients_never_build_the_spectral_curve(monkeypatch, capsys):
+    from torusdimer import charpoly, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_charpoly called below the label limit")
+
+    monkeypatch.setattr(charpoly, "build_charpoly", refuse)
+    for name in lattice.BUILTIN_NAMES:
+        assert cli.run(["partition", "--lattice", name, "--E", "4,0,0,4"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "dense"
+
+
+def test_odd_cell_quotients_are_refused():
+    # an odd cell carries no Kasteleyn signs; its doubling does
+    with pytest.raises(kasteleyn.QuotientError, match="odd cell"):
+        sector_table(lattice.builtin("square-1x1"), [[2, 0], [0, 2]])

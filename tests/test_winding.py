@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from torusdimer import fsc, kasteleyn, lattice
 
@@ -135,3 +136,30 @@ def test_winding_command_finds_nodes_once_per_charpoly(monkeypatch, capsys):
     assert cli.run(["winding", "--lattice", "hexagonal", "--E", "3,0,0,3"]) == 0
     capsys.readouterr()
     assert list(calls.values()) == [1]
+
+
+@pytest.mark.parametrize("dom,E", [
+    (lattice.builtin("hexagonal", a=1.2, b=0.9, c=1.1), [[3, 1], [1, 2]]),
+    (lattice.builtin("hexagonal"), [[2, 1], [-1, 2]]),
+    (lattice.builtin("hexagonal", a=0.8, b=1.3), [[4, 0], [1, -3]]),
+    (lattice.builtin("square-bip", a=1.3, b=0.8), [[2, 1], [0, 3]]),
+    (lattice.builtin("square-bip"), [[3, 0], [2, 2]]),
+])
+def test_twisted_block_determinant_is_fiber_product_of_Q(dom, E):
+    # det Q_E(theta) = prod over the fiber of det Q at the twisted points, sign
+    # included; winding_distribution_exact relies on it with no calibration
+    E = np.array(E)
+    det = lattice.int_det(E)
+    colors = kasteleyn.instance_colors(dom, abs(det))
+    blacks = [i for i, c in enumerate(colors) if c == 0]
+    whites = [i for i, c in enumerate(colors) if c == 1]
+    adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
+    for theta in ((0.731, -0.417), (2.9, 1.3)):
+        beta = adj @ np.array(theta) / det
+        for zslot, wslot in kasteleyn.SLOTS:
+            K = kasteleyn.build_KE(dom, E, zslot, wslot, twist=theta)
+            want = np.linalg.det(K[np.ix_(blacks, whites)])
+            zs, ws = kasteleyn.fiber_points(E, zslot, wslot)
+            got = np.prod(np.linalg.det(dom.Qblock(zs * np.exp(1j * beta[0]),
+                                                   ws * np.exp(1j * beta[1]))))
+            assert abs(got - want) < 1e-12 * abs(want)
