@@ -290,6 +290,10 @@ def find_nodes(cp, grid=256, value_tol=1e-10):
     for axis in (0, 1):
         for shift in (1, -1):
             is_min &= vals <= np.roll(vals, shift, axis=axis)
+    # every zero has a grid point within (pi/grid) sqrt(2) radians, where P is
+    # at most (pi/grid)^2 sum |c_ij| (i^2 + j^2): no higher minimum can lead to one
+    curvature = sum(abs(c) * (i * i + j * j) for (i, j), c in P.coeffs.items())
+    is_min &= vals <= (math.pi / grid) ** 2 * curvature + value_tol * scale
     # real points are always stationary; seed them first so that a cluster of
     # near-converged candidates around a real zero keeps the exact location
     cand = [(r, s) for r in (0.0, 1.0) for s in (0.0, 1.0)]

@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+from . import charpoly, fsc, kasteleyn, lattice
+
 
 def _fmt_float(x):
     if x != x or x in (math.inf, -math.inf):
@@ -108,7 +110,7 @@ def _parse_range(text):
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
 
 
-def _load_domain(args, lattice):
+def _load_domain(args):
     name = args.lattice
     weights = _parse_weights(getattr(args, "weights", None))
     if name in lattice.BUILTIN_NAMES or name == "square-1x1":
@@ -144,9 +146,8 @@ def _matrix_triplets(K):
     return entries
 
 
-def _cmd_partition(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
-    dom = _load_domain(args, lattice)
+def _cmd_partition(args):
+    dom = _load_domain(args)
     E = _parse_E(args.E)
     table = fsc.sector_table_auto(dom, E)
     log_z = table.log_Z
@@ -170,9 +171,8 @@ def _cmd_partition(args, mods):
     return 0
 
 
-def _cmd_sectors(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
-    dom = _load_domain(args, lattice)
+def _cmd_sectors(args):
+    dom = _load_domain(args)
     E = _parse_E(args.E)
     table = fsc.sector_table_auto(dom, E)
     sectors = [_unscaled(x, table.logscale) for x in table.sectors_scaled]
@@ -201,9 +201,8 @@ def _cmd_sectors(args, mods):
     return 0
 
 
-def _cmd_criticality(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
-    dom = _load_domain(args, lattice)
+def _cmd_criticality(args):
+    dom = _load_domain(args)
     cp = charpoly.build_charpoly(dom)
     rep = cp.nodes
     nodes = []
@@ -230,9 +229,8 @@ def _cmd_criticality(args, mods):
     return 3 if rep.outside_conjectured_class else 0
 
 
-def _cmd_winding(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
-    dom = _load_domain(args, lattice)
+def _cmd_winding(args):
+    dom = _load_domain(args)
     E = _parse_E(args.E)
     cp = charpoly.build_charpoly(dom)
     law = fsc.winding_law(dom, E, cp=cp)
@@ -255,8 +253,7 @@ def _cmd_winding(args, mods):
     return 0
 
 
-def _cmd_fsc_curve(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
+def _cmd_fsc_curve(args):
     family = args.family or args.lattice
     if family in ("square-1x1", "square"):
         family = "square"
@@ -287,9 +284,8 @@ def _cmd_fsc_curve(args, mods):
     return 0
 
 
-def _cmd_verify(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
-    dom = _load_domain(args, lattice)
+def _cmd_verify(args):
+    dom = _load_domain(args)
     report = lattice.verify_orientation(dom)
     ok = (report.faces_clockwise_odd and report.m0_sign_positive
           and report.alternating_cycles_positive)
@@ -304,8 +300,7 @@ def _cmd_verify(args, mods):
     return 0 if ok else 3
 
 
-def _cmd_ising(args, mods):
-    lattice, kasteleyn, charpoly, fsc = mods
+def _cmd_ising(args):
     sizes = tuple(int(s) for s in args.sizes.split(","))
     rep = fsc.ising_critical_check(args.beta_a, args.beta_b, args.beta_c,
                                    sizes=sizes)
@@ -342,9 +337,6 @@ def _build_parser():
         prog="torusdimer",
         description="Exact dimer partition functions and finite-size "
                     "corrections on toric quotients.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread count (default: TORUSDIMER_THREADS "
-                             "env var, else library default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, need_E=False):
@@ -400,22 +392,8 @@ def _build_parser():
 def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("TORUSDIMER_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-    # heavy imports deferred until after the thread environment is pinned
-    from . import lattice, kasteleyn, charpoly, fsc
-    mods = (lattice, kasteleyn, charpoly, fsc)
-
     try:
-        return _COMMANDS[args.command](args, mods)
+        return _COMMANDS[args.command](args)
     except _Usage as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ FscResult = namedtuple(
 )
 
 WindingLaw = namedtuple("WindingLaw", ["mu", "sigma", "color_swapped", "ell"])
+SIGMA_COND_LIMIT = 1e8  # beyond it the Gaussian model is taken in a reduced basis
 
 
 class FscError(ValueError):
@@ -125,13 +126,17 @@ ConformalData = namedtuple("ConformalData", ["tau", "zeta", "xi", "r", "s"])
 def conformal_data(E, node):
     """Shape parameter and boundary phases of one node on the E-quotient.
 
-    tau is Im-positive for any orientation of E; the phases are
+    tau is that of the pulled-back form E^-T H E^-1 = adj(E)^T H adj(E) / det^2,
+    Im-positive for any orientation of E, with its determinant taken exactly
+    as det H / det^2; the phases are
     zeta = z0^E11 w0^E12 = e^{i pi r} and xi = z0^E21 w0^E22 = e^{i pi s},
     computed in angle space with r, s wrapped into (-1, 1].
     """
     E = np.asarray(E, dtype=int)
-    M = np.linalg.inv(E.T.astype(float)) @ node.hessian @ np.linalg.inv(E.astype(float))
-    tau = _charpoly.tau_of_hessian(M)
+    det = abs(_lattice.int_det(E))
+    adj = _lattice.adjugate(E).astype(float)
+    M = adj.T @ node.hessian @ adj / float(det) ** 2
+    tau = complex(-M[0, 1], node.D / det) / M[1, 1]
     r0, s0 = node.arguments
     r = _charpoly._wrap_half_turns(E[0, 0] * r0 + E[0, 1] * s0)
     s = _charpoly._wrap_half_turns(E[1, 0] * r0 + E[1, 1] * s0)
@@ -309,20 +314,37 @@ def winding_law(dom, E, cp=None):
 
     (u, v), (x, y) = E[0], E[1]
     ell = np.array([lh, lv], dtype=float)
-    jump = np.array([[y, -x], [-v, u]], dtype=float)  # = det(E) (E^T)^-1
+    adj = _lattice.adjugate(E)  # its transpose det(E) (E^T)^-1 is the jump
     mu = (1.0 / math.pi) * np.array([x * argz + y * argw, -u * argz - v * argw])
-    mu = mu - jump @ ell
-    H = node.hessian
+    mu = mu - adj.T @ ell
+    # E^-T H E^-1 |det E| / sqrt(det H), with E^-1 = adj(E) / det E
     det = abs(_lattice.int_det(E))
-    Einv = np.linalg.inv(E.astype(float))
-    sigma = Einv.T @ H @ Einv * det / math.sqrt(np.linalg.det(H))
+    sigma = adj.T @ node.hessian @ adj / (det * node.D)
     return WindingLaw((float(mu[0]), float(mu[1])), sigma, swapped,
                       (int(ell[0]), int(ell[1])))
 
 
 def winding_distribution_gaussian(dom, E, cp=None, tail=1e-12):
+    """discrete_gaussian of winding_law: {winding in E-coordinates: mass}.
+
+    When Sigma is too ill-conditioned in the basis E to invert (rows far
+    from reduced, such as a det-1 E with entries near 1e8), the law is taken
+    in the Lagrange-reduced basis R of E = T R and its windings carried back
+    exactly by e -> adj(T)^T e = T^-T e: winding_law is linear in adj(E)^T,
+    and adj(T R) = adj(R) adj(T).
+    """
     law = winding_law(dom, E, cp=cp)
-    return discrete_gaussian(law.mu, law.sigma, tail=tail)
+    # Both bases give the same masses, but discrete_gaussian returns a box of
+    # cells around mu in the basis it works in: reducing every E would change
+    # which far-tail cells the winding command prints (7 of the 18 perfbench
+    # winding inputs, all with masses below 1e-49).
+    if np.linalg.cond(law.sigma) < SIGMA_COND_LIMIT:
+        return discrete_gaussian(law.mu, law.sigma, tail=tail)
+    T, R = _lattice.reduce_rows(E)
+    law = winding_law(dom, R, cp=cp)
+    back = _lattice.adjugate(T).T
+    return {tuple(int(x) for x in back @ e): p
+            for e, p in discrete_gaussian(law.mu, law.sigma, tail=tail).items()}
 
 
 # -- square-lattice parity table --------------------------------------------------

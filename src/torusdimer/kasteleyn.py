@@ -8,18 +8,23 @@ Z^2 / Z^2 E in lexicographic order.
 A Fourier transform over the residues block-diagonalises K_E(zeta, xi) into
 the k x k cell matrices K(z, w) at the fiber points of (zeta, xi), so
 Pf K_E = prod_{real points} Pf K(s) * prod_{conjugate pairs} det K(z, w),
-with det K = P >= 0 on the unit torus.  sector_table uses this for every
-quotient, in (sign, log magnitude) form; build_KE, the dense Pfaffians and
-enumerate_matchings are independent oracles (and serve --dump-matrix).
+with det K = P >= 0 on the unit torus.  A boundary phase or a twist only
+shifts the fiber, so sector_table (four slots) and winding_distribution_exact
+(slots times twists) each take one fiber product over an array of phases,
+given as exact turns; double_product is its entry for complex phases.
+build_KE, the dense Pfaffians and enumerate_matchings are independent
+oracles (and serve --dump-matrix).
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from . import charpoly as _charpoly
-from .lattice import hnf_residues, instance_edges, int_det, lattice_coords, permutation_sign
+from .lattice import (adjugate, hnf_residues, instance_edges, int_det, lattice_coords,
+                      permutation_sign)
 
 # sector mixing: canonical vector c = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1))
 # satisfies c = S_MATRIX @ (Z00, Z10, Z01, Z11), and S_MATRIX^2 = 4.
@@ -30,7 +35,7 @@ SLOTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 SECTOR_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 ENUM_CAP = 28
-FIBER_CHUNK = 4096  # fiber points per batched det K(z, w): bounds the work array
+FIBER_CHUNK = 4096  # points per p_eval call in a fiber product: bounds the work array
 ZERO_ULPS = 64  # det K within this many rounding units of its bound is a node
 
 
@@ -66,7 +71,7 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
     if twist is not None:
         if not dom.bipartite:
             raise QuotientError("twists require a 2-colored domain")
-        beta = np.linalg.inv(E.astype(float)) @ np.asarray(twist, dtype=float)
+        beta = adjugate(E) @ np.asarray(twist, dtype=float) / int_det(E)
         val = val * np.tile([
             cmath.exp(1j * (1.0 if dom.colors[e.tail] == 0 else -1.0)
                       * (beta[0] * e.dx + beta[1] * e.dy))
@@ -139,16 +144,21 @@ def instance_colors(dom, d):
     return [dom.colors[v % dom.k] for v in range(dom.k * d)]
 
 
+def _black_white(colors):
+    """(blacks, whites, pre) with Pf A = pre * det A[blacks, whites] for 2-colored A."""
+    blacks = [i for i, c in enumerate(colors) if c == 0]
+    whites = [i for i, c in enumerate(colors) if c == 1]
+    m = len(blacks)
+    return blacks, whites, permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
+
+
 def pfaffian_log_bipartite(A, colors):
     """Pfaffian of a 2-colored skew matrix through the black/white block.
 
     A test oracle only: slogdet loses digits on periodic quotients from
     about 1000 vertices on (5.7e-3 in log|Pf| at 2048 hexagonal vertices).
     """
-    blacks = [i for i, c in enumerate(colors) if c == 0]
-    whites = [i for i, c in enumerate(colors) if c == 1]
-    m = len(blacks)
-    pre = permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
+    blacks, whites, pre = _black_white(colors)
     sign, logdet = np.linalg.slogdet(A[np.ix_(blacks, whites)])
     return pre * sign, logdet
 
@@ -229,10 +239,11 @@ def sector_table(dom, E):
 
     Per slot, Pf K_E is real_point_factors times det K(z, w) at one member
     of each conjugate pair (Im z > 0, or z real and Im w > 0), multiplied
-    by double_product in batches of FIBER_CHUNK points; on a 2-colored
-    domain det K = |det Q|^2 with Q the black/white block.  A point on a node
-    (a zero real Pfaffian, or det K within ZERO_ULPS rounding units of its
-    Hadamard bound) makes the slot exactly zero.
+    by one fiber product over the slots whose real Pfaffians do not vanish
+    (a slot -1 is an exact half turn); on a 2-colored domain det K = |det Q|^2
+    with Q the black/white block.  A point on a node (a zero real Pfaffian,
+    or det K within ZERO_ULPS rounding units of its Hadamard bound) makes the
+    slot exactly zero.
     """
     E = _as_E(E)
     if dom.k % 2:
@@ -252,45 +263,94 @@ def sector_table(dom, E):
         return vals
 
     factors = real_point_factors(dom, E)
-    logs = [lg + double_product(pair_det, E, zeta, xi, zero_tol=zero_tol)[1] if sign else lg
-            for (zeta, xi), (sign, lg) in zip(SLOTS, factors)]
+    live = [si for si, (sign, _lg) in enumerate(factors) if sign]
+    phi, psi = (1 - np.array(SLOTS)[live].T) // 2  # a slot -1 is half a turn
+    pair_logs = dict(zip(live, _fiber_product(pair_det, E, phi, psi, 2, zero_tol)[1]))
+    logs = [lg + pair_logs.get(si, 0.0) for si, (_sign, lg) in enumerate(factors)]
     return SectorTable(E, [sign for sign, _lg in factors], logs, "fiber")
 
 
 # -- fiber products -----------------------------------------------------------
 
 
+def _phase_turns(zeta, xi):
+    """Complex phases as turns (phi, psi) / 2^1074, exact for their float angles / 2 pi.
+
+    Every double is a multiple of 2^-1074; a slot -1 is the half turn 1/2.
+    """
+    exact = np.vectorize(lambda t: int(Fraction(t) * 2 ** 1074), otypes=[object])
+    phi, psi = (exact(np.angle(np.asarray(p, dtype=complex)) / (2 * math.pi)) for p in (zeta, xi))
+    return phi, psi, 2 ** 1074
+
+
+def _fiber_shift(E, phi, psi, den):
+    """Per phase exp(2 pi i (phi, psi) / den), the factors exp(2 pi i E^-1 (phi, psi) / den).
+
+    phi and psi are integer arrays that broadcast.  adj(E) (phi, psi) is
+    reduced mod det E * den in integers before the one multiplication by
+    2 pi, so the shift keeps every digit at any size of E.
+    """
+    det, adj = int_det(E), adjugate(E).tolist()
+    mod = det * den
+    turns = 0.0
+    for col, num in enumerate(np.broadcast_arrays(np.asarray(phi), np.asarray(psi))):
+        vals, inv = np.unique(num, return_inverse=True)
+        reduced = [[adj[row][col] * int(u) % mod / mod for row in (0, 1)] for u in vals]
+        turns = turns + np.array(reduced).reshape(-1, 2)[inv.reshape(num.shape)]
+    return np.exp(2j * math.pi * turns[..., 0]), np.exp(2j * math.pi * turns[..., 1])
+
+
 def fiber_points(E, zeta=1.0, xi=1.0):
-    """The |det E| points (z, w) with z^E11 w^E12 = zeta, z^E21 w^E22 = xi."""
+    """The |det E| points (z, w) with z^E11 w^E12 = zeta, z^E21 w^E22 = xi.
+
+    The base points exp(2 pi i E^-1 n), n over the residues of Z^2 / Z^2 E^T,
+    are reduced mod det E in integers and then shifted by _fiber_shift.
+    Array phases broadcast: the points then have shape phases + (|det E|,).
+    """
     E = _as_E(E)
-    phi = cmath.phase(complex(zeta)) / (2 * math.pi)
-    psi = cmath.phase(complex(xi)) / (2 * math.pi)
-    _, reps, _ = hnf_residues(E.T)
-    # E^-1 = adj(E) / det; the integer part is reduced mod det exactly
     det = int_det(E)
-    adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
-    ab = ((reps @ adj.T) % det + adj @ np.array([phi, psi])) / det
-    return np.exp(2j * math.pi * ab[:, 0]), np.exp(2j * math.pi * ab[:, 1])
+    _, reps, _ = hnf_residues(E.T)
+    base = np.exp(2j * math.pi * ((reps @ adjugate(E).T) % det / det))
+    shift_z, shift_w = _fiber_shift(E, *_phase_turns(zeta, xi))
+    return base[:, 0] * shift_z[..., None], base[:, 1] * shift_w[..., None]
 
 
 def double_product(p_eval, E, zeta=1.0, xi=1.0, zero_tol=0.0):
-    """log of prod_{fiber} p(z, w) as (phase, log magnitude).
+    """log of prod_{fiber} p(z, w) as (phase, log magnitude), per boundary phase.
 
-    p_eval must accept numpy arrays; it sees at most FIBER_CHUNK points at a
-    time.  A vanishing factor (within zero_tol) makes the magnitude -inf,
-    reported cleanly rather than raising.
+    zeta and xi are complex phases of any (broadcast) shape, which the results
+    take (plain numbers for scalars); see _fiber_product.
     """
-    zs, ws = fiber_points(E, zeta, xi)
-    logabs = angle = 0.0
-    for lo in range(0, len(zs), FIBER_CHUNK):
-        vals = np.asarray(p_eval(zs[lo:lo + FIBER_CHUNK], ws[lo:lo + FIBER_CHUNK]),
-                          dtype=complex)
-        mags = np.abs(vals)
-        if np.any(mags <= zero_tol):
-            return 0j, -math.inf
-        logabs += float(np.sum(np.log(mags)))
-        angle += float(np.sum(np.angle(vals)))
-    return cmath.exp(1j * angle), logabs
+    return _fiber_product(p_eval, E, *_phase_turns(zeta, xi), zero_tol)
+
+
+def _fiber_product(p_eval, E, phi, psi, den, zero_tol):
+    """double_product at the boundary phases exp(2 pi i (phi, psi) / den).
+
+    The fiber comes from one fiber_points call and is shifted per phase by
+    _fiber_shift; p_eval takes 1-D numpy arrays of at most FIBER_CHUNK points
+    in all.  A factor within zero_tol of zero makes its own product (0, -inf).
+    """
+    zs, ws = fiber_points(E)
+    shift_z, shift_w = _fiber_shift(E, phi, psi, den)
+    shape, d, n = shift_z.shape, len(zs), shift_z.size
+    shift_z, shift_w = shift_z.reshape(n, 1), shift_w.reshape(n, 1)
+    logabs, angle, dead = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    # blocks of `rows` phases times `cols` fiber points, at most FIBER_CHUNK in all
+    cols, rows = min(d, FIBER_CHUNK), max(1, FIBER_CHUNK // d)
+    for p in range(0, n, rows):
+        for f in range(0, d, cols):
+            z = zs[f:f + cols] * shift_z[p:p + rows]
+            w = ws[f:f + cols] * shift_w[p:p + rows]
+            vals = np.asarray(p_eval(z.ravel(), w.ravel()), dtype=complex).reshape(z.shape)
+            mags = np.abs(vals)
+            zero = mags <= zero_tol
+            dead[p:p + rows] |= zero.any(axis=1)
+            logabs[p:p + rows] += np.sum(np.log(np.where(zero, 1.0, mags)), axis=1)
+            angle[p:p + rows] += np.sum(np.angle(vals), axis=1)
+    phase = np.where(dead, 0j, np.exp(1j * angle)).reshape(shape)
+    logabs = np.where(dead, -math.inf, logabs).reshape(shape)
+    return (complex(phase), float(logabs)) if not shape else (phase, logabs)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -452,44 +512,27 @@ def winding_distribution_exact(dom, E, M=16, cp=None):
     """Exact law of the winding of m (+) m0 on the E-quotient, mod M.
 
     Computes the twisted partition function Z(theta) on the M x M Fourier
-    grid.  A twist theta moves the fiber points by exp(i E^-1 theta), and
-    the black/white block of the twisted K_E has determinant prod_{fiber}
-    Q(z, w), so each slot is the ordering sign times one product of the
-    caller's Q (cp built here when None) over the (p, q, fiber) array.  The
-    winding masses are read off a 2-D DFT and returned as a WindingTable,
-    folded modulo M, so M must exceed the spread of the distribution.
+    grid.  A twist theta = 2 pi (p, q) / M multiplies the slot phases by
+    exp(i theta), and the black/white block of the twisted K_E has
+    determinant prod_{fiber} Q(z, w), so each (slot, p, q) is the ordering
+    sign times one product of the caller's Q (cp built here when None),
+    all taken in one fiber product in exact turns over 2M.  The winding
+    masses are read off a 2-D DFT and returned as a WindingTable, folded
+    modulo M, so M must exceed the spread of the distribution.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     E = _as_E(E)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)
-    det = int_det(E)
-    colors = instance_colors(dom, abs(det))
-    blacks = [i for i, c in enumerate(colors) if c == 0]
-    whites = [i for i, c in enumerate(colors) if c == 1]
-    m = len(blacks)
-    pre = permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
-
-    adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
-    pq = np.stack(np.meshgrid(np.arange(M), np.arange(M), indexing="ij"), axis=-1)
-    beta = (2 * math.pi / (M * det)) * (pq @ adj.T)  # E^-1 (2 pi (p, q) / M)
-    twist_z = np.exp(1j * beta[..., 0])[..., None]
-    twist_w = np.exp(1j * beta[..., 1])[..., None]
-
-    grid_phase = np.empty((4, M, M), dtype=complex)
-    grid_log = np.empty((4, M, M))
-    for si, (zslot, wslot) in enumerate(SLOTS):
-        zs, ws = fiber_points(E, zslot, wslot)
-        vals = cp.Q(zs * twist_z, ws * twist_w)
-        with np.errstate(divide="ignore"):
-            grid_log[si] = np.sum(np.log(np.abs(vals)), axis=-1)
-        grid_phase[si] = pre * np.exp(1j * np.sum(np.angle(vals), axis=-1))
-    L = float(np.max(grid_log))
-    signs = np.array([-0.5, 0.5, 0.5, 0.5])
-    Zg = np.zeros((M, M), dtype=complex)
-    for si in range(4):
-        Zg += signs[si] * grid_phase[si] * np.exp(grid_log[si] - L)
+    _, _, pre = _black_white(instance_colors(dom, abs(int_det(E))))
+    # slot half turns plus twist turns (p, q) / M, exact over 2M
+    halves = (M * (1 - np.array(SLOTS)) // 2)[:, :, None, None]
+    twist = 2 * np.arange(M)
+    grid_phase, grid_log = _fiber_product(cp.Q, E, halves[:, 0] + twist[:, None],
+                                          halves[:, 1] + twist[None, :], 2 * M, 0.0)
+    signs = np.array([-0.5, 0.5, 0.5, 0.5])[:, None, None]
+    Zg = np.sum(signs * pre * grid_phase * np.exp(grid_log - np.max(grid_log)), axis=0)
     Z0 = Zg[0, 0]
     if not (abs(Z0.imag) < 1e-8 * abs(Z0) and Z0.real > 0):
         raise QuotientError("twisted partition function failed its reality check")

@@ -265,17 +265,44 @@ def int_det(E):
     return a * d - b * c
 
 
+def adjugate(E):
+    """adj(E) = det(E) E^-1 of an integer 2x2 matrix, as an int64 array."""
+    (a, b), (c, d) = ((int(x) for x in row) for row in np.asarray(E))
+    return np.array([[d, -b], [-c, a]], dtype=np.int64)
+
+
+def reduce_rows(E):
+    """(T, R) with E = T R, det T = +1 and the rows of R Lagrange-reduced.
+
+    Exact integer arithmetic: the rows of R are a shortest basis of the row
+    lattice of E, with the orientation of E (each swap flips it, so the
+    second row is negated when the count is odd).
+    """
+    r1, r2 = ([int(x) for x in row] for row in np.asarray(E))
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    while True:
+        if dot(r2, r2) < dot(r1, r1):
+            r1, r2 = r2, r1
+        m = (2 * dot(r1, r2) + dot(r1, r1)) // (2 * dot(r1, r1))  # nearest integer
+        if m == 0:
+            break
+        r2 = [r2[0] - m * r1[0], r2[1] - m * r1[1]]
+    if (r1[0] * r2[1] - r1[1] * r2[0] > 0) != (int_det(E) > 0):
+        r2 = [-r2[0], -r2[1]]
+    R = np.array([r1, r2], dtype=np.int64)
+    return np.asarray(E, dtype=np.int64) @ adjugate(R) // int_det(R), R
+
+
 def lattice_coords(V, E):
     """Integer n with V = n E, for one vector or an (..., 2) array of them.
 
     Computed exactly as V adj(E) / det E; raises DomainError when some V
     is not in the row lattice of E.
     """
-    (a, b), (c, d) = ((int(x) for x in row) for row in np.asarray(E))
-    det = a * d - b * c
-    V = np.asarray(V, dtype=np.int64)
-    num = np.stack([V[..., 0] * d - V[..., 1] * c, V[..., 1] * a - V[..., 0] * b], axis=-1)
-    n, rem = np.divmod(num, det)
+    n, rem = np.divmod(np.asarray(V, dtype=np.int64) @ adjugate(E), int_det(E))
     if rem.any():
         raise DomainError("vector is not in the row lattice of E")
     return n

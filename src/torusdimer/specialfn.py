@@ -125,10 +125,15 @@ def _phase_frac(c):
 
 
 def log_xi(zeta, xi_, tau):
-    """log of xi(zeta, xi | tau); -inf at the odd characteristic."""
-    tau = _check_tau(tau)
-    phi = _phase_frac(-complex(zeta))
-    psi = _phase_frac(-complex(xi_))
+    """log of xi(zeta, xi | tau); -inf at the odd characteristic.
+
+    Evaluated at reduce_tau(tau), where Im tau >= sqrt(3)/2 and the series
+    converge in a few terms, with the arguments moved by transform_xi_args.
+    """
+    tau, ops = reduce_tau(tau)
+    r, s, zeta, xi_ = transform_xi_args(0, 0, zeta, xi_, ops)
+    phi = _phase_frac((-1) ** (r + 1) * zeta)
+    psi = _phase_frac((-1) ** (s + 1) * xi_)
     jstar = -round(phi)
     base = -math.pi * tau.imag * (jstar + phi) ** 2
     total = 0j
@@ -197,14 +202,11 @@ def transform_xi_args(r, s, zeta, xi_, ops):
     for op in ops:
         if op == "S":
             r, s, zeta, xi_ = s, r, xi_.conjugate(), zeta
-        else:
+        else:  # tau -> tau + n: n steps of s -> r + s, xi -> zeta xi at once
             n = op[1]
-            if n >= 0:  # tau -> tau + n, one step at a time
-                for _ in range(n):
-                    r, s, zeta, xi_ = r, (r + s) % 2, zeta, zeta * xi_
-            else:
-                for _ in range(-n):
-                    r, s, zeta, xi_ = r, (r + s) % 2, zeta, zeta.conjugate() * xi_
+            # zeta^n with n u mod d exact on the float turns u / d of zeta
+            u, d = (cmath.phase(zeta) / (2 * math.pi)).as_integer_ratio()
+            s, xi_ = (s + n * r) % 2, cmath.exp(2j * math.pi * (n * u % d / d)) * xi_
     return r, s, zeta, xi_
 
 

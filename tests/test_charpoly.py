@@ -176,3 +176,18 @@ def test_ronkin_gradient_prediction_matches_central_differences():
 def test_gradient_prediction_requires_conjugate_class():
     with pytest.raises(CharPolyError):
         ronkin_gradient_prediction(build_charpoly(critical_fisher()), (0.01, 0.0))
+
+
+def test_constant_curve_sends_only_the_real_points_to_newton(monkeypatch):
+    # unit fisher has P constant: no grid minimum is low enough to hide a zero
+    calls = []
+    original = charpoly._newton_node
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(charpoly, "_newton_node", counting)
+    rep = charpoly.find_nodes(build_charpoly(lattice.builtin("fisher")))
+    assert rep.kind == CLASS_NON_VANISHING
+    assert len(calls) <= 4

@@ -312,30 +312,33 @@ def test_sectors_print_null_past_e700(capsys):
         assert abs(math.log(v) - out["log_ZZ"][rs]) < 1e-12 * out["log_ZZ"][rs]
 
 
-def test_threads_flag_pins_environment(capsys, monkeypatch):
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    code = cli.run(["--threads", "2", "verify", "--lattice", "fisher"])
-    capsys.readouterr()
-    assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
-def test_threads_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("TORUSDIMER_THREADS", "3")
-    monkeypatch.setenv("OMP_NUM_THREADS", "unset")
-    code = cli.run(["verify", "--lattice", "fisher"])
-    capsys.readouterr()
-    assert code == 0
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-
-
 def test_console_entrypoint_subprocess():
+    # the child imports the same (possibly uninstalled) package as this test
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "torusdimer.cli", "sectors", "--lattice",
          "fisher", "--weights", "a=1,b=1,c=1", "--E", "1,0,0,1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["Z"] == 4.0
+
+
+@pytest.mark.parametrize("E", ["100000000,99999999,100000001,100000000",
+                               # its Lagrange reduction takes an odd number of swaps
+                               "100000000,100000001,99999999,100000000"])
+def test_winding_on_huge_unimodular_basis(capsys, E):
+    # det 1 with entries near 1e8: the same 1x1 torus as the identity basis
+    args = ["winding", "--lattice", "hexagonal", "--weights", "a=1.1,b=0.9,c=1.2"]
+    code, huge, _ = run_json(capsys, args + ["--E", E])
+    assert code == 0
+    code, unit, _ = run_json(capsys, args + ["--E", "1,0,0,1"])
+    assert code == 0
+    assert abs(huge["tv_distance"] - unit["tv_distance"]) < 1e-12
+    # one cell: the three matchings carry masses a, b, c over a + b + c
+    top = sorted(huge["exact"].values())[-3:]
+    assert max(abs(x - y) for x, y in zip(top, (0.9 / 3.2, 1.1 / 3.2, 1.2 / 3.2))) < 1e-12

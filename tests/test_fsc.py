@@ -525,3 +525,35 @@ def test_rhombi_one_cell_pfaffians_are_twice_kappa():
 def test_one_vertex_square_charpoly_is_refused():
     with pytest.raises(charpoly.CharPolyError):
         charpoly.build_charpoly(lattice.builtin("square-1x1"))
+
+
+def test_mirror_tori_predict_the_same_partition_function():
+    # [[600,0],[0,2]] and [[2,0],[0,600]] are the same torus up to a rotation
+    dom = lattice.builtin("hexagonal")
+    cp = charpoly.build_charpoly(dom)
+    a = predict(dom, [[600, 0], [0, 2]], cp=cp).log_Z
+    b = predict(dom, [[2, 0], [0, 600]], cp=cp).log_Z
+    assert abs(a - b) < 1e-11
+
+
+def test_huge_thin_torus_prediction_matches_other_basis():
+    # Im tau ~ 1e-8 in the first basis: the modular reduction and the exact
+    # adj(E) keep the prediction; the float E^-1 shape was 7.6% off
+    dom = lattice.builtin("hexagonal")
+    cp = charpoly.build_charpoly(dom)
+    a = predict(dom, [[2**27 + 1, 0], [2**27 - 1, 2]], cp=cp)
+    b = predict(dom, [[2, -2], [2**27 - 1, 2]], cp=cp)
+    assert abs(a.value - b.value) < 1e-8 * abs(b.value)
+
+
+@pytest.mark.parametrize("name,weights,E,log_z", [
+    ("hexagonal", {"a": 1.1, "b": 0.9, "c": 1.2}, [[40, 3], [0, 37]], 580.744597827245),
+    ("fisher", {"a": math.sqrt(3.0), "b": math.sqrt(3.0), "c": math.sqrt(3.0)},
+     [[11, 0], [3, 13]], 244.24650306586344),
+    ("square-2x1", {}, [[31, 3], [0, 30]], 543.3853819219231),
+    ("square-bip", {"a": 1.2, "b": 0.8}, [[7, 0], [0, 40]], 167.03399469799723),
+])
+def test_ordinary_shape_predictions_unchanged(name, weights, E, log_z):
+    # pinned before log_xi reduced tau and conformal_data used adj(E)
+    got = predict(lattice.builtin(name, **weights), E).log_Z
+    assert abs(got - log_z) <= 1e-15 * log_z

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from torusdimer import kasteleyn, lattice
+from torusdimer import charpoly, kasteleyn, lattice
 from torusdimer.kasteleyn import (
     S_MATRIX,
     SLOTS,
@@ -223,3 +223,82 @@ def test_odd_cell_quotients_are_refused():
     # an odd cell carries no Kasteleyn signs; its doubling does
     with pytest.raises(kasteleyn.QuotientError, match="odd cell"):
         sector_table(lattice.builtin("square-1x1"), [[2, 0], [0, 2]])
+
+
+def test_double_product_array_phases_equal_scalar_calls():
+    # hexagonal at unit weights has its nodes at sixth roots of unity, so the
+    # (-1, -1) fiber of the 3x3 quotient holds a vanishing factor of Q
+    cp = charpoly.build_charpoly(lattice.builtin("hexagonal"))
+    zeta = np.array([1, 1, -1, -1, cmath.exp(0.7j), -1j])
+    xi = np.array([1, -1, 1, -1, cmath.exp(-0.2j), cmath.exp(2.1j)])
+    for E in ([[3, 0], [0, 3]], [[4, 1], [-2, 5]]):
+        phases, logs = double_product(cp.Q, E, zeta, xi, zero_tol=1e-12)
+        assert phases.shape == logs.shape == zeta.shape
+        grid_phases, grid_logs = double_product(cp.Q, E, zeta[:, None], xi[None, :], 1e-12)
+        assert grid_logs.shape == (len(zeta), len(xi))
+        for k, (z, w) in enumerate(zip(zeta, xi)):
+            phase, lg = double_product(cp.Q, E, z, w, zero_tol=1e-12)
+            assert np.isclose(grid_logs[k, k], logs[k], rtol=1e-13, atol=0)
+            if lg == -math.inf:
+                assert logs[k] == -math.inf and phases[k] == 0
+            else:
+                assert abs(logs[k] - lg) < 1e-12 * max(1.0, abs(lg))
+                assert abs(phases[k] - phase) < 1e-12
+        assert (logs == -math.inf).any() == (E == [[3, 0], [0, 3]])
+    assert double_product(cp.Q, [[3, 0], [0, 3]], -1, -1, 1e-12)[1] == -math.inf
+
+
+def _record_fiber_work(monkeypatch):
+    """Count fiber products and fiber_points calls and the largest p_eval batch."""
+    seen = {"products": 0, "fiber_points": 0, "batch": 0}
+    product, points = kasteleyn._fiber_product, kasteleyn.fiber_points
+
+    def counting_points(*args, **kwargs):
+        seen["fiber_points"] += 1
+        return points(*args, **kwargs)
+
+    def recording_product(p_eval, *args, **kwargs):
+        def recorded(z, w):
+            seen["batch"] = max(seen["batch"], len(z))
+            return p_eval(z, w)
+        seen["products"] += 1
+        return product(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(kasteleyn, "fiber_points", counting_points)
+    monkeypatch.setattr(kasteleyn, "_fiber_product", recording_product)
+    return seen
+
+
+def test_one_fiber_product_per_table_in_bounded_batches(monkeypatch):
+    seen = _record_fiber_work(monkeypatch)
+    E = [[80, 3], [0, 61]]  # 4880 > FIBER_CHUNK fiber points per slot
+    sector_table(lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2), E)
+    assert seen == {"products": 1, "fiber_points": 1, "batch": kasteleyn.FIBER_CHUNK}
+
+
+def test_one_fiber_product_per_winding_law_in_bounded_batches(monkeypatch):
+    seen = _record_fiber_work(monkeypatch)
+    # 4 slots x 16 x 16 twists x 41 points: several batches of whole phases
+    kasteleyn.winding_distribution_exact(lattice.builtin("hexagonal"), [[7, 2], [-3, 5]], M=16)
+    assert seen["products"] == 1 and seen["fiber_points"] == 1
+    assert 0 < seen["batch"] <= kasteleyn.FIBER_CHUNK
+
+
+def test_double_product_goes_through_the_one_product(monkeypatch):
+    seen = _record_fiber_work(monkeypatch)
+    cp = charpoly.build_charpoly(lattice.builtin("hexagonal"))
+    double_product(cp.Q, [[3, 1], [0, 2]], np.array([1, -1]), -1)
+    assert seen == {"products": 1, "fiber_points": 1, "batch": 12}
+
+
+UNIMODULAR = np.array([[10**8, 10**8 - 1], [10**8 + 1, 10**8]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", ["hexagonal", "square-2x1", "fisher"])
+def test_sector_table_invariant_under_huge_unimodular_basis(name):
+    # n U and n I span the same lattice; U's entries near 1e8 must cost no digits
+    dom = lattice.builtin(name)
+    for n in (8, 30):
+        a = sector_table(dom, n * UNIMODULAR).log_Z
+        b = sector_table(dom, n * np.eye(2, dtype=np.int64)).log_Z
+        assert abs(a - b) <= 1e-12 * abs(b)

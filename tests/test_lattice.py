@@ -168,3 +168,18 @@ def test_json_rejects_truncated_edge_rows(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises((DomainError, ValueError, TypeError)):
         FundamentalDomain.load(path)
+
+
+def test_reduce_rows_is_an_exact_unimodular_factorisation():
+    # the first needs an odd number of swaps, so R keeps E's orientation by a sign
+    for E in ([[10**8, 10**8 + 1], [10**8 - 1, 10**8]], [[10**8, 10**8 - 1], [10**8 + 1, 10**8]],
+              [[2**27 + 1, 0], [2**27 - 1, 2]], [[8, 0], [5, 8]], [[8, 0], [0, 6]],
+              [[3, 1], [0, 2]], [[-4, 7], [5, 1]]):
+        E = np.array(E, dtype=np.int64)
+        T, R = lattice.reduce_rows(E)
+        assert np.array_equal(T @ R, E)
+        assert lattice.int_det(T) == 1
+        r1, r2 = R.tolist()
+        n1, n2, dot = r1[0] ** 2 + r1[1] ** 2, r2[0] ** 2 + r2[1] ** 2, r1[0] * r2[0] + r1[1] * r2[1]
+        assert n1 <= n2 and 2 * abs(dot) <= n1
+    assert np.array_equal(lattice.adjugate([[3, 1], [-2, 5]]), [[5, -1], [2, 3]])

@@ -213,3 +213,35 @@ def test_discrete_gaussian_normalisation():
     mean = [sum(e[k] * p for e, p in table.items()) for k in (0, 1)]
     # lattice-sum mean tracks the centre parameter closely at this scale
     assert abs(mean[0] - mu[0]) < 0.05 and abs(mean[1] - mu[1]) < 0.05
+
+
+def test_transform_xi_args_T_power_in_closed_form():
+    # ('T', n) acts as n single steps s -> r + s, xi -> zeta xi, for either sign of n
+    rng = random.Random(7)
+    for n in (-7, -2, -1, 1, 3, 8):
+        zeta = cmath.exp(2j * math.pi * rng.random())
+        xi_ = cmath.exp(2j * math.pi * rng.random())
+        for r, s in CHARS:
+            step = [("T", 1 if n > 0 else -1)] * abs(n)
+            r1, s1, z1, x1 = sf.transform_xi_args(r, s, zeta, xi_, [("T", n)])
+            r2, s2, z2, x2 = sf.transform_xi_args(r, s, zeta, xi_, step)
+            assert (r1, s1) == (r2, s2) and z1 == z2
+            assert abs(x1 - x2) < 1e-13
+    # a power near 1e8 costs one step, not 1e8
+    _, s, _, x = sf.transform_xi_args(1, 0, -1, 1j, [("T", 10**8 + 1)])
+    assert s == 1 and abs(x + 1j) < 1e-12
+
+
+def test_log_xi_matches_theta_over_eta_off_the_fundamental_domain():
+    # xi = |theta_00(phi tau - psi | tau) exp(pi i tau phi^2)| / |eta(tau)| with
+    # zeta = -exp(2 pi i phi), xi = -exp(2 pi i psi), summed at tau itself
+    rng = random.Random(5)
+    for _ in range(20):
+        tau = complex(rng.uniform(-3, 3), rng.uniform(0.05, 0.6))
+        phi, psi = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        theta = sf.theta(0, 0, phi * tau - psi, tau) * cmath.exp(1j * math.pi * tau * phi ** 2)
+        want = math.log(abs(theta)) - sf.log_abs_eta(tau)
+        got = sf.log_xi(-cmath.exp(2j * math.pi * phi), -cmath.exp(2j * math.pi * psi), tau)
+        assert abs(got - want) < 1e-10 * max(1.0, abs(want))
+    # thinner than the theta floor: reduced first, so no error
+    assert math.isfinite(sf.log_xi(-1, -1, complex(0.3, 1e-6)))

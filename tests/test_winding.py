@@ -114,9 +114,13 @@ def qblock_winding_reference(dom, E, M=16):
 
 
 def test_polynomial_grid_matches_qblock_determinants():
+    # the last two spread their 4 x 8 x 8 phases times |det E| points over
+    # several FIBER_CHUNK batches
     for dom, E in ((lattice.builtin("hexagonal", a=1.2, b=0.9, c=1.1), [[3, 1], [0, 2]]),
                    (lattice.builtin("hexagonal"), [[2, 1], [-1, 2]]),
-                   (lattice.builtin("square-bip", a=1.3, b=0.8), [[2, 1], [0, 3]])):
+                   (lattice.builtin("square-bip", a=1.3, b=0.8), [[2, 1], [0, 3]]),
+                   (lattice.builtin("hexagonal", a=0.9, b=1.15, c=1.2), [[5, 2], [1, 4]]),
+                   (lattice.builtin("square-bip", a=0.85, b=1.1), [[4, 1], [-2, 5]])):
         got = kasteleyn.winding_distribution_exact(dom, E, M=8).probs
         want = qblock_winding_reference(dom, E, M=8)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -163,3 +167,35 @@ def test_twisted_block_determinant_is_fiber_product_of_Q(dom, E):
             got = np.prod(np.linalg.det(dom.Qblock(zs * np.exp(1j * beta[0]),
                                                    ws * np.exp(1j * beta[1]))))
             assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_huge_unimodular_basis_relabels_the_windings():
+    # det U = 1: the quotient is the 1x1 torus of the identity basis, and a
+    # winding n in identity coordinates is n adj(U) in U coordinates
+    dom = lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2)
+    U = np.array([[10**8, 10**8 - 1], [10**8 + 1, 10**8]], dtype=np.int64)
+    base = kasteleyn.winding_distribution_exact(dom, np.eye(2, dtype=int), M=16).probs
+    got = kasteleyn.winding_distribution_exact(dom, U, M=16).probs
+    adj = lattice.adjugate(U)
+    for p in range(16):
+        for q in range(16):
+            n = np.array([p, q]) @ adj % 16
+            assert abs(got[n[0], n[1]] - base[p, q]) < 1e-12
+    assert abs(np.sort(base.ravel())[-3:] - np.array([0.28125, 0.34375, 0.375])).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [30, 50, 10**8])
+def test_gaussian_model_is_covariant_on_both_sides_of_the_condition_limit(m):
+    # det E = 1: the law of the identity basis relabelled n -> n adj(E), for the
+    # direct discrete Gaussian (m = 30) and the Lagrange-reduced one (m >= 50),
+    # with reductions taking an even and an odd number of swaps
+    dom = lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2)
+    base = fsc.winding_distribution_gaussian(dom, np.eye(2, dtype=int))
+    for E in ([[m, m - 1], [m + 1, m]], [[m, m + 1], [m - 1, m]]):
+        cond = np.linalg.cond(fsc.winding_law(dom, E).sigma)
+        assert (cond < fsc.SIGMA_COND_LIMIT) == (m == 30)
+        got = fsc.winding_distribution_gaussian(dom, E)
+        adj = lattice.adjugate(E)
+        for n, p in base.items():
+            if p > 1e-9:
+                assert abs(got[tuple(int(x) for x in np.array(n) @ adj)] - p) < 1e-9
