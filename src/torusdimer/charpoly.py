@@ -5,12 +5,15 @@ point evaluations; for 2-colored domains Q(z, w) = det of the
 black/white block satisfies P(z, w) = Q(z, w) Q(1/z, 1/w).  On the unit
 torus P is real and nonnegative, and its zeros ("nodes") control the
 finite-size behaviour of the quotient partition functions.
+
+One zero search (_torus_zeros) finds the nodes and the cuts of every Jensen
+quadrature; f0 is half the Ronkin function of P at 0, cut at the nodes.
 """
 
 import cmath
 import math
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -95,19 +98,7 @@ def build_charpoly(dom, check=True):
     return cp
 
 
-# -- free energy ---------------------------------------------------------------
-
-
-def free_energy(cp):
-    """Per-cell free energy f0 = mean of (1/2) log P over the unit torus.
-
-    Evaluated as half the Ronkin function of P at the origin, whose inner
-    integral is exact by Jensen's formula (see ronkin).
-    """
-    return 0.5 * ronkin(cp.P, (0.0, 0.0))
-
-
-# -- Ronkin function -----------------------------------------------------------
+# -- free energy and Ronkin function --------------------------------------------
 
 
 def _trimmed_slice(poly, z, axis, rel_tol=1e-12):
@@ -131,82 +122,64 @@ def _slice_roots(poly, z, axis):
     return np.roots(c[::-1]), jmin, c[-1]
 
 
-def _jensen_inner(poly, z, alpha2):
-    """(1/2pi) integral of log|poly(z, w)| dw over |w| = e^alpha2, exactly."""
-    roots, jmin, lead = _slice_roots(poly, z, "w")
-    val = jmin * alpha2 + math.log(abs(lead))
+def _jensen_inner(poly, z):
+    """(1/2pi) integral of log|poly(z, w)| dw over |w| = 1, exactly."""
+    roots, _jmin, lead = _slice_roots(poly, z, "w")
+    val = math.log(abs(lead))
     for r in roots:
-        val += max(math.log(abs(r)), alpha2) if r != 0 else alpha2
+        if r != 0:
+            val += max(math.log(abs(r)), 0.0)
     return val
 
 
-def _golden_min(f, lo, hi, iters=70):
-    invphi = (math.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+@cache
+def _gauss_legendre():
+    """64-point Gauss-Legendre nodes and weights on [-1, 1], made on first use."""
+    return np.polynomial.legendre.leggauss(64)
 
 
-def ronkin(poly, alpha, scan=384, gl_order=64):
+def _torus_log_mean(poly, cut_args):
+    """Mean of log|poly| over the unit torus.
+
+    The inner mean over |w| = 1 is exact by Jensen's formula.  In the angle
+    of z it kinks only at the zeros of poly on the torus, whose z-arguments
+    in half turns are cut_args; each piece between cuts gets 64-point
+    Gauss-Legendre quadrature.
+    """
+    x, wts = _gauss_legendre()
+    cuts = sorted({0.0, 2 * math.pi} | {math.pi * r % (2 * math.pi) for r in cut_args})
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        total += half * sum(w * _jensen_inner(poly, cmath.exp(1j * (mid + half * t)))
+                            for t, w in zip(x, wts))
+    return total / (2 * math.pi)
+
+
+def free_energy(cp):
+    """Per-cell free energy f0 = mean of (1/2) log P over the unit torus.
+
+    This is half the Ronkin function of P at the origin (Kenyon, Okounkov
+    and Sheffield, Dimers and amoebae).  The quadrature of _torus_log_mean
+    is cut at the nodes of cp.nodes, so a curve that find_nodes refuses
+    raises CharPolyError here too.
+    """
+    return 0.5 * _torus_log_mean(cp.P, [n.arguments[0] for n in cp.nodes.nodes])
+
+
+def ronkin(poly, alpha):
     """Ronkin function R(alpha) = mean of log|poly| over the torus at level alpha.
 
-    The inner integral (over the second variable) is evaluated exactly by
-    Jensen's formula.  Its integrand kinks exactly where a root modulus
-    meets the e^alpha2 circle, so those angles are hunted down (as zero
-    minima of the log-modulus distance; inside-count changes alone miss
-    crossings that pair up with a reciprocal partner) and each smooth
-    piece between them gets Gauss-Legendre quadrature.
+    That is the unit-torus mean of log|poly_a| for poly_a(z, w) =
+    poly(e^a1 z, e^a2 w), cut at the zeros of poly_a on the unit torus.
+    They are the zeros of the nonnegative |poly_a|^2, which _torus_zeros
+    finds as it finds the nodes of P.  Two zeros within a grid cell or two
+    (a cell is 1/128 half turn) can share one cut, which costs accuracy:
+    up to about 1e-5 for P itself at |alpha| below 0.02.
     """
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    R1 = math.exp(a1)
-
-    def g(theta):
-        return _jensen_inner(poly, R1 * cmath.exp(1j * theta), a2)
-
-    def dist(theta):
-        roots, _jmin, _ = _slice_roots(poly, R1 * cmath.exp(1j * theta), "w")
-        if len(roots) == 0:
-            return math.inf
-        moduli = np.abs(roots)
-        moduli = moduli[moduli > 0]
-        if len(moduli) == 0:
-            return math.inf
-        return float(np.min(np.abs(np.log(moduli) - a2)))
-
-    thetas = np.linspace(0.0, 2 * math.pi, scan + 1)
-    dv = np.array([dist(t) for t in thetas])
-    dv[-1] = dv[0]
-    cuts = {0.0, 2 * math.pi}
-    for i in range(scan):
-        prv, nxt = dv[(i - 1) % scan], dv[(i + 1) % scan]
-        if dv[i] <= prv and dv[i] <= nxt and dv[i] < 0.2:
-            lo = thetas[i] - 2 * math.pi / scan
-            hi = thetas[i] + 2 * math.pi / scan
-            x, fx = _golden_min(dist, lo, hi)
-            if fx < 1e-7:
-                cuts.add(x % (2 * math.pi))
-    cuts = sorted(cuts)
-    merged = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged[-1] > 1e-11:
-            merged.append(c)
-    x, wts = np.polynomial.legendre.leggauss(gl_order)
-    total = 0.0
-    for lo, hi in zip(merged[:-1], merged[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * sum(w * g(mid + half * t) for t, w in zip(x, wts))
-    return total / (2 * math.pi)
+    pa = poly.scale_vars(math.exp(float(alpha[0])), math.exp(float(alpha[1])))
+    conj = LaurentPoly2({(-i, -j): c.conjugate() for (i, j), c in pa.coeffs.items()})
+    return _torus_log_mean(pa, [r for r, _s in _torus_zeros(pa * conj)])
 
 
 # -- nodes and criticality classes ---------------------------------------------
@@ -221,18 +194,22 @@ def _wrap_half_turns(x):
     return y
 
 
+def _torus_hessian(z, w, Pzz, Pzw, Pww):
+    """Hessian of P(e^{i pi r}, e^{i pi s}) in the half turns (r, s)."""
+    return -math.pi**2 * np.array(
+        [[complex(Pzz(z, w)).real, complex(Pzw(z, w)).real],
+         [complex(Pzw(z, w)).real, complex(Pww(z, w)).real]]
+    )
+
+
 def _newton_node(P, r, s, Pz, Pw, Pzz, Pzw, Pww):
     for _ in range(80):
         z, w = cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s)
         g = -math.pi * np.array([complex(Pz(z, w)).imag, complex(Pw(z, w)).imag])
         if np.max(np.abs(g)) <= 1e-12:
             return r, s, True
-        H = -math.pi**2 * np.array(
-            [[complex(Pzz(z, w)).real, complex(Pzw(z, w)).real],
-             [complex(Pzw(z, w)).real, complex(Pww(z, w)).real]]
-        )
         try:
-            step = np.linalg.solve(H, g)
+            step = np.linalg.solve(_torus_hessian(z, w, Pzz, Pzw, Pww), g)
         except np.linalg.LinAlgError:
             return r, s, False
         if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 0.25:
@@ -270,15 +247,13 @@ def tau_of_hessian(H):
     return complex(-H[0, 1], D) / H[1, 1]
 
 
-def find_nodes(cp, grid=256, value_tol=1e-10):
-    """Locate and classify the zeros of P on the unit torus.
+def _torus_zeros(P, grid=256, value_tol=1e-10):
+    """Zeros of P, real and nonnegative on the unit torus, as half turns (r, s).
 
-    Returns a CriticalityReport whose kind is one of: non-vanishing,
-    single-real-node, two-real-nodes, distinct-conjugate-nodes,
-    real-root-of-Q.  Zeros of a non-colored domain away from the real
-    points fall outside the supported classification and are flagged.
+    Each zero is a minimum of P.  Grid minima low enough to hide one seed a
+    Newton search for a stationary point, and the points where P vanishes
+    are kept once each, with r and s wrapped into (-1, 1].
     """
-    P = cp.P
     rr = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
     zz = np.exp(1j * math.pi * rr)
     vals = P(zz[:, None], zz[None, :]).real
@@ -293,19 +268,30 @@ def find_nodes(cp, grid=256, value_tol=1e-10):
     # every zero has a grid point within (pi/grid) sqrt(2) radians, where P is
     # at most (pi/grid)^2 sum |c_ij| (i^2 + j^2): no higher minimum can lead to one
     curvature = sum(abs(c) * (i * i + j * j) for (i, j), c in P.coeffs.items())
-    is_min &= vals <= (math.pi / grid) ** 2 * curvature + value_tol * scale
+    low = (math.pi / grid) ** 2 * curvature + value_tol * scale
+    is_min &= vals <= low
     # real points are always stationary; seed them first so that a cluster of
     # near-converged candidates around a real zero keeps the exact location
     cand = [(r, s) for r in (0.0, 1.0) for s in (0.0, 1.0)]
     cand.extend((rr[i], rr[j]) for i, j in zip(*np.nonzero(is_min)))
+    seeds = len(cand)
 
     found = []
-    for (r, s) in cand:
+    for k, (r, s) in enumerate(cand):
         r2, s2, ok = _newton_node(P, r, s, Pz, Pw, Pzz, Pzw, Pww)
         if not ok:
             continue
         z0, w0 = cmath.exp(1j * math.pi * r2), cmath.exp(1j * math.pi * s2)
-        if abs(complex(P(z0, w0))) > value_tol * scale:
+        value = abs(complex(P(z0, w0)))
+        if value > value_tol * scale:
+            # two zeros a cell or two apart can share one grid minimum, from
+            # which Newton finds the low saddle between them: seed once more
+            # one cell down each side (from grid seeds only, so this ends)
+            if k < seeds and value <= low:
+                lam, V = np.linalg.eigh(_torus_hessian(z0, w0, Pzz, Pzw, Pww))
+                if lam[0] < 0 < lam[1]:
+                    v = V[:, 0] * (2.0 / grid)
+                    cand.extend([(r2 + v[0], s2 + v[1]), (r2 - v[0], s2 - v[1])])
             continue
         r2, s2 = _wrap_half_turns(r2), _wrap_half_turns(s2)
         # dedup radius sized for quartic zeros, where |P| < tol already holds
@@ -316,6 +302,18 @@ def find_nodes(cp, grid=256, value_tol=1e-10):
                 break
         else:
             found.append((r2, s2))
+    return found
+
+
+def find_nodes(cp, grid=256, value_tol=1e-10):
+    """Locate and classify the zeros of P on the unit torus.
+
+    Returns a CriticalityReport whose kind is one of: non-vanishing,
+    single-real-node, two-real-nodes, distinct-conjugate-nodes,
+    real-root-of-Q.  Zeros of a non-colored domain away from the real
+    points fall outside the supported classification and are flagged.
+    """
+    found = _torus_zeros(cp.P, grid, value_tol)
 
     qscale = None
     if cp.Q is not None:

@@ -9,6 +9,8 @@ check, unclassifiable or out-of-class spectral curve).
 """
 
 import argparse
+import cmath
+import functools
 import math
 import os
 import sys
@@ -135,7 +137,9 @@ def _complex_pair(z):
     return [float(z.real), float(z.imag)]
 
 
-def _matrix_triplets(K):
+def _matrix_dump(dom, E):
+    """--dump-matrix block: K_E(1, 1) as coordinate triplets."""
+    K = kasteleyn.build_KE(dom, E, 1, 1)
     entries = []
     n = K.shape[0]
     for i in range(n):
@@ -143,7 +147,7 @@ def _matrix_triplets(K):
             v = K[i, j]
             if v != 0:
                 entries.append([i, j, float(v.real), float(v.imag)])
-    return entries
+    return {"zeta": [1.0, 0.0], "xi": [1.0, 0.0], "entries": entries}
 
 
 def _cmd_partition(args):
@@ -152,15 +156,13 @@ def _cmd_partition(args):
     table = fsc.sector_table_auto(dom, E)
     log_z = table.log_Z
     out = {
-        "det_E": int(round(E[0][0] * E[1][1] - E[0][1] * E[1][0])),
+        "det_E": lattice.int_det(E),
         "log_Z": None if log_z == -math.inf else log_z,
         "Z": _unscaled(table.Z_scaled, table.logscale),
         "method": table.method,
     }
     if args.dump_matrix:
-        K = kasteleyn.build_KE(dom, E, 1, 1)
-        out["matrix"] = {"zeta": [1.0, 0.0], "xi": [1.0, 0.0],
-                         "entries": _matrix_triplets(K)}
+        out["matrix"] = _matrix_dump(dom, E)
     if args.format == "csv":
         _emit_csv(["det_E", "log_Z", "Z"],
                   [[out["det_E"],
@@ -189,9 +191,7 @@ def _cmd_sectors(args):
                                        else None)
                          for rs, v in dd.items()}
     if args.dump_matrix:
-        K = kasteleyn.build_KE(dom, E, 1, 1)
-        out["matrix"] = {"zeta": [1.0, 0.0], "xi": [1.0, 0.0],
-                         "entries": _matrix_triplets(K)}
+        out["matrix"] = _matrix_dump(dom, E)
     if args.format == "csv":
         _emit_csv(["sector", "value"],
                   [[key, math.nan if out[key] is None else out[key]]
@@ -265,7 +265,6 @@ def _cmd_fsc_curve(args):
             for name, value in fsc.square_curve_values(lr):
                 rows.append([lr, name, value])
     else:
-        import cmath
         w6 = [cmath.exp(1j * math.pi / 3), -1.0 + 0j]
         classes = [
             ("phase-(1,1)", 1 + 0j, 1 + 0j),
@@ -332,6 +331,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="torusdimer",

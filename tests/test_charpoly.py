@@ -64,15 +64,73 @@ def test_build_rejects_broken_signs():
 
 
 def test_square_free_energy_is_two_catalan_over_pi():
-    cp = build_charpoly(lattice.builtin("square-2x1"))
     want = 2 * CATALAN / math.pi
-    assert abs(free_energy(cp) - want) < 1e-9
+    for name in ("square-2x1", "square-bip", "square-1x2"):
+        cp = build_charpoly(lattice.builtin(name))
+        assert abs(free_energy(cp) - want) < 5e-15
 
 
 def test_hexagonal_free_energy():
     cp = build_charpoly(lattice.builtin("hexagonal"))
     # (1/pi) Cl2(pi/3) with Cl2 the Clausen function, frozen here
-    assert abs(free_energy(cp) - 0.3230659472269729) < 1e-10
+    assert abs(free_energy(cp) - 0.32306594721945051409) < 5e-15
+
+
+@pytest.mark.parametrize("a,b,c", [(1.0, 1.0, 1.0), (1.1, 0.9, 1.2), (1.5, 0.7, 1.0),
+                                   (1.9, 1.0, 1.0), (1.999, 1.0, 1.0)])
+def test_hexagonal_free_energy_matches_kenyon_closed_form(a, b, c):
+    # f0 = (1/pi) sum_x (theta_x log x + L(theta_x)) over the angles theta_x of
+    # the triangle with sides a, b, c, L the Lobachevsky function; near the
+    # gaseous boundary a = b + c the two nodes are only 0.02 half turns apart
+    mp = pytest.importorskip("mpmath")
+    x = [mp.mpf(a), mp.mpf(b), mp.mpf(c)]
+    theta = [mp.acos((x[1] ** 2 + x[2] ** 2 - x[0] ** 2) / (2 * x[1] * x[2])),
+             mp.acos((x[0] ** 2 + x[2] ** 2 - x[1] ** 2) / (2 * x[0] * x[2]))]
+    theta.append(mp.pi - theta[0] - theta[1])
+    want = sum(t * mp.log(v) + mp.clsin(2, 2 * t) / 2 for t, v in zip(theta, x)) / mp.pi
+    cp = build_charpoly(lattice.builtin("hexagonal", a=a, b=b, c=c))
+    assert abs(free_energy(cp) - float(want)) < 5e-15
+
+
+@pytest.mark.parametrize("name,weights", [
+    ("hexagonal", {}), ("hexagonal", {"a": 1.1, "b": 0.9, "c": 1.2}),
+    ("hexagonal", {"a": 1.9}), ("square-bip", {}), ("square-bip", {"a": 0.8, "b": 1.4}),
+])
+def test_free_energy_is_the_mahler_measure_of_Q(name, weights):
+    # mean log|Q| cut at the simple zeros of Q, found apart from cp.nodes
+    cp = build_charpoly(lattice.builtin(name, **weights))
+    assert abs(free_energy(cp) - ronkin(cp.Q, (0.0, 0.0))) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [(0.007, -0.007), (0.3, 0.1)])
+def test_ronkin_of_P_splits_into_ronkins_of_Q(alpha):
+    # P(e^a z, e^a w) = Q(e^a z, e^a w) Q(e^-a / z, e^-a / w); near a = 0 the
+    # zeros of the two factors pair up within two grid cells, around a low
+    # saddle of |P|^2 that the shared grid minimum leads Newton to
+    cp = build_charpoly(lattice.builtin("hexagonal"))
+    minus = (-alpha[0], -alpha[1])
+    want = ronkin(cp.Q, alpha) + ronkin(cp.Q, minus)
+    assert abs(ronkin(cp.P, alpha) - want) < 1e-13
+
+
+def test_free_energy_evaluates_slices_only_at_gauss_legendre_nodes(monkeypatch):
+    cp = build_charpoly(lattice.builtin("hexagonal"))
+    cp.nodes  # order_conjugate_pair takes slice roots too
+    angles = []
+    original = charpoly._slice_roots
+
+    def counting(poly, z, axis):
+        angles.append(cmath.phase(z) % (2 * math.pi))
+        return original(poly, z, axis)
+
+    monkeypatch.setattr(charpoly, "_slice_roots", counting)
+    cp.f0
+    # the nodes sit at z-arguments +-pi/3: three pieces of 64 nodes each
+    x, _w = np.polynomial.legendre.leggauss(64)
+    cuts = [0.0, math.pi / 3, 5 * math.pi / 3, 2 * math.pi]
+    want = [0.5 * (hi + lo) + 0.5 * (hi - lo) * t for lo, hi in zip(cuts, cuts[1:]) for t in x]
+    assert len(angles) == len(want) == 192
+    assert np.max(np.abs(np.sort(angles) - np.sort(want))) < 1e-9
 
 
 def test_gaseous_free_energy_is_log_dominant_weight():

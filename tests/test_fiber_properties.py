@@ -4,13 +4,16 @@ Draws positive weights, quotient matrices E with 1 <= |det E| <= 12
 (negative, skew and lower-triangular included) and the builtins plus their
 cell doublings, and checks sector_table against the dense Parlett-Reid
 Pfaffian of build_KE at all four slots, and against brute-force
-enumeration when the quotient has at most ENUM_CAP vertices.
+enumeration when the quotient has at most ENUM_CAP vertices.  The same
+strategies check the JSON round trip, the orientation of sublattice
+enlargements and the sign of every sector.
 """
 
+import json
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from torusdimer import kasteleyn, lattice
 
@@ -68,3 +71,34 @@ def test_fiber_table_matches_enumeration(data):
     tab = kasteleyn.sector_table(dom, E)
     got = tab.sectors_scaled * math.exp(tab.logscale)
     assert np.max(np.abs(got - enum.sectors)) <= 1e-10 * enum.Z
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(dom=domains(), E=quotients())
+def test_json_round_trip_keeps_the_domain_and_its_table(dom, E):
+    doc = dom.to_json()
+    back = lattice.FundamentalDomain.from_json(json.loads(json.dumps(doc)))
+    assert back.to_json() == doc
+    want, got = kasteleyn.sector_table(dom, E), kasteleyn.sector_table(back, E)
+    assert got.logscale == want.logscale
+    assert np.array_equal(got.sectors_scaled, want.sectors_scaled)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sublattice_domain_is_oriented(data):
+    # sublattice_domain and verify_orientation both grow explosively past 8
+    # vertices (square-2x1 at F = diag(7, 1): about 40 s each)
+    dom = data.draw(domains())
+    assume(dom.k <= 8)
+    F = data.draw(quotients(max_det=8 // dom.k))
+    rep = lattice.verify_orientation(lattice.sublattice_domain(dom, F))
+    assert rep.faces_clockwise_odd and rep.m0_sign_positive
+    assert rep.alternating_cycles_positive, rep.offending_items
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(dom=domains(), E=quotients())
+def test_sectors_are_nonnegative(dom, E):
+    sectors = kasteleyn.sector_table(dom, E).sectors_scaled
+    assert sectors.min() >= -1e-12 * sectors.max()
