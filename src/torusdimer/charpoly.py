@@ -101,18 +101,21 @@ def build_charpoly(dom, check=True):
 # -- free energy and Ronkin function --------------------------------------------
 
 
-def _trimmed_slice(poly, z, axis, rel_tol=1e-12):
+def _trim_bounds(rows, rel_tol=1e-12):
+    """(lo, hi) of each row: the span outside which |entries| <= rel_tol * row max."""
+    mag = np.abs(rows)
+    top = mag.max(axis=-1)
+    if np.any(top == 0.0):
+        raise CharPolyError("slice vanishes identically")
+    keep = mag > rel_tol * top[:, None]
+    return np.argmax(keep, axis=-1), rows.shape[-1] - np.argmax(keep[:, ::-1], axis=-1)
+
+
+def _trimmed_slice(poly, z, axis):
     """(ascending coeffs, valuation) of the w- (or z-) slice at the given point."""
     coeffs, jmin = (poly.slice_w(z) if axis == "w" else poly.slice_z(z))
-    top = np.max(np.abs(coeffs))
-    if top == 0.0:
-        raise CharPolyError("slice vanishes identically")
-    lo, hi = 0, len(coeffs)
-    while hi - lo > 1 and abs(coeffs[hi - 1]) <= rel_tol * top:
-        hi -= 1
-    while hi - lo > 1 and abs(coeffs[lo]) <= rel_tol * top:
-        lo += 1
-    return coeffs[lo:hi], jmin + lo
+    (lo,), (hi,) = _trim_bounds(coeffs[None, :])
+    return coeffs[lo:hi], jmin + int(lo)
 
 
 def _slice_roots(poly, z, axis):
@@ -122,14 +125,32 @@ def _slice_roots(poly, z, axis):
     return np.roots(c[::-1]), jmin, c[-1]
 
 
-def _jensen_inner(poly, z):
-    """(1/2pi) integral of log|poly(z, w)| dw over |w| = 1, exactly."""
-    roots, _jmin, lead = _slice_roots(poly, z, "w")
-    val = math.log(abs(lead))
-    for r in roots:
-        if r != 0:
-            val += max(math.log(abs(r)), 0.0)
-    return val
+def _slice_log_means(poly, z):
+    """(1/2pi) integral of log|poly(z, w)| dw over |w| = 1 at each z of a 1-D array.
+
+    Jensen's formula: log|leading w-coefficient| plus log|root| summed over
+    the w-roots outside the unit circle.  One matrix product gives every
+    slice's w-coefficients; the rows are trimmed as _trimmed_slice trims
+    one, and the rows of each trimmed support share one stacked eigvals
+    call on companion matrices built as np.roots builds them.
+    """
+    mat, zmin, _ = poly._dense()
+    rows = (z[:, None] ** np.arange(zmin, zmin + mat.shape[0])) @ mat
+    lo, hi = _trim_bounds(rows)
+    out = np.empty(len(z))
+    for a, b in set(zip(lo.tolist(), hi.tolist())):
+        pick = (lo == a) & (hi == b)
+        c = rows[pick, a:b]
+        val = np.log(np.abs(c[:, -1]))
+        n = b - a - 1
+        if n:
+            comp = np.zeros((len(c), n, n), dtype=complex)
+            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            roots = np.linalg.eigvals(comp)
+            val += np.log(np.maximum(np.abs(roots), 1.0)).sum(axis=-1)
+        out[pick] = val
+    return out
 
 
 @cache
@@ -144,16 +165,15 @@ def _torus_log_mean(poly, cut_args):
     The inner mean over |w| = 1 is exact by Jensen's formula.  In the angle
     of z it kinks only at the zeros of poly on the torus, whose z-arguments
     in half turns are cut_args; each piece between cuts gets 64-point
-    Gauss-Legendre quadrature.
+    Gauss-Legendre quadrature, and the abscissae of all pieces go to one
+    _slice_log_means call.
     """
     x, wts = _gauss_legendre()
-    cuts = sorted({0.0, 2 * math.pi} | {math.pi * r % (2 * math.pi) for r in cut_args})
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * sum(w * _jensen_inner(poly, cmath.exp(1j * (mid + half * t)))
-                            for t, w in zip(x, wts))
-    return total / (2 * math.pi)
+    cuts = np.array(sorted({0.0, 2 * math.pi} | {math.pi * r % (2 * math.pi) for r in cut_args}))
+    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+    angles = mid[:, None] + half[:, None] * x
+    inner = _slice_log_means(poly, np.exp(1j * angles.ravel())).reshape(angles.shape)
+    return float(half @ (inner @ wts)) / (2 * math.pi)
 
 
 def free_energy(cp):
@@ -162,7 +182,8 @@ def free_energy(cp):
     This is half the Ronkin function of P at the origin (Kenyon, Okounkov
     and Sheffield, Dimers and amoebae).  The quadrature of _torus_log_mean
     is cut at the nodes of cp.nodes, so a curve that find_nodes refuses
-    raises CharPolyError here too.
+    raises CharPolyError here too; its 64 abscissae per piece are
+    evaluated in one batch (_slice_log_means).
     """
     return 0.5 * _torus_log_mean(cp.P, [n.arguments[0] for n in cp.nodes.nodes])
 
@@ -261,19 +282,18 @@ def _torus_zeros(P, grid=256, value_tol=1e-10):
     Pz, Pw = P.zdz(), P.wdw()
     Pzz, Pzw, Pww = Pz.zdz(), Pz.wdw(), Pw.wdw()
 
-    is_min = np.ones(vals.shape, dtype=bool)
-    for axis in (0, 1):
-        for shift in (1, -1):
-            is_min &= vals <= np.roll(vals, shift, axis=axis)
     # every zero has a grid point within (pi/grid) sqrt(2) radians, where P is
     # at most (pi/grid)^2 sum |c_ij| (i^2 + j^2): no higher minimum can lead to one
     curvature = sum(abs(c) * (i * i + j * j) for (i, j), c in P.coeffs.items())
     low = (math.pi / grid) ** 2 * curvature + value_tol * scale
-    is_min &= vals <= low
+    ii, jj = np.nonzero(vals <= low)
+    v = vals[ii, jj]
+    is_min = ((v <= vals[ii - 1, jj]) & (v <= vals[(ii + 1) % grid, jj])
+              & (v <= vals[ii, jj - 1]) & (v <= vals[ii, (jj + 1) % grid]))
     # real points are always stationary; seed them first so that a cluster of
     # near-converged candidates around a real zero keeps the exact location
     cand = [(r, s) for r in (0.0, 1.0) for s in (0.0, 1.0)]
-    cand.extend((rr[i], rr[j]) for i, j in zip(*np.nonzero(is_min)))
+    cand.extend((rr[i], rr[j]) for i, j in zip(ii[is_min], jj[is_min]))
     seeds = len(cand)
 
     found = []
@@ -419,54 +439,3 @@ def root_counts(q, nodes=()):
                         )
             out[key] = inside + jmin
     return out
-
-
-# -- Ronkin gradient bookkeeping -------------------------------------------------
-
-
-def node_at_level(q, node, alpha):
-    """Continue a unit-torus node of Q to the torus |z|=e^a1, |w|=e^a2.
-
-    Returns the half-turn arguments (r, s) of the continued zero."""
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    r, s = node.arguments
-    qz, qw = q.zdz(), q.wdw()
-    for _ in range(100):
-        z = cmath.exp(a1 + 1j * math.pi * r)
-        w = cmath.exp(a2 + 1j * math.pi * s)
-        val = complex(q(z, w))
-        J = np.array([
-            [(1j * math.pi * complex(qz(z, w))).real, (1j * math.pi * complex(qw(z, w))).real],
-            [(1j * math.pi * complex(qz(z, w))).imag, (1j * math.pi * complex(qw(z, w))).imag],
-        ])
-        rhs = np.array([val.real, val.imag])
-        if np.max(np.abs(rhs)) < 1e-13:
-            return r, s
-        step = np.linalg.solve(J, rhs)
-        r, s = r - step[0], s - step[1]
-    raise CharPolyError("node continuation did not converge")
-
-
-def level_windings(q, alpha):
-    """Slice windings of Q along the -1 arcs of the level-alpha torus."""
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    out = {}
-    roots, jmin, _ = _slice_roots(q, -math.exp(a1), "w")
-    out["v"] = jmin + int(np.sum(np.abs(roots) < math.exp(a2)))
-    roots, jmin, _ = _slice_roots(q, -math.exp(a2), "z")
-    out["h"] = jmin + int(np.sum(np.abs(roots) < math.exp(a1)))
-    return out
-
-
-def ronkin_gradient_prediction(cp, alpha):
-    """Predicted gradient (l_h + s0(alpha), l_v - r0(alpha)) of the Q-Ronkin."""
-    rep = cp.nodes
-    if rep.kind != CLASS_CONJUGATE or cp.Q is None:
-        raise CharPolyError("gradient formula needs a distinct-conjugate-node curve")
-    node = rep.nodes[0]
-    r0, s0 = node_at_level(cp.Q, node, alpha)
-    wind = level_windings(cp.Q, alpha)
-    return {
-        "r0": r0, "s0": s0, "l_h": wind["h"], "l_v": wind["v"],
-        "gradient": (wind["h"] + s0, wind["v"] - r0),
-    }

@@ -44,47 +44,40 @@ class FscError(ValueError):
 
 
 def _logsumexp(vals):
-    top = max(vals)
+    top = np.max(vals)
     if top == -math.inf:
         return -math.inf
-    return top + math.log(sum(math.exp(v - top) for v in vals))
+    return float(top + math.log(np.exp(vals - top).sum()))
 
 
 # -- the three universal correction functions ----------------------------------
 
+# the four sign pairs (z, w) = ((-1)^rp, (-1)^sp), in the order (1, 1), (1, -1),
+# (-1, 1), (-1, -1)
+_RP, _SP = np.divmod(np.arange(4), 2)
+_Z, _W = (-1.0) ** _RP, (-1.0) ** _SP
+
 
 def fsc1(tau):
     """log of (1/2) sum over sign pairs of Xi(z, w | tau)."""
-    return _logsumexp([log_xi(z, w, tau) for z in (1, -1) for w in (1, -1)]) - LOG2
+    return _logsumexp(log_xi(_Z, _W, tau)) - LOG2
 
 
 def fsc1_sector(a, b, tau):
     """log of the (a, b) sector share of fsc1 (can be -inf)."""
-    tot = 0.0
-    for rp in (0, 1):
-        for sp in (0, 1):
-            sgn = (-1) ** ((b + rp) * (a + sp))
-            tot += sgn * math.exp(log_xi((-1) ** (rp + 1), (-1) ** (sp + 1), tau))
-    tot *= 0.25
+    sgn = (-1.0) ** ((b + _RP) * (a + _SP))
+    tot = 0.25 * float(np.sum(sgn * np.exp(log_xi(-_Z, -_W, tau))))
     return math.log(tot) if tot > 0 else -math.inf
 
 
 def fsc2(zeta, xi_, tau):
     """log of (1/2) sum over sign pairs of Xi(z zeta, w xi | tau)^2."""
-    return _logsumexp(
-        [2 * log_xi(z * zeta, w * xi_, tau) for z in (1, -1) for w in (1, -1)]
-    ) - LOG2
+    return _logsumexp(2 * log_xi(_Z * zeta, _W * xi_, tau)) - LOG2
 
 
 def fsc2_sector(r, s, zeta, xi_, tau):
-    tot = 0.0
-    for rp in (0, 1):
-        for sp in (0, 1):
-            sgn = (-1) ** ((r + sp) * (s + rp))
-            tot += sgn * math.exp(
-                2 * log_xi((-1) ** rp * -zeta, (-1) ** sp * -xi_, tau)
-            )
-    tot *= 0.25
+    sgn = (-1.0) ** ((r + _SP) * (s + _RP))
+    tot = 0.25 * float(np.sum(sgn * np.exp(2 * log_xi(_Z * -zeta, _W * -xi_, tau))))
     return math.log(tot) if tot > 0 else -math.inf
 
 
@@ -112,10 +105,8 @@ def fsc3(zeta, xi_, tau):
     """log of (1/2) sum over sign pairs of Xi(z, w) Xi(z zeta, w xi); phases +-1."""
     if zeta not in (1, -1) or xi_ not in (1, -1):
         raise FscError("fsc3 is defined for sign phases only")
-    return _logsumexp(
-        [log_xi(z, w, tau) + log_xi(z * zeta, w * xi_, tau)
-         for z in (1, -1) for w in (1, -1)]
-    ) - LOG2
+    lx = log_xi(np.stack([_Z, _Z * zeta]), np.stack([_W, _W * xi_]), tau)
+    return _logsumexp(lx[0] + lx[1]) - LOG2
 
 
 # -- per-node conformal data ----------------------------------------------------
@@ -155,13 +146,12 @@ def _predicted_table(E, cp):
         raise FscError("non-vanishing spectral curve: no nodes, no universal correction")
     det = abs(_lattice.int_det(E))
     data = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
-    logs = []
-    for (za, wa) in _kasteleyn.SLOTS:
-        tot = det * cp.f0
-        for cd, mult in data:
-            tot += mult * log_xi(za * cd.zeta, wa * cd.xi, cd.tau)
-        logs.append(tot)
-    return _kasteleyn.SectorTable(E, [-1, 1, 1, 1], logs, "fsc-" + rep.kind), data
+    za, wa = np.array(_kasteleyn.SLOTS, dtype=float).T
+    logs = np.full(4, det * cp.f0)
+    for cd, mult in data:
+        logs += mult * log_xi(za * cd.zeta, wa * cd.xi, cd.tau)
+    return (_kasteleyn.SectorTable(E, [-1, 1, 1, 1], logs.tolist(), "fsc-" + rep.kind),
+            data)
 
 
 def predict_sector_table(dom, E, cp=None):

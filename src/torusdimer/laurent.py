@@ -2,9 +2,19 @@
 
 Coefficients are stored sparsely as a dict mapping integer exponent pairs
 (i, j) to complex numbers, representing sum_{ij} c_ij z^i w^j.  Evaluation
-is vectorized over numpy arrays and done Horner-style on the dense
-coefficient box, with a single monomial prefactor absorbing the negative
-exponents.
+follows numpy broadcasting and picks one of three strategies by the shape
+of its arguments:
+
+- two scalars (neither a numpy array): a plain Python complex sum over the
+  monomials;
+- a tensor grid, z of shape (n, 1) and w of shape (1, m): two matrix
+  products Vz C Vw^T with the Vandermonde rows z^i and w^j of the dense
+  coefficient box C;
+- any other arrays: Horner in z over the rows of C, each row's w-polynomial
+  evaluated at the shape of w alone, with one monomial prefactor absorbing
+  the negative exponents.
+
+Scalars and 0-d arrays give a complex, other arrays an ndarray.
 """
 
 import numpy as np
@@ -107,21 +117,24 @@ class LaurentPoly2:
         return mat, zmin, wmin
 
     def __call__(self, z, w):
-        if not self.coeffs:
-            return np.zeros(np.broadcast(z, w).shape) if (
-                isinstance(z, np.ndarray) or isinstance(w, np.ndarray)
-            ) else 0j
-        mat, zmin, wmin = self._dense()
+        if not (isinstance(z, np.ndarray) or isinstance(w, np.ndarray)):
+            z, w = complex(z), complex(w)
+            return sum((c * z**i * w**j for (i, j), c in self.coeffs.items()), 0j)
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
+        mat, zmin, wmin = self._dense()
+        if z.ndim == w.ndim == 2 and z.shape[1] == w.shape[0] == 1:
+            vz = z ** np.arange(zmin, zmin + mat.shape[0])
+            vw = w.T ** np.arange(wmin, wmin + mat.shape[1])
+            return vz @ mat @ vw.T
         acc = np.zeros(np.broadcast(z, w).shape, dtype=complex)
         for row in mat[::-1]:
-            inner = np.zeros_like(acc)
+            inner = np.zeros(w.shape, dtype=complex)
             for c in row[::-1]:
                 inner = inner * w + c
             acc = acc * z + inner
         acc = acc * z**zmin * w**wmin
-        return acc if acc.shape else complex(acc)
+        return acc if acc.ndim else complex(acc)
 
     # -- calculus / transforms ---------------------------------------------
 

@@ -17,7 +17,6 @@ from torusdimer.charpoly import (
     find_nodes,
     free_energy,
     ronkin,
-    ronkin_gradient_prediction,
     root_counts,
     tau_of_hessian,
 )
@@ -117,13 +116,13 @@ def test_free_energy_evaluates_slices_only_at_gauss_legendre_nodes(monkeypatch):
     cp = build_charpoly(lattice.builtin("hexagonal"))
     cp.nodes  # order_conjugate_pair takes slice roots too
     angles = []
-    original = charpoly._slice_roots
+    original = charpoly._slice_log_means
 
-    def counting(poly, z, axis):
-        angles.append(cmath.phase(z) % (2 * math.pi))
-        return original(poly, z, axis)
+    def counting(poly, z):
+        angles.extend(np.angle(z) % (2 * math.pi))
+        return original(poly, z)
 
-    monkeypatch.setattr(charpoly, "_slice_roots", counting)
+    monkeypatch.setattr(charpoly, "_slice_log_means", counting)
     cp.f0
     # the nodes sit at z-arguments +-pi/3: three pieces of 64 nodes each
     x, _w = np.polynomial.legendre.leggauss(64)
@@ -131,6 +130,45 @@ def test_free_energy_evaluates_slices_only_at_gauss_legendre_nodes(monkeypatch):
     want = [0.5 * (hi + lo) + 0.5 * (hi - lo) * t for lo, hi in zip(cuts, cuts[1:]) for t in x]
     assert len(angles) == len(want) == 192
     assert np.max(np.abs(np.sort(angles) - np.sort(want))) < 1e-9
+
+
+def _jensen_reference(poly, z, rel_tol=1e-12):
+    """Jensen mean of log|poly(z, w)| over |w| = 1 from one slice and np.roots."""
+    c, _jmin = poly.slice_w(z)
+    top = np.max(np.abs(c))
+    keep = np.nonzero(np.abs(c) > rel_tol * top)[0]
+    c = c[keep[0]:keep[-1] + 1]
+    roots = np.roots(c[::-1]) if len(c) > 1 else []
+    return math.log(abs(c[-1])) + sum(max(math.log(abs(r)), 0.0) for r in roots if r != 0)
+
+
+def test_batched_jensen_means_match_per_slice_roots():
+    rng = np.random.default_rng(31)
+    z0 = cmath.exp(0.7j)
+    polys = [
+        LaurentPoly2({(i, j): complex(rng.normal(), rng.normal())
+                      for i in range(-2, 3) for j in range(-2, 3) if rng.random() < 0.6}),
+        # top w-coefficient z - z0 vanishes at z0
+        LaurentPoly2({(1, 2): 1.0, (0, 2): -z0, (0, 1): 0.7, (-1, 0): 0.3 + 0.2j,
+                      (0, 0): 1.1, (1, -1): 0.4}),
+        # bottom w-coefficient z - z0 vanishes at z0
+        LaurentPoly2({(1, -1): 1.0, (0, -1): -z0, (0, 0): 2.5, (-1, 1): 0.6j, (0, 2): 0.9}),
+        # constant slices: no w at all
+        LaurentPoly2({(1, 0): 2.0, (0, 0): 5.0, (-2, 0): 0.5j}),
+    ]
+    z = np.concatenate([[z0], np.exp(2j * np.pi * rng.random(40)),
+                        rng.uniform(0.5, 2.0, 8) * np.exp(2j * np.pi * rng.random(8))])
+    for poly in polys:
+        got = charpoly._slice_log_means(poly, z)
+        want = np.array([_jensen_reference(poly, complex(x)) for x in z])
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_batched_jensen_means_refuse_a_vanishing_slice():
+    z0 = cmath.exp(0.7j)
+    poly = LaurentPoly2({(1, 1): 1.0, (0, 1): -z0, (1, 0): 2.0, (0, 0): -2 * z0})
+    with pytest.raises(CharPolyError):
+        charpoly._slice_log_means(poly, np.array([1j, z0]))
 
 
 def test_gaseous_free_energy_is_log_dominant_weight():
@@ -218,22 +256,6 @@ def test_root_counts_hexagonal():
     assert set(counts) == {("v", 1), ("v", -1), ("h", 1), ("h", -1)}
     for v in counts.values():
         assert isinstance(v, int)
-
-
-def test_ronkin_gradient_prediction_matches_central_differences():
-    cp = build_charpoly(lattice.builtin("hexagonal"))
-    alpha = (0.05, -0.03)
-    pred = ronkin_gradient_prediction(cp, alpha)
-    h = 1e-3
-    gx = (ronkin(cp.Q, (alpha[0] + h, alpha[1])) - ronkin(cp.Q, (alpha[0] - h, alpha[1]))) / (2 * h)
-    gy = (ronkin(cp.Q, (alpha[0], alpha[1] + h)) - ronkin(cp.Q, (alpha[0], alpha[1] - h))) / (2 * h)
-    assert abs(gx - pred["gradient"][0]) < 1e-3
-    assert abs(gy - pred["gradient"][1]) < 1e-3
-
-
-def test_gradient_prediction_requires_conjugate_class():
-    with pytest.raises(CharPolyError):
-        ronkin_gradient_prediction(build_charpoly(critical_fisher()), (0.01, 0.0))
 
 
 def test_constant_curve_sends_only_the_real_points_to_newton(monkeypatch):

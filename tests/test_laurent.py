@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusdimer.laurent import LaurentPoly2, DegreeBoundError
 
@@ -31,6 +32,47 @@ def test_call_vectorized():
     vec = p(zs, ws)
     for k in range(7):
         assert abs(vec[k] - p(complex(zs[k]), complex(ws[k]))) < 1e-12
+
+
+def _monomial_sum(p, z, w):
+    """(direct sum of c z^i w^j, sum of |c z^i w^j|) at broadcast z, w."""
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    terms = [c * z**i * w**j for (i, j), c in p.coeffs.items()]
+    return (sum(terms, np.zeros(z.shape, dtype=complex)),
+            sum((np.abs(t) for t in terms), np.zeros(z.shape)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(coeffs=st.dictionaries(
+           st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+           st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+           max_size=10),
+       seed=st.integers(0, 2**32 - 1))
+@example(coeffs={}, seed=0)
+@example(coeffs={(0, 0): 2.0 - 1.5j}, seed=1)
+def test_call_matches_monomial_sum_at_every_argument_shape(coeffs, seed):
+    # scalars, 0-d arrays, both tensor-grid orientations, paired arrays and a
+    # broadcast 3-D pair: the scalar sum, the grid matmul and the paired Horner
+    p = LaurentPoly2(coeffs)
+    rng = np.random.default_rng(seed)
+
+    def points(shape):
+        return rng.uniform(0.5, 2.0, shape) * np.exp(2j * np.pi * rng.random(shape))
+
+    z0, w0 = complex(points(())), complex(points(()))
+    shapes = [((5, 1), (1, 7)), ((1, 7), (5, 1)), ((6,), (6,)), ((2, 1, 3), (4, 1)),
+              ((), (3,))]
+    cases = [(z0, w0), (np.asarray(z0), np.asarray(w0))]
+    cases += [(points(zs), points(ws)) for zs, ws in shapes]
+    cases.append((z0, points((4,))))
+    for z, w in cases:
+        got = p(z, w)
+        want, scale = _monomial_sum(p, z, w)
+        if np.ndim(z) == np.ndim(w) == 0:
+            assert type(got) is complex
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_from_evaluator_roundtrip():

@@ -245,3 +245,30 @@ def test_log_xi_matches_theta_over_eta_off_the_fundamental_domain():
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
     # thinner than the theta floor: reduced first, so no error
     assert math.isfinite(sf.log_xi(-1, -1, complex(0.3, 1e-6)))
+
+
+def test_log_xi_over_arrays_equals_elementwise_calls():
+    # one reduce_tau, one eta and one series for every phase pair; -inf stays
+    # at the odd characteristic (zeta, xi) = (1, 1) and nowhere else
+    import numpy as np
+
+    rng = random.Random(9)
+    taus = [1j, complex(0.3, 1.2), complex(0.2, 0.05), complex(-2.7, 0.4),
+            complex(1e8 + 0.5, 2.0), complex(0.49, 0.02)]
+    signs = np.array([1, -1, 1j, -1j, cmath.exp(0.3j)])
+    for tau in taus:
+        zeta = np.array([cmath.exp(2j * math.pi * rng.random()) for _ in range(6)] + [1, 1, -1])
+        xi_ = np.array([cmath.exp(2j * math.pi * rng.random()) for _ in range(6)] + [1, -1, 1])
+        cases = [(zeta, xi_), (signs[:, None], signs[None, :]),
+                 (zeta.reshape(3, 3), xi_[:3])]
+        for z, x in cases:
+            got = sf.log_xi(z, x, tau)
+            zb, xb = np.broadcast_arrays(z, x)
+            assert isinstance(got, np.ndarray) and got.shape == zb.shape
+            for k in np.ndindex(zb.shape):
+                want = sf.log_xi(complex(zb[k]), complex(xb[k]), tau)
+                assert isinstance(want, float)
+                odd = zb[k] == 1 and xb[k] == 1
+                assert (want == -math.inf) == odd and (got[k] == -math.inf) == odd
+                if not odd:
+                    assert abs(got[k] - want) <= 1e-15 * max(1.0, abs(want))
