@@ -59,17 +59,16 @@ class CharPoly:
         return free_energy(self)
 
 
-def build_charpoly(dom, check=True):
+def build_charpoly(dom):
     """Spectral polynomial(s) of an oriented domain.
 
     Refuses domains that fail verify_orientation (their determinants do
-    not count matchings with coherent signs).
+    not count matchings with coherent signs) and curves that go negative
+    on the unit torus.
     """
-    if check:
-        rep = verify_orientation(dom)
-        if not (rep.faces_clockwise_odd and rep.m0_sign_positive
-                and rep.alternating_cycles_positive):
-            raise CharPolyError("domain signs fail verification: %r" % (rep.offending_items,))
+    rep = verify_orientation(dom)
+    if not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive):
+        raise CharPolyError("domain signs fail verification: %r" % (rep.offending_items,))
     bound = (sum(abs(e.dx) for e in dom.edges), sum(abs(e.dy) for e in dom.edges))
     P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), bound)
     if not P.is_real(tol=1e-9):
@@ -88,14 +87,10 @@ def build_charpoly(dom, check=True):
             w = cmath.exp(2j * math.pi * rng.random())
             if abs(abs(Q(z, w)) ** 2 - P(z, w).real) > 1e-8 * max(scale, 1.0):
                 raise CharPolyError("P != |Q|^2 on the unit torus")
-    cp = CharPoly(dom, P, Q)
-    if check:
-        rr = np.linspace(-1, 1, 64, endpoint=False) + 1.0 / 64
-        zz = np.exp(1j * math.pi * rr)
-        vals = P(zz[:, None], zz[None, :]).real
-        if vals.min() < -1e-9 * scale:
-            raise CharPolyError("P is negative on the unit torus")
-    return cp
+    zz = np.exp(1j * math.pi * (np.linspace(-1, 1, 64, endpoint=False) + 1.0 / 64))
+    if P(zz[:, None], zz[None, :]).real.min() < -1e-9 * scale:
+        raise CharPolyError("P is negative on the unit torus")
+    return CharPoly(dom, P, Q)
 
 
 # -- free energy and Ronkin function --------------------------------------------
@@ -223,19 +218,23 @@ def _torus_hessian(z, w, Pzz, Pzw, Pww):
     )
 
 
-def _newton_node(P, r, s, Pz, Pw, Pzz, Pzw, Pww):
+def _newton_node(r, s, Pz, Pw, Pzz, Pzw, Pww):
+    """(r, s, converged) of Newton for a stationary point of P in half turns,
+    in plain floats with _torus_hessian's 2 x 2 step solved in closed form."""
     for _ in range(80):
         z, w = cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s)
-        g = -math.pi * np.array([complex(Pz(z, w)).imag, complex(Pw(z, w)).imag])
-        if np.max(np.abs(g)) <= 1e-12:
+        gr, gs = -math.pi * Pz(z, w).imag, -math.pi * Pw(z, w).imag
+        if max(abs(gr), abs(gs)) <= 1e-12:
             return r, s, True
-        try:
-            step = np.linalg.solve(_torus_hessian(z, w, Pzz, Pzw, Pww), g)
-        except np.linalg.LinAlgError:
+        a, b = -math.pi**2 * Pzz(z, w).real, -math.pi**2 * Pzw(z, w).real
+        c = -math.pi**2 * Pww(z, w).real
+        det = a * c - b * b
+        if det == 0.0:
             return r, s, False
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 0.25:
+        dr, ds = (c * gr - b * gs) / det, (a * gs - b * gr) / det
+        if not (abs(dr) <= 0.25 and abs(ds) <= 0.25):
             return r, s, False
-        r, s = r - step[0], s - step[1]
+        r, s = r - dr, s - ds
     return r, s, False
 
 
@@ -268,13 +267,14 @@ def tau_of_hessian(H):
     return complex(-H[0, 1], D) / H[1, 1]
 
 
-def _torus_zeros(P, grid=256, value_tol=1e-10):
+def _torus_zeros(P):
     """Zeros of P, real and nonnegative on the unit torus, as half turns (r, s).
 
     Each zero is a minimum of P.  Grid minima low enough to hide one seed a
     Newton search for a stationary point, and the points where P vanishes
     are kept once each, with r and s wrapped into (-1, 1].
     """
+    grid, value_tol = 256, 1e-10
     rr = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
     zz = np.exp(1j * math.pi * rr)
     vals = P(zz[:, None], zz[None, :]).real
@@ -298,7 +298,7 @@ def _torus_zeros(P, grid=256, value_tol=1e-10):
 
     found = []
     for k, (r, s) in enumerate(cand):
-        r2, s2, ok = _newton_node(P, r, s, Pz, Pw, Pzz, Pzw, Pww)
+        r2, s2, ok = _newton_node(r, s, Pz, Pw, Pzz, Pzw, Pww)
         if not ok:
             continue
         z0, w0 = cmath.exp(1j * math.pi * r2), cmath.exp(1j * math.pi * s2)
@@ -325,7 +325,7 @@ def _torus_zeros(P, grid=256, value_tol=1e-10):
     return found
 
 
-def find_nodes(cp, grid=256, value_tol=1e-10):
+def find_nodes(cp):
     """Locate and classify the zeros of P on the unit torus.
 
     Returns a CriticalityReport whose kind is one of: non-vanishing,
@@ -333,7 +333,7 @@ def find_nodes(cp, grid=256, value_tol=1e-10):
     real-root-of-Q.  Zeros of a non-colored domain away from the real
     points fall outside the supported classification and are flagged.
     """
-    found = _torus_zeros(cp.P, grid, value_tol)
+    found = _torus_zeros(cp.P)
 
     qscale = None
     if cp.Q is not None:

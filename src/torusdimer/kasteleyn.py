@@ -12,8 +12,11 @@ with det K = P >= 0 on the unit torus.  A boundary phase or a twist only
 shifts the fiber, so sector_table (four slots) and winding_distribution_exact
 (slots times twists) each take one fiber product over an array of phases,
 given as exact turns; double_product is its entry for complex phases.
-build_KE, the dense Pfaffians and enumerate_matchings are independent
-oracles (and serve --dump-matrix).
+With clockwise-odd faces a matching's sign depends only on the homology
+class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so S_MATRIX turns the four
+slot Pfaffians into signed class sums: matching_sign_classes, which
+verify_orientation checks.  build_KE and the dense Pfaffians serve it,
+--dump-matrix and the tests; enumerate_matchings is a test oracle only.
 """
 
 import cmath
@@ -23,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import charpoly as _charpoly
-from .lattice import (adjugate, hnf_residues, instance_edges, int_det, lattice_coords,
-                      permutation_sign)
+from .lattice import (FundamentalDomain, _dfs_matchings, adjugate, hnf_residues,
+                      instance_edges, int_det, lattice_coords, permutation_sign)
 
 # sector mixing: canonical vector c = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1))
 # satisfies c = S_MATRIX @ (Z00, Z10, Z01, Z11), and S_MATRIX^2 = 4.
@@ -36,7 +39,7 @@ SECTOR_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 ENUM_CAP = 28
 FIBER_CHUNK = 4096  # points per p_eval call in a fiber product: bounds the work array
-ZERO_ULPS = 64  # det K within this many rounding units of its bound is a node
+ZERO_ULPS = 64  # det K within ZERO_ULPS * k ulps of its fiber product's largest is a node
 
 
 class QuotientError(ValueError):
@@ -241,23 +244,20 @@ def sector_table(dom, E):
     of each conjugate pair (Im z > 0, or z real and Im w > 0), multiplied
     by one fiber product over the slots whose real Pfaffians do not vanish
     (a slot -1 is an exact half turn); on a 2-colored domain det K = |det Q|^2
-    with Q the black/white block.  A point on a node (a zero real Pfaffian,
-    or det K within ZERO_ULPS rounding units of its Hadamard bound) makes the
-    slot exactly zero.
+    with Q the black/white block.  A point on a node makes the slot exactly
+    zero: a zero real Pfaffian, or det K within ZERO_ULPS * k ulps of the
+    largest over the pairs of all slots (a slot's only pair can be a node).
     """
     E = _as_E(E)
     if dom.k % 2:
         raise QuotientError("odd cell: its quotients carry no Kasteleyn signs; "
                             "double the domain first")
-    ends = [v for e in dom.edges for v in (e.tail, e.head)]
-    rows = np.bincount(ends, np.repeat([e.weight for e in dom.edges], 2), dom.k)
-    zero_tol = ZERO_ULPS * dom.k * np.finfo(float).eps * float(np.prod(rows))
     # fiber coordinates are multiples of 1/(2d) turns: a nonreal one has |Im| >= 2/d
     tol = 1.0 / abs(int_det(E))
 
-    def pair_det(z, w):
+    def pair_det(z, w):  # NaN at the real points and second pair members: no factor
         upper = (z.imag > tol) | ((np.abs(z.imag) < tol) & (w.imag > tol))
-        vals = np.ones(len(z))
+        vals = np.full(len(z), np.nan)
         cell = dom.Qblock if dom.bipartite else dom.K
         vals[upper] = np.abs(_cell_det(cell(z[upper], w[upper]))) ** (2 if dom.bipartite else 1)
         return vals
@@ -265,7 +265,8 @@ def sector_table(dom, E):
     factors = real_point_factors(dom, E)
     live = [si for si, (sign, _lg) in enumerate(factors) if sign]
     phi, psi = (1 - np.array(SLOTS)[live].T) // 2  # a slot -1 is half a turn
-    pair_logs = dict(zip(live, _fiber_product(pair_det, E, phi, psi, 2, zero_tol)[1]))
+    zero_rel = ZERO_ULPS * dom.k * np.finfo(float).eps
+    pair_logs = dict(zip(live, _fiber_product(pair_det, E, phi, psi, 2, zero_rel)[1]))
     logs = [lg + pair_logs.get(si, 0.0) for si, (_sign, lg) in enumerate(factors)]
     return SectorTable(E, [sign for sign, _lg in factors], logs, "fiber")
 
@@ -319,23 +320,26 @@ def double_product(p_eval, E, zeta=1.0, xi=1.0, zero_tol=0.0):
     """log of prod_{fiber} p(z, w) as (phase, log magnitude), per boundary phase.
 
     zeta and xi are complex phases of any (broadcast) shape, which the results
-    take (plain numbers for scalars); see _fiber_product.
+    take (plain numbers for scalars); see _fiber_product.  A factor with
+    |p| <= zero_tol * (largest |p| over all the phases) counts as zero.
     """
     return _fiber_product(p_eval, E, *_phase_turns(zeta, xi), zero_tol)
 
 
-def _fiber_product(p_eval, E, phi, psi, den, zero_tol):
+def _fiber_product(p_eval, E, phi, psi, den, zero_rel):
     """double_product at the boundary phases exp(2 pi i (phi, psi) / den).
 
     The fiber comes from one fiber_points call and is shifted per phase by
     _fiber_shift; p_eval takes 1-D numpy arrays of at most FIBER_CHUNK points
-    in all.  A factor within zero_tol of zero makes its own product (0, -inf).
+    in all, and returns NaN at a point that is no factor of the product.  A
+    factor with |p| <= zero_rel * (largest |p| of the whole call) makes its
+    own product (0, -inf).
     """
     zs, ws = fiber_points(E)
     shift_z, shift_w = _fiber_shift(E, phi, psi, den)
     shape, d, n = shift_z.shape, len(zs), shift_z.size
     shift_z, shift_w = shift_z.reshape(n, 1), shift_w.reshape(n, 1)
-    logabs, angle, dead = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    logabs, angle, low, top = np.zeros(n), np.zeros(n), np.full(n, np.inf), 0.0
     # blocks of `rows` phases times `cols` fiber points, at most FIBER_CHUNK in all
     cols, rows = min(d, FIBER_CHUNK), max(1, FIBER_CHUNK // d)
     for p in range(0, n, rows):
@@ -343,11 +347,15 @@ def _fiber_product(p_eval, E, phi, psi, den, zero_tol):
             z = zs[f:f + cols] * shift_z[p:p + rows]
             w = ws[f:f + cols] * shift_w[p:p + rows]
             vals = np.asarray(p_eval(z.ravel(), w.ravel()), dtype=complex).reshape(z.shape)
+            factor = ~np.isnan(vals)
+            vals = np.where(factor, vals, 1.0)
             mags = np.abs(vals)
-            zero = mags <= zero_tol
-            dead[p:p + rows] |= zero.any(axis=1)
-            logabs[p:p + rows] += np.sum(np.log(np.where(zero, 1.0, mags)), axis=1)
+            top = max(top, float(mags.max(where=factor, initial=0.0)))
+            low[p:p + rows] = np.minimum(low[p:p + rows],
+                                         mags.min(axis=1, where=factor, initial=np.inf))
+            logabs[p:p + rows] += np.sum(np.log(np.where(mags > 0, mags, 1.0)), axis=1)
             angle[p:p + rows] += np.sum(np.angle(vals), axis=1)
+    dead = low <= zero_rel * top
     phase = np.where(dead, 0j, np.exp(1j * angle)).reshape(shape)
     logabs = np.where(dead, -math.inf, logabs).reshape(shape)
     return (complex(phase), float(logabs)) if not shape else (phase, logabs)
@@ -399,36 +407,10 @@ def _instance_edges(dom, E):
     return dom.k * d, list(zip(tail.tolist(), head.tolist(), ei.tolist()))
 
 
-def _dfs_matchings(n, edges):
-    adj = [[] for _ in range(n)]
-    for idx, (i, j, _ei) in enumerate(edges):
-        if i != j:
-            adj[min(i, j)].append(idx)
-    used = [False] * n
-    chosen = []
-
-    def go(v):
-        while v < n and used[v]:
-            v += 1
-        if v == n:
-            yield list(chosen)
-            return
-        for idx in adj[v]:
-            i, j, _ = edges[idx]
-            other = j if i == v else i
-            if used[other]:
-                continue
-            used[v] = used[other] = True
-            chosen.append(idx)
-            yield from go(v + 1)
-            chosen.pop()
-            used[v] = used[other] = False
-
-    yield from go(0)
-
-
-def enumerate_matchings(dom, E, cap=ENUM_CAP):
+def enumerate_matchings(dom, E):
     """Brute-force matchings of the E-quotient with homology bookkeeping.
+
+    A test oracle, for quotients of at most ENUM_CAP vertices.
 
     Bipartite domains get exact integer windings of m (+) m0 (offsets count
     black-to-white); general domains get the loop displacements of the
@@ -436,8 +418,8 @@ def enumerate_matchings(dom, E, cap=ENUM_CAP):
     """
     E = _as_E(E)
     n, iedges = _instance_edges(dom, E)
-    if n > cap:
-        raise QuotientError("quotient too large to enumerate (%d > %d)" % (n, cap))
+    if n > ENUM_CAP:
+        raise QuotientError("quotient too large to enumerate (%d > %d)" % (n, ENUM_CAP))
     if n % 2:
         return EnumResult(E, [], dom.bipartite)
     # instance pairing of m0 (tail->head traversal counts +1)
@@ -502,8 +484,23 @@ def enumerate_matchings(dom, E, cap=ENUM_CAP):
 
 
 def matching_sign_classes(dom, E):
-    """{homology class mod 2: set of Pfaffian expansion signs} for K_E(1,1)."""
-    return enumerate_matchings(dom, E).pf_signs_by_class()
+    """{homology class mod 2: {sign}} of the matchings in the Pfaffian of K_E(1, 1).
+
+    Valid for clockwise-odd faces, where each class has one sign: then
+    A = diag(1, -1, -1, -1) S_MATRIX diag(-1, 1, 1, 1) pf / 4 are the signed
+    class sums (SECTOR_ORDER) and |A_c| > 1e-9 max |A| marks a class present.
+    Unit weights, which keep the signs, stop extreme weights hiding a class.
+    """
+    unit = FundamentalDomain(dom.k, [e._replace(weight=1.0) for e in dom.edges],
+                             dom.faces, dom.m0, dom.colors)
+    pf = [pfaffian_log(build_KE(unit, E, zeta, xi)) for zeta, xi in SLOTS]
+    top = max(lg for _ph, lg in pf)
+    if top == -math.inf:
+        return {}
+    pf = np.array([ph.real * math.exp(lg - top) for ph, lg in pf])
+    A = 0.25 * np.array([1, -1, -1, -1]) * (S_MATRIX @ (pf * np.array([-1, 1, 1, 1])))
+    cut = 1e-9 * np.max(np.abs(A))
+    return {c: {int(np.sign(a))} for c, a in zip(SECTOR_ORDER, A) if abs(a) > cut}
 
 
 # -- winding distribution via twisted Pfaffians --------------------------------

@@ -10,9 +10,12 @@ Faces are stored as lists of (edge_index, direction) steps with
 direction +1 when the edge is traversed tail -> head.  The sign data is
 valid when every face has step-sign product -1 (step sign is +sign for a
 forward step and -sign for a backward step), the reference matching m0
-pairs positively, and matchings of small torus quotients carry the sign
-of their homology class.  verify_orientation checks all three;
-orient() produces such signs from scratch.
+pairs positively, and the matchings of the 1x1, 2x1 and 1x2 quotients
+carry + in homology class (0, 0) and - in the other three.  Given the face
+condition a class has one sign, which the four slot Pfaffians of the
+quotient reveal (kasteleyn.matching_sign_classes), so verify_orientation
+checks all three in polynomial time; orient() produces such signs from
+scratch.
 """
 
 import json
@@ -399,20 +402,18 @@ def matching_pairing_sign(dom, edge_indices):
 
 
 def verify_orientation(dom):
-    """Check the three sign conditions; returns an OrientationReport."""
-    bad = []
+    """Check the three sign conditions; returns an OrientationReport.
 
-    faces_ok = True
-    for f_idx, face in enumerate(dom.faces):
-        prod = 1
-        for (ei, d) in face:
-            prod *= dom.edges[ei].sign * d
-        if prod != -1:
-            faces_ok = False
-            bad.append(("face", f_idx))
+    The class signs come from the slot Pfaffians of the three quotients,
+    which group matchings by class only under the face condition, so they
+    are checked only when the faces and m0 pass (else the third flag is
+    False with no class entries in offending_items).
+    """
+    bad = [("face", f_idx) for f_idx, face in enumerate(dom.faces)
+           if math.prod(dom.edges[ei].sign * d for ei, d in face) != -1]
     if not dom.faces:
-        faces_ok = False
         bad.append(("face", "missing"))
+    faces_ok = not bad
 
     if dom.m0 and dom.k % 2 == 0:
         m0_ok = matching_pairing_sign(dom, dom.m0) == 1
@@ -422,25 +423,16 @@ def verify_orientation(dom):
         m0_ok = False
         bad.append(("m0", "missing"))
 
-    cycles_ok = True
-    if m0_ok:
+    cycles_ok = faces_ok and m0_ok
+    if cycles_ok:
         from . import kasteleyn  # deferred; kasteleyn imports this module
 
         for E in (np.eye(2, dtype=int), np.array([[2, 0], [0, 1]]), np.array([[1, 0], [0, 2]])):
-            try:
-                table = kasteleyn.matching_sign_classes(dom, E)
-            except Exception as exc:  # no matchings, etc.
-                cycles_ok = False
-                bad.append(("classes", repr(exc)))
-                break
-            for cls, signs in table.items():
+            for cls, signs in kasteleyn.matching_sign_classes(dom, E).items():
                 want = 1 if cls == (0, 0) else -1
                 if signs != {want}:
                     cycles_ok = False
                     bad.append(("class", (tuple(int(x) for x in E.ravel()), cls, tuple(signs))))
-    else:
-        cycles_ok = False
-
     return OrientationReport(faces_ok, m0_ok, cycles_ok, bad)
 
 
@@ -478,44 +470,63 @@ def _solve_face_system(dom):
     return x
 
 
-def _gauge_vertex(signs, dom, v):
-    out = list(signs)
-    for i, e in enumerate(dom.edges):
-        flips = (e.tail == v) + (e.head == v)
-        if flips % 2:
-            out[i] = -out[i]
-    return out
+def _dfs_matchings(n, edges):
+    """Every perfect matching of vertices 0..n-1 by the (i, j, tag) edges, depth first.
 
-
-def find_reference_matching(dom, offsets_zero=True):
-    """A perfect matching of the cell, preferring cell-internal edges."""
-    pool = [i for i, e in enumerate(dom.edges)
-            if e.tail != e.head and (not offsets_zero or (e.dx == 0 and e.dy == 0))]
+    Yields lists of indices into edges; the lowest unmatched vertex is
+    matched next, by its edges in list order.
+    """
+    adj = [[] for _ in range(n)]
+    for idx, (i, j, _tag) in enumerate(edges):
+        if i != j:
+            adj[min(i, j)].append(idx)
+    used = [False] * n
     chosen = []
-    used = [False] * dom.k
 
     def go(v):
-        while v < dom.k and used[v]:
+        while v < n and used[v]:
             v += 1
-        if v == dom.k:
-            return True
-        for ei in pool:
-            e = dom.edges[ei]
-            if e.tail == v and not used[e.head] or e.head == v and not used[e.tail]:
-                other = e.head if e.tail == v else e.tail
-                used[v] = used[other] = True
-                chosen.append(ei)
-                if go(v + 1):
-                    return True
-                chosen.pop()
-                used[v] = used[other] = False
-        return False
+        if v == n:
+            yield list(chosen)
+            return
+        for idx in adj[v]:
+            i, j, _ = edges[idx]
+            other = j if i == v else i
+            if used[other]:
+                continue
+            used[v] = used[other] = True
+            chosen.append(idx)
+            yield from go(v + 1)
+            chosen.pop()
+            used[v] = used[other] = False
 
-    if not go(0):
-        if offsets_zero:
-            return find_reference_matching(dom, offsets_zero=False)
-        raise OrientationError("cell admits no reference perfect matching")
-    return chosen
+    yield from go(0)
+
+
+def find_reference_matching(dom):
+    """A perfect matching of the cell, preferring cell-internal edges."""
+    for internal in (True, False):
+        pool = [i for i, e in enumerate(dom.edges) if not internal or e.dx == e.dy == 0]
+        found = next(_dfs_matchings(dom.k, [dom.edges[i][:2] + (i,) for i in pool]), None)
+        if found is not None:
+            return [pool[idx] for idx in found]
+    raise OrientationError("cell admits no reference perfect matching")
+
+
+def _twist_candidates(dom, m0):
+    """The four boundary sign twists of one F2 solution of the face conditions,
+    each with m0 made positive by a vertex gauge."""
+    base_signs = [1 - 2 * x for x in _solve_face_system(dom)]
+    for fx in (0, 1):
+        for fy in (0, 1):
+            cand = FundamentalDomain(
+                dom.k, [e._replace(sign=s * (-1) ** (fx * e.dx + fy * e.dy))
+                        for s, e in zip(base_signs, dom.edges)],
+                dom.faces, m0, dom.colors, dom.name, dom.weights)
+            if matching_pairing_sign(cand, m0) != 1:  # flip the edges at vertex 0
+                cand = cand.with_signs([-e.sign if (e.tail == 0) != (e.head == 0) else e.sign
+                                        for e in cand.edges])
+            yield cand
 
 
 def orient(dom, m0=None):
@@ -523,7 +534,8 @@ def orient(dom, m0=None):
 
     Solves the face conditions over F2, normalizes the reference-matching
     sign by a vertex gauge, then searches the four boundary sign twists
-    for the one with correctly signed homology classes.  Raises
+    for the one whose homology classes carry the right signs, each
+    candidate costing the 12 slot Pfaffians of verify_orientation.  Raises
     OrientationError when no assignment passes the checks (e.g. the face
     data does not describe a planar torus embedding).
     """
@@ -531,20 +543,10 @@ def orient(dom, m0=None):
         raise OrientationError("odd cell: no perfect matchings, cannot orient")
     if m0 is None:
         m0 = dom.m0 if dom.m0 else find_reference_matching(dom)
-    base = _solve_face_system(dom)
-    base_signs = [1 - 2 * x for x in base]
-    for fx in (0, 1):
-        for fy in (0, 1):
-            signs = [s * (-1) ** (fx * e.dx + fy * e.dy)
-                     for s, e in zip(base_signs, dom.edges)]
-            cand = FundamentalDomain(dom.k, [dom.edges[i]._replace(sign=signs[i])
-                                             for i in range(len(signs))],
-                                     dom.faces, m0, dom.colors, dom.name, dom.weights)
-            if matching_pairing_sign(cand, m0) != 1:
-                cand = cand.with_signs(_gauge_vertex([e.sign for e in cand.edges], cand, 0))
-            rep = verify_orientation(cand)
-            if rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive:
-                return cand
+    for cand in _twist_candidates(dom, m0):
+        rep = verify_orientation(cand)
+        if rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive:
+            return cand
     raise OrientationError("no admissible sign assignment found")
 
 

@@ -38,16 +38,16 @@ class LaurentPoly2:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_evaluator(cls, fun, bound, residual_tol=1e-8, prune_rel=1e-10):
+    def from_evaluator(cls, fun, bound):
         """Recover a Laurent polynomial from point evaluations.
 
         `bound` is (bz, bw): exponents are assumed to lie in [-bz, bz] x
         [-bw, bw].  Samples the evaluator, which must accept numpy arrays,
         in one call on the roots-of-unity grid of size (2bz+1) x (2bw+1),
-        reads coefficients off a 2-D DFT, prunes entries below prune_rel
+        reads coefficients off a 2-D DFT, prunes entries below 1e-10
         times the largest, and then checks the result against the
         evaluator at a few off-grid points in one more call.  A
-        residual above residual_tol (relative to the sampled scale) raises
+        residual above 1e-8 (relative to the sampled scale) raises
         DegreeBoundError, which normally means `bound` was too small.
         """
         bz, bw = (int(bound), int(bound)) if np.isscalar(bound) else map(int, bound)
@@ -67,14 +67,14 @@ class LaurentPoly2:
         poly = cls(coeffs)
         top = max((abs(c) for c in poly.coeffs.values()), default=0.0)
         poly.coeffs = {
-            e: c for e, c in poly.coeffs.items() if abs(c) >= prune_rel * top
+            e: c for e, c in poly.coeffs.items() if abs(c) >= 1e-10 * top
         }
         # off-grid check at irrational angles
         rng = np.random.default_rng(20240817)
         t = rng.random((6, 2))
         z = np.exp(2j * np.pi * (t[:, 0] + np.sqrt(2) / 10))
         w = np.exp(2j * np.pi * (t[:, 1] + np.sqrt(3) / 10))
-        if np.any(np.abs(poly(z, w) - fun(z, w)) > residual_tol * scale):
+        if np.any(np.abs(poly(z, w) - fun(z, w)) > 1e-8 * scale):
             raise DegreeBoundError(
                 "evaluator disagrees with degree-(%d,%d) reconstruction" % (bz, bw)
             )

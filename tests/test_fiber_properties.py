@@ -6,13 +6,15 @@ cell doublings, and checks sector_table against the dense Parlett-Reid
 Pfaffian of build_KE at all four slots, and against brute-force
 enumeration when the quotient has at most ENUM_CAP vertices.  The same
 strategies check the JSON round trip, the orientation of sublattice
-enlargements and the sign of every sector.
+enlargements (against enumeration where it is small, and through the
+spectral curve at any size) and the sign of every sector.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusdimer import kasteleyn, lattice
@@ -87,14 +89,74 @@ def test_json_round_trip_keeps_the_domain_and_its_table(dom, E):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_sublattice_domain_is_oriented(data):
-    # sublattice_domain and verify_orientation both grow explosively past 8
-    # vertices (square-2x1 at F = diag(7, 1): about 40 s each)
+    # the class check takes 12 slot Pfaffians of at most 2k vertices, so the
+    # enlargement is polynomial in its size
     dom = data.draw(domains())
-    assume(dom.k <= 8)
-    F = data.draw(quotients(max_det=8 // dom.k))
+    F = data.draw(quotients(max_det=64 // dom.k))
     rep = lattice.verify_orientation(lattice.sublattice_domain(dom, F))
     assert rep.faces_clockwise_odd and rep.m0_sign_positive
     assert rep.alternating_cycles_positive, rep.offending_items
+
+
+def enumerated_classes_ok(dom):
+    """The class condition by brute force: every matching of the 1x1, 2x1 and
+    1x2 quotients has sign + in class (0, 0) and - in the other three."""
+    return all(signs == {1 if cls == (0, 0) else -1}
+               for E in ([[1, 0], [0, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 2]])
+               for cls, signs in kasteleyn.enumerate_matchings(dom, E).pf_signs_by_class().items())
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pfaffian_class_check_agrees_with_enumeration_on_every_twist(data):
+    # orient tries four boundary twists of one face solution; the slot
+    # Pfaffians must accept exactly the ones enumeration accepts
+    dom = data.draw(domains())
+    assume(dom.k <= 8)
+    F = data.draw(quotients(max_det=8 // dom.k))
+    big = lattice.sublattice_domain(dom, F, reorient=False)
+    verdicts = []
+    for cand in lattice._twist_candidates(big, big.m0):
+        rep = lattice.verify_orientation(cand)
+        want = rep.faces_clockwise_odd and rep.m0_sign_positive and enumerated_classes_ok(cand)
+        assert rep.alternating_cycles_positive == want, rep.offending_items
+        verdicts.append(want)
+    assert any(verdicts)
+
+
+@pytest.mark.parametrize("name", lattice.BUILTIN_NAMES)
+def test_single_sign_flips_get_the_enumeration_flags(name):
+    # the class check by slot Pfaffians runs only when the faces pass (seven
+    # face-broken rhombi-3464 flips have class sums of uniform sign); each
+    # flip must get the flags of a brute-force class check that runs always
+    dom = lattice.builtin(name)
+    for i in range(len(dom.edges)):
+        flipped = dom.with_signs([-e.sign if j == i else e.sign for j, e in enumerate(dom.edges)])
+        rep = lattice.verify_orientation(flipped)
+        want = rep.m0_sign_positive and enumerated_classes_ok(flipped)
+        assert rep.alternating_cycles_positive == want, (i, rep)
+        if not rep.faces_clockwise_odd:
+            assert not [x for x in rep.offending_items if x[0] == "class"]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_enlarged_curve_is_the_product_over_the_fiber(data):
+    # det K of sublattice_domain(dom, F) at (z, w) is prod det K of dom over
+    # fiber_points(F, z, w): the enlargement and its orientation agree with
+    # the cell's at any size, with no enumeration.  The points avoid the
+    # rational angles where the builtins' nodes sit
+    dom = data.draw(domains())
+    F = data.draw(quotients(max_det=24 // dom.k))
+    big = lattice.sublattice_domain(dom, F)
+    for _ in range(3):
+        a, b = data.draw(st.tuples(st.integers(0, 96), st.integers(0, 96)))
+        z, w = np.exp(2j * math.pi * np.array([a / 97 + math.sqrt(2) / 10,
+                                                 b / 97 + math.sqrt(3) / 10]))
+        zs, ws = kasteleyn.fiber_points(F, z, w)
+        want = np.prod(np.linalg.det(dom.K(zs, ws)))
+        got = np.linalg.det(big.K(z, w))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

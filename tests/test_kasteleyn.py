@@ -302,3 +302,14 @@ def test_sector_table_invariant_under_huge_unimodular_basis(name):
         a = sector_table(dom, n * UNIMODULAR).log_Z
         b = sector_table(dom, n * np.eye(2, dtype=np.int64)).log_Z
         assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("E,slot", [([[3, 0], [1, 1]], 2), ([[1, 1], [0, 3]], 1)])
+def test_a_slot_whose_only_pair_is_a_node_is_exactly_zero(E, slot):
+    # unit hexagonal has its nodes at the sixth roots of unity; here one slot's
+    # fiber is a real point and one conjugate pair on a node, so only the
+    # scale of the whole product (the other slots' pairs) can tell its
+    # rounding-level det K from zero
+    tab = sector_table(lattice.builtin("hexagonal"), E)
+    assert tab.pf_scaled[slot] == 0.0
+    assert np.count_nonzero(tab.pf_scaled) == 3

@@ -183,3 +183,36 @@ def test_reduce_rows_is_an_exact_unimodular_factorisation():
         n1, n2, dot = r1[0] ** 2 + r1[1] ** 2, r2[0] ** 2 + r2[1] ** 2, r1[0] * r2[0] + r1[1] * r2[1]
         assert n1 <= n2 and 2 * abs(dot) <= n1
     assert np.array_equal(lattice.adjugate([[3, 1], [-2, 5]]), [[5, -1], [2, 3]])
+
+
+@pytest.mark.parametrize("name", ["fisher", "rhombi-3464"])
+@pytest.mark.parametrize("F", [[[3, 0], [0, 1]], [[1, 0], [1, 3]], [[2, 0], [0, 2]]])
+def test_large_enlargements_orient_and_keep_the_partition_function(name, F):
+    # these cells have 18 or 24 vertices, past what enumeration could check
+    from torusdimer import kasteleyn
+
+    dom = builtin(name, a=1.3, b=0.8, c=1.1)
+    big = sublattice_domain(dom, F)
+    for E in ([[1, 0], [0, 1]], [[2, 1], [0, 2]]):
+        tab = kasteleyn.sector_table(big, E)
+        dense = [kasteleyn.pfaffian_log(kasteleyn.build_KE(big, E, z, w)) for z, w in kasteleyn.SLOTS]
+        assert [int(np.sign(x)) for x in tab.pf_scaled] == [int(np.sign(ph.real)) for ph, _ in dense]
+        want = kasteleyn.sector_table(dom, np.array(E) @ F).log_Z
+        assert abs(tab.log_Z - want) <= 1e-12 * abs(want)
+
+
+def test_orientation_never_enumerates(monkeypatch, tmp_path):
+    from torusdimer import charpoly, cli, kasteleyn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_matchings called outside the tests")
+
+    monkeypatch.setattr(kasteleyn, "enumerate_matchings", refuse)
+    path = tmp_path / "cell.json"
+    sublattice_domain(builtin("rhombi-3464"), [[2, 0], [0, 2]]).save(path)
+    for name in BUILTIN_NAMES + (str(path),):
+        dom = builtin(name) if name in BUILTIN_NAMES else FundamentalDomain.load(name)
+        orient(dom.with_signs([1] * len(dom.edges)))
+        charpoly.build_charpoly(dom)
+        assert cli.run(["verify", "--lattice", name]) == 0
+        assert cli.run(["criticality", "--lattice", name]) == 0
