@@ -120,31 +120,47 @@ def _slice_roots(poly, z, axis):
     return np.roots(c[::-1]), jmin, c[-1]
 
 
+def _stacked_roots(rows):
+    """Roots of a stack of ascending coefficient rows, grouped by trimmed support.
+
+    The rows are trimmed as _trimmed_slice trims one, and the rows of each
+    trimmed span [lo, hi) share one stacked eigvals call on companion
+    matrices built as np.roots builds them (linear and quadratic rows need
+    none).  Yields (pick, lo, c, roots) per span: the boolean row mask, lo,
+    the trimmed coefficients (rows, hi - lo) and the roots (rows, hi - lo - 1).
+    """
+    lo, hi = _trim_bounds(rows)
+    for a, b in sorted(set(zip(lo.tolist(), hi.tolist()))):
+        pick = (lo == a) & (hi == b)
+        c = rows[pick, a:b]
+        n = b - a - 1
+        if n <= 1:
+            yield pick, a, c, -c[:, :n] / c[:, -1:]
+            continue
+        if n == 2:  # the quadratic formula, with no cancellation in q
+            disc = np.sqrt(c[:, 1] ** 2 - 4 * c[:, 0] * c[:, 2])
+            q = -0.5 * (c[:, 1] + np.where((c[:, 1].conj() * disc).real < 0, -disc, disc))
+            yield pick, a, c, np.stack([q / c[:, 2], c[:, 0] / q], axis=1)
+            continue
+        comp = np.zeros((len(c), n, n), dtype=complex)
+        comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        yield pick, a, c, np.linalg.eigvals(comp)
+
+
 def _slice_log_means(poly, z):
     """(1/2pi) integral of log|poly(z, w)| dw over |w| = 1 at each z of a 1-D array.
 
     Jensen's formula: log|leading w-coefficient| plus log|root| summed over
     the w-roots outside the unit circle.  One matrix product gives every
-    slice's w-coefficients; the rows are trimmed as _trimmed_slice trims
-    one, and the rows of each trimmed support share one stacked eigvals
-    call on companion matrices built as np.roots builds them.
+    slice's w-coefficients, and _stacked_roots their roots.
     """
     mat, zmin, _ = poly._dense()
     rows = (z[:, None] ** np.arange(zmin, zmin + mat.shape[0])) @ mat
-    lo, hi = _trim_bounds(rows)
     out = np.empty(len(z))
-    for a, b in set(zip(lo.tolist(), hi.tolist())):
-        pick = (lo == a) & (hi == b)
-        c = rows[pick, a:b]
-        val = np.log(np.abs(c[:, -1]))
-        n = b - a - 1
-        if n:
-            comp = np.zeros((len(c), n, n), dtype=complex)
-            comp[:, 0, :] = -c[:, -2::-1] / c[:, -1:]
-            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            roots = np.linalg.eigvals(comp)
-            val += np.log(np.maximum(np.abs(roots), 1.0)).sum(axis=-1)
-        out[pick] = val
+    for pick, _lo, c, roots in _stacked_roots(rows):
+        out[pick] = (np.log(np.abs(c[:, -1]))
+                     + np.log(np.maximum(np.abs(roots), 1.0)).sum(axis=-1))
     return out
 
 

@@ -166,7 +166,7 @@ def predict(dom, E, cp=None):
 
     On a non-vanishing (gaseous) curve every |Pf| is exp(|det E| f0) up to
     exponentially small terms, so the value is log((-s1 + s2 + s3 + s4) / 2)
-    from the exact slot signs (kasteleyn.real_point_factors), with no
+    from the exact slot signs (kasteleyn.real_point_signs), with no
     sector refinement.
     """
     E = np.asarray(E, dtype=int)
@@ -176,7 +176,7 @@ def predict(dom, E, cp=None):
     f0 = cp.f0
     det = abs(_lattice.int_det(E))
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        s1, s2, s3, s4 = signs = [sg for sg, _lg in _kasteleyn.real_point_factors(dom, E)]
+        s1, s2, s3, s4 = signs = _kasteleyn.real_point_signs(dom, E)
         if -s1 + s2 + s3 + s4 <= 0:
             raise FscError("gaseous slot signs %r cancel: no leading term" % (signs,))
         value = math.log(0.5 * (-s1 + s2 + s3 + s4))

@@ -6,12 +6,18 @@ ordered (residue index, vertex index) with the |det E| residues of
 Z^2 / Z^2 E in lexicographic order.
 
 A Fourier transform over the residues block-diagonalises K_E(zeta, xi) into
-the k x k cell matrices K(z, w) at the fiber points of (zeta, xi), so
-Pf K_E = prod_{real points} Pf K(s) * prod_{conjugate pairs} det K(z, w),
-with det K = P >= 0 on the unit torus.  A boundary phase or a twist only
-shifts the fiber, so sector_table (four slots) and winding_distribution_exact
-(slots times twists) each take one fiber product over an array of phases,
-given as exact turns; double_product is its entry for complex phases.
+the k x k cell matrices K(z, w) at the |det E| fiber points of (zeta, xi),
+so |Pf K_E| is the product of |det Q| (2-colored cells) or of sqrt(P) over
+the fiber, and its sign is that of the real points' Pfaffians.  In the
+Hermite form [[p, q], [0, r]] of E the fiber is r circles w^r = xi', on
+each of which z^p = C runs over p points; the product over one circle is
+lead^p prod (rho^p - C) over the roots rho of the z-slice.  _slice_product
+takes it from batched evaluations on r outer values times the inner roots
+of unity, so a table costs O(r deg) instead of O(|det E|).  A
+boundary phase or a twist only moves the circles, so sector_table (four
+slots), winding_distribution_exact (slots times twists) and double_product
+(complex phases) each take one slice product over an array of phases,
+given as exact turns; fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
 class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so S_MATRIX turns the four
 slot Pfaffians into signed class sums: matching_sign_classes, which
@@ -26,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import charpoly as _charpoly
-from .lattice import (FundamentalDomain, _dfs_matchings, adjugate, hnf_residues,
-                      instance_edges, int_det, lattice_coords, permutation_sign)
+from .lattice import (_dfs_matchings, adjugate, hermite_form, hnf_residues, instance_edges,
+                      int_det, lattice_coords, permutation_sign)
 
 # sector mixing: canonical vector c = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1))
 # satisfies c = S_MATRIX @ (Z00, Z10, Z01, Z11), and S_MATRIX^2 = 4.
@@ -38,8 +44,8 @@ SLOTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 SECTOR_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 ENUM_CAP = 28
-FIBER_CHUNK = 4096  # points per p_eval call in a fiber product: bounds the work array
-ZERO_ULPS = 64  # det K within ZERO_ULPS * k ulps of its fiber product's largest is a node
+FIBER_CHUNK = 4096  # points per evaluator call in a slice product: bounds the work arrays
+ZERO_ULPS = 64  # a fiber value within ZERO_ULPS * k ulps of the largest evaluated is a node
 
 
 class QuotientError(ValueError):
@@ -66,10 +72,8 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
     it requires a 2-colored domain.
     """
     E = _as_E(E)
-    tail, head, jump = instance_edges(dom, E)
+    edges = instance_edges(dom, E)
     d = abs(int_det(E))
-    K = np.zeros((dom.k * d, dom.k * d), dtype=complex)
-    ph = _powers(complex(zeta), jump[:, 0]) * _powers(complex(xi), jump[:, 1])
     val = np.tile([e.sign * e.weight for e in dom.edges], d)
     if twist is not None:
         if not dom.bipartite:
@@ -79,6 +83,14 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
             cmath.exp(1j * (1.0 if dom.colors[e.tail] == 0 else -1.0)
                       * (beta[0] * e.dx + beta[1] * e.dy))
             for e in dom.edges], d)
+    return _assemble_KE(dom.k * d, edges, val, zeta, xi)
+
+
+def _assemble_KE(n, edges, val, zeta, xi):
+    """The n x n K_E(zeta, xi) of an instance_edges table with edge values val."""
+    tail, head, jump = edges
+    K = np.zeros((n, n), dtype=complex)
+    ph = _powers(complex(zeta), jump[:, 0]) * _powers(complex(xi), jump[:, 1])
     # forward and backward entries interleaved in edge-table order, so each
     # entry sums its contributions in a fixed order
     rows = np.stack([tail, head], axis=1).ravel()
@@ -155,6 +167,19 @@ def _black_white(colors):
     return blacks, whites, permutation_sign(blacks + whites) * (-1) ** (m * (m - 1) // 2)
 
 
+def _block_sign(colors, d):
+    """_black_white's pre for d copies of a cell's colors, residue-major, in O(k).
+
+    The inversions of blacks + whites are the (black, white) pairs with the
+    white first: per black instance, the whites of the earlier copies and
+    those before it in its own copy.
+    """
+    nb, nw = colors.count(0), colors.count(1)
+    own = sum(colors[:v].count(1) for v, c in enumerate(colors) if c == 0)
+    m = nb * d
+    return (-1) ** ((nw * nb * (d * (d - 1) // 2) + d * own + m * (m - 1) // 2) % 2)
+
+
 def pfaffian_log_bipartite(A, colors):
     """Pfaffian of a 2-colored skew matrix through the black/white block.
 
@@ -213,19 +238,18 @@ class SectorTable:
         return out, 2.0 * self.logscale
 
 
-def real_point_factors(dom, E):
-    """Per slot, (sign, log|.|) of prod Pf K(s) over the real fiber points s.
+def real_point_signs(dom, E):
+    """Per slot, the sign of prod Pf K(s) over the real fiber points s (0 if one vanishes).
 
     s = ((-1)^a, (-1)^b) lies in the fiber of the slot with half-turns
     E (a, b) mod 2; conjugate pairs give det K >= 0, so this is sign Pf K_E.
     """
     E = _as_E(E)
     points = [(a, b) for a in (0, 1) for b in (0, 1)]
-    pf = {p: pfaffian_log(dom.K((-1) ** p[0], (-1) ** p[1])) for p in points}
-    per_slot = [[pf[p] for p in points if tuple(E @ p % 2) == (zeta < 0, xi < 0)]
-                for zeta, xi in SLOTS]
-    return [(int(math.prod(np.sign(ph.real) for ph, _lg in pfs)), sum(lg for _ph, lg in pfs))
-            for pfs in per_slot]
+    cells = dom.K(*(1.0 - 2.0 * np.array(points).T))  # the four real points in one call
+    sign = {p: int(np.sign(pfaffian_log(cell)[0].real)) for p, cell in zip(points, cells)}
+    return [math.prod(sign[p] for p in points if tuple(E @ p % 2) == (zeta < 0, xi < 0))
+            for zeta, xi in SLOTS]
 
 
 def _cell_det(M):
@@ -238,37 +262,31 @@ def _cell_det(M):
 
 
 def sector_table(dom, E):
-    """Exact Pfaffian/sector table of the E-quotient from its fiber.
+    """Exact Pfaffian/sector table of the E-quotient from one slice product.
 
-    Per slot, Pf K_E is real_point_factors times det K(z, w) at one member
-    of each conjugate pair (Im z > 0, or z real and Im w > 0), multiplied
-    by one fiber product over the slots whose real Pfaffians do not vanish
-    (a slot -1 is an exact half turn); on a 2-colored domain det K = |det Q|^2
-    with Q the black/white block.  A point on a node makes the slot exactly
-    zero: a zero real Pfaffian, or det K within ZERO_ULPS * k ulps of the
-    largest over the pairs of all slots (a slot's only pair can be a node).
+    Per slot, Pf K_E has the sign of real_point_signs, and log|Pf K_E| is
+    the sum of log|det Q| over the fiber on a 2-colored domain (Q the
+    black/white block of K), else half the sum of log P = log|det K|.  The
+    four slots share one _slice_product of that cell determinant (a slot -1
+    is an exact half turn), whose evaluator sees the 2r outer values of the
+    four slots times 2b + 1 inner points, b = sum |dx| (sum |dy| when the
+    variables swap).  A node makes its slot exactly zero: a zero real
+    Pfaffian, or a fiber value within ZERO_ULPS * k ulps of the largest
+    value evaluated (a slot's only pair of points can be a node).
     """
     E = _as_E(E)
     if dom.k % 2:
         raise QuotientError("odd cell: its quotients carry no Kasteleyn signs; "
                             "double the domain first")
-    # fiber coordinates are multiples of 1/(2d) turns: a nonreal one has |Im| >= 2/d
-    tol = 1.0 / abs(int_det(E))
-
-    def pair_det(z, w):  # NaN at the real points and second pair members: no factor
-        upper = (z.imag > tol) | ((np.abs(z.imag) < tol) & (w.imag > tol))
-        vals = np.full(len(z), np.nan)
-        cell = dom.Qblock if dom.bipartite else dom.K
-        vals[upper] = np.abs(_cell_det(cell(z[upper], w[upper]))) ** (2 if dom.bipartite else 1)
-        return vals
-
-    factors = real_point_factors(dom, E)
-    live = [si for si, (sign, _lg) in enumerate(factors) if sign]
-    phi, psi = (1 - np.array(SLOTS)[live].T) // 2  # a slot -1 is half a turn
+    block, half = (dom.Qblock, 1.0) if dom.bipartite else (dom.K, 0.5)
+    bound = (sum(abs(e.dx) for e in dom.edges), sum(abs(e.dy) for e in dom.edges))
+    phi, psi = (1 - np.array(SLOTS).T) // 2
     zero_rel = ZERO_ULPS * dom.k * np.finfo(float).eps
-    pair_logs = dict(zip(live, _fiber_product(pair_det, E, phi, psi, 2, zero_rel)[1]))
-    logs = [lg + pair_logs.get(si, 0.0) for si, (_sign, lg) in enumerate(factors)]
-    return SectorTable(E, [sign for sign, _lg in factors], logs, "fiber")
+    _, logs = _slice_product(lambda z, w: _cell_det(block(z, w)), bound, E, phi, psi, 2,
+                             zero_rel)
+    signs = real_point_signs(dom, E)
+    return SectorTable(E, signs, [half * lg if sign else -math.inf
+                                  for sign, lg in zip(signs, logs)], "fiber")
 
 
 # -- fiber products -----------------------------------------------------------
@@ -307,6 +325,8 @@ def fiber_points(E, zeta=1.0, xi=1.0):
     The base points exp(2 pi i E^-1 n), n over the residues of Z^2 / Z^2 E^T,
     are reduced mod det E in integers and then shifted by _fiber_shift.
     Array phases broadcast: the points then have shape phases + (|det E|,).
+    A test oracle: the production products take the fiber circle by circle
+    (_slice_product).
     """
     E = _as_E(E)
     det = int_det(E)
@@ -316,49 +336,153 @@ def fiber_points(E, zeta=1.0, xi=1.0):
     return base[:, 0] * shift_z[..., None], base[:, 1] * shift_w[..., None]
 
 
-def double_product(p_eval, E, zeta=1.0, xi=1.0, zero_tol=0.0):
-    """log of prod_{fiber} p(z, w) as (phase, log magnitude), per boundary phase.
+def _degree_bound(poly):
+    """(max |i|, max |j|) over the exponents of a LaurentPoly2."""
+    return tuple(max((abs(e[axis]) for e in poly.coeffs), default=0) for axis in (0, 1))
 
-    zeta and xi are complex phases of any (broadcast) shape, which the results
-    take (plain numbers for scalars); see _fiber_product.  A factor with
-    |p| <= zero_tol * (largest |p| over all the phases) counts as zero.
+
+def double_product(poly, E, zeta=1.0, xi=1.0, zero_tol=0.0):
+    """log of prod_{fiber} poly(z, w) as (phase, log magnitude), per boundary phase.
+
+    poly is a LaurentPoly2, whose degrees bound its slices.  zeta and xi are
+    complex phases of any (broadcast) shape, which the results take (plain
+    numbers for scalars); see _slice_product.  A fiber value with |poly| <=
+    zero_tol * (largest |poly| evaluated) makes its product zero.
     """
-    return _fiber_product(p_eval, E, *_phase_turns(zeta, xi), zero_tol)
+    return _slice_product(poly, _degree_bound(poly), E, *_phase_turns(zeta, xi), zero_tol)
 
 
-def _fiber_product(p_eval, E, phi, psi, den, zero_rel):
-    """double_product at the boundary phases exp(2 pi i (phi, psi) / den).
+def _cis(angle):
+    """exp(i angle) of a real array, by cos and sin (numpy's complex exp is slower)."""
+    out = np.empty(np.shape(angle), dtype=complex)
+    out.real, out.imag = np.cos(angle), np.sin(angle)
+    return out
 
-    The fiber comes from one fiber_points call and is shifted per phase by
-    _fiber_shift; p_eval takes 1-D numpy arrays of at most FIBER_CHUNK points
-    in all, and returns NaN at a point that is no factor of the product.  A
-    factor with |p| <= zero_rel * (largest |p| of the whole call) makes its
-    own product (0, -inf).
+
+def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
+    """double_product of evaluate at the boundary phases exp(2 pi i (phi, psi) / den).
+
+    phi and psi are broadcasting integer arrays and bound is (bz, bw), the
+    largest |exponent| of z and of w in evaluate.  With the variables
+    swapped when that evaluates fewer points (r is |det E| over the gcd of
+    E's first column, r (2b + 1) the points per phase), take
+    H = U E = [[p, q], [0, r]] (lattice.hermite_form).  The fiber of a
+    phase is then the r outer values w^r = xi' = zeta^U21 xi^U22, each with
+    the p inner values z^p = C = zeta' w^-q, zeta' = zeta^U11 xi^U12.  The
+    turns of w and C are reduced in integers, per phase modulo r den and
+    per outer index modulo r, before one division each.
+
+    evaluate sees every outer value of every phase times the 2b + 1 inner
+    roots of unity (b the inner bound), as tensor grids of at most about
+    FIBER_CHUNK points, and an FFT along the inner axis gives each
+    z-slice's coefficients; charpoly._stacked_roots gives its roots rho and
+    leading coefficient.  The product over one circle is lead^p
+    ((-1)^(p+1) C)^lo (-1)^(p n) prod (rho^p - C), for valuation lo and
+    degree n, with log(rho^p - C) taken as p log rho + log(1 - C rho^-p)
+    outside the unit circle and as log(-C) + log(1 - rho^p / C) inside it.
+    A fiber value with |evaluate| <= zero_rel * (largest |evaluate| on the
+    grids) zeroes its product: every value of a slice whose coefficients
+    are all that small, and the value at the fiber point nearest a root rho
+    with |rho^p - C| below half of max(|rho|^p, 1), evaluated from the
+    slice's coefficients.
     """
-    zs, ws = fiber_points(E)
-    shift_z, shift_w = _fiber_shift(E, phi, psi, den)
-    shape, d, n = shift_z.shape, len(zs), shift_z.size
-    shift_z, shift_w = shift_z.reshape(n, 1), shift_w.reshape(n, 1)
-    logabs, angle, low, top = np.zeros(n), np.zeros(n), np.full(n, np.inf), 0.0
-    # blocks of `rows` phases times `cols` fiber points, at most FIBER_CHUNK in all
-    cols, rows = min(d, FIBER_CHUNK), max(1, FIBER_CHUNK // d)
-    for p in range(0, n, rows):
-        for f in range(0, d, cols):
-            z = zs[f:f + cols] * shift_z[p:p + rows]
-            w = ws[f:f + cols] * shift_w[p:p + rows]
-            vals = np.asarray(p_eval(z.ravel(), w.ravel()), dtype=complex).reshape(z.shape)
-            factor = ~np.isnan(vals)
-            vals = np.where(factor, vals, 1.0)
-            mags = np.abs(vals)
-            top = max(top, float(mags.max(where=factor, initial=0.0)))
-            low[p:p + rows] = np.minimum(low[p:p + rows],
-                                         mags.min(axis=1, where=factor, initial=np.inf))
-            logabs[p:p + rows] += np.sum(np.log(np.where(mags > 0, mags, 1.0)), axis=1)
-            angle[p:p + rows] += np.sum(np.angle(vals), axis=1)
+    E = _as_E(E)
+    bx, by = bound
+    swap = (2 * by + 1) * math.gcd(*E[:, 0].tolist()) < (2 * bx + 1) * math.gcd(*E[:, 1].tolist())
+    H, U = hermite_form(E[:, ::-1] if swap else E)
+    (p, q), (_, r) = H.tolist()
+    b = by if swap else bx
+    # exact turns over den of zeta' and xi' (Python ints when den * r is large)
+    exact = np.int64 if r * den < 2 ** 31 else object
+    phi, psi = np.broadcast_arrays(*(np.asarray(np.asarray(t, dtype=exact) % den, dtype=exact)
+                                     for t in (phi, psi)))
+    shape = phi.shape
+    (u11, u12), (u21, u22) = ([u % den for u in row] for row in U.tolist())
+    zeta_t = (u11 * phi.ravel() + u12 * psi.ravel()) % den
+    xi_t = (u21 * phi.ravel() + u22 * psi.ravel()) % den
+    levels, level_of = np.unique(xi_t, return_inverse=True)
+    # outer value j of a phase: w = exp(2 pi i (xi_t / den + j) / r); its circle
+    # z^p = C with C = (r zeta_t - q xi_t) / (r den) - q j / r turns
+    w_turn = np.asarray(levels / den, dtype=float)[:, None]
+    c_turn = np.asarray((r * zeta_t - q * xi_t) % (r * den) / (r * den), dtype=float)[:, None]
+
+    n_in = 2 * b + 1
+    inner = _cis(2 * math.pi * np.arange(n_in) / n_in)
+    logabs, turns = np.zeros(len(level_of)), np.zeros(len(level_of))
+    low, top = np.full(len(level_of), np.inf), 0.0  # smallest fiber value per phase, largest seen
+    step = max(1, FIBER_CHUNK // (len(levels) * n_in))
+    for start in range(0, r, step):
+        j = np.arange(start, min(start + step, r))
+        outer = _cis(2 * math.pi * ((w_turn + j) / r)).ravel()
+        vals = np.asarray(evaluate(outer[:, None], inner[None, :]) if swap
+                          else evaluate(inner[:, None], outer[None, :]).T, dtype=complex)
+        top = max(top, float(np.abs(vals).max()))
+        coeffs = np.roll(np.fft.fft(vals, axis=1) / n_in, b, axis=1)  # exponents -b .. b
+        size = np.abs(coeffs).max(axis=1)
+        coeffs[size == 0.0] = np.arange(n_in) == b  # no roots to find in a vanishing slice
+        rows = level_of.reshape(-1, 1) * len(j) + np.arange(len(j))  # (phases, len(j))
+        low = np.minimum(low, size[rows].min(axis=1))
+        block_log, block_turns, (phase_of, value) = _circle_products(
+            coeffs, b, p, (c_turn - (q * j % r) / r) % 1.0, rows)
+        logabs += block_log
+        turns += block_turns
+        np.minimum.at(low, phase_of, value)
     dead = low <= zero_rel * top
-    phase = np.where(dead, 0j, np.exp(1j * angle)).reshape(shape)
+    phase = np.where(dead, 0j, _cis(2 * math.pi * (turns % 1.0))).reshape(shape)
     logabs = np.where(dead, -math.inf, logabs).reshape(shape)
     return (complex(phase), float(logabs)) if not shape else (phase, logabs)
+
+
+def _circle_products(coeffs, b, p, c_turn, rows):
+    """Per phase, log|.| and turns of prod over its circles z^p = C, and zero-test values.
+
+    coeffs holds one slice per row (exponents -b .. b); rows (phases, j)
+    picks each phase's slices and c_turn (phases, j) the turns of their C.
+    The values are (phase, |slice|) at the fiber point nearest each root
+    rho with |rho^p - C| below half of max(|rho|^p, 1).
+    """
+    groups = list(_charpoly._stacked_roots(coeffs))
+    deg = max(c.shape[1] for _pick, _lo, c, _roots in groups) - 1
+    poly = np.zeros((len(coeffs), deg + 1), dtype=complex)
+    roots = np.full((len(coeffs), deg), 2.0 + 0j)  # pads are masked out by `has`
+    lead = np.empty(len(coeffs), dtype=complex)
+    lo, n = np.empty(len(coeffs), dtype=np.int64), np.empty(len(coeffs), dtype=np.int64)
+    for pick, start, c, rts in groups:
+        poly[pick, :c.shape[1]] = c
+        roots[pick, :rts.shape[1]] = rts
+        lead[pick], lo[pick], n[pick] = c[:, -1], start - b, rts.shape[1]
+    has = np.arange(deg) < n[:, None]
+    log_abs, arg = np.log(np.abs(roots)), np.angle(roots)
+    outside = log_abs > 0.0
+    power = np.where(outside, -p, p)
+    rho_p = np.exp(power * log_abs) * _cis(power * arg)  # rho^-p outside, rho^p inside
+    big = has & outside
+    inside = np.count_nonzero(has & ~outside, axis=1)
+    # per slice, every factor but the 1 - x: lead^p, the rho^p of the roots
+    # outside, the signs, and the power of C (in turns, added per phase)
+    row_log = p * (np.log(np.abs(lead)) + np.where(big, log_abs, 0.0).sum(axis=1))
+    row_turn = (p * (np.angle(lead) + np.where(big, arg, 0.0).sum(axis=1)) / (2 * math.pi)
+                + ((p + 1) * lo + p * n + inside) / 2) % 1.0
+    row_c = lo + inside
+
+    C = _cis(2 * math.pi * c_turn)[..., None]
+    one_minus = rho_p[rows]
+    one_minus *= np.where(outside[rows], C, C.conj())  # C rho^-p, or rho^p / C
+    np.subtract(1.0, one_minus, out=one_minus)
+    has_g = has[rows]
+    size = np.abs(one_minus)
+    with np.errstate(divide="ignore"):
+        logs = np.log(size, where=has_g, out=np.zeros_like(size))
+    logabs = row_log[rows].sum(axis=1) + logs.sum(axis=(1, 2))
+    turns = (row_turn[rows].sum(axis=1) + (row_c[rows] * c_turn % 1.0).sum(axis=1)
+             + np.where(has_g, np.angle(one_minus), 0.0).sum(axis=(1, 2)) / (2 * math.pi))
+
+    g, i, m = np.nonzero(has_g & (size < 0.5))
+    ct, row = c_turn[g, i], rows[g, i]
+    near = np.round(p * np.angle(roots[row, m]) / (2 * math.pi) - ct)
+    z = _cis(2 * math.pi * (ct + near) / p)
+    value = np.abs((poly[row] * z[:, None] ** np.arange(deg + 1)).sum(axis=1))
+    return logabs, turns, (g, value)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -491,9 +615,11 @@ def matching_sign_classes(dom, E):
     class sums (SECTOR_ORDER) and |A_c| > 1e-9 max |A| marks a class present.
     Unit weights, which keep the signs, stop extreme weights hiding a class.
     """
-    unit = FundamentalDomain(dom.k, [e._replace(weight=1.0) for e in dom.edges],
-                             dom.faces, dom.m0, dom.colors)
-    pf = [pfaffian_log(build_KE(unit, E, zeta, xi)) for zeta, xi in SLOTS]
+    E = _as_E(E)
+    d = abs(int_det(E))
+    edges = instance_edges(dom, E)  # one table, four slot phases
+    unit = np.tile([e.sign * 1.0 for e in dom.edges], d)
+    pf = [pfaffian_log(_assemble_KE(dom.k * d, edges, unit, zeta, xi)) for zeta, xi in SLOTS]
     top = max(lg for _ph, lg in pf)
     if top == -math.inf:
         return {}
@@ -513,20 +639,22 @@ def winding_distribution_exact(dom, E, M=16, cp=None):
     exp(i theta), and the black/white block of the twisted K_E has
     determinant prod_{fiber} Q(z, w), so each (slot, p, q) is the ordering
     sign times one product of the caller's Q (cp built here when None),
-    all taken in one fiber product in exact turns over 2M.  The winding
-    masses are read off a 2-D DFT and returned as a WindingTable, folded
-    modulo M, so M must exceed the spread of the distribution.
+    all taken in one slice product in exact turns over 2M: its evaluator
+    sees at most 2M r outer values.  The winding masses are read off a 2-D
+    DFT and returned as a WindingTable, folded modulo M, so M must exceed
+    the spread of the distribution.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     E = _as_E(E)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)
-    _, _, pre = _black_white(instance_colors(dom, abs(int_det(E))))
+    pre = _block_sign(dom.colors, abs(int_det(E)))
     # slot half turns plus twist turns (p, q) / M, exact over 2M
     halves = (M * (1 - np.array(SLOTS)) // 2)[:, :, None, None]
     twist = 2 * np.arange(M)
-    grid_phase, grid_log = _fiber_product(cp.Q, E, halves[:, 0] + twist[:, None],
+    grid_phase, grid_log = _slice_product(cp.Q, _degree_bound(cp.Q), E,
+                                          halves[:, 0] + twist[:, None],
                                           halves[:, 1] + twist[None, :], 2 * M, 0.0)
     signs = np.array([-0.5, 0.5, 0.5, 0.5])[:, None, None]
     Zg = np.sum(signs * pre * grid_phase * np.exp(grid_log - np.max(grid_log)), axis=0)

@@ -311,11 +311,39 @@ def lattice_coords(V, E):
     return n
 
 
+def hermite_form(E):
+    """(H, U) with H = U E = [[p, q], [0, r]], p, r > 0, 0 <= q < r, det U = +-1.
+
+    The row Hermite form of an integer 2x2 matrix by Euclid on the first
+    column, carrying the row operations in U; exact integers, O(1) in |det E|.
+    """
+    det = int_det(E)
+    if det == 0:
+        raise DomainError("singular quotient matrix")
+    (a, b), (c, d) = ((int(x) for x in row) for row in np.asarray(E))
+    r1, r2 = [a, b, 1, 0], [c, d, 0, 1]  # a row of H followed by its row of U
+    while r2[0] != 0:
+        if r1[0] == 0 or abs(r2[0]) < abs(r1[0]):
+            r1, r2 = r2, r1
+        if r2[0] != 0:
+            m = r2[0] // r1[0]
+            r2 = [x - m * y for x, y in zip(r2, r1)]
+    if r1[0] < 0:
+        r1 = [-x for x in r1]
+    if r2[1] < 0:
+        r2 = [-x for x in r2]
+    m = r1[1] // r2[1]
+    r1 = [x - m * y for x, y in zip(r1, r2)]
+    assert r1[0] * r2[1] == abs(det)
+    return (np.array([r1[:2], r2[:2]], dtype=int),
+            np.array([r1[2:], r2[2:]], dtype=np.int64))
+
+
 def hnf_residues(E):
     """Row Hermite form of an integer 2x2 matrix and coset representatives.
 
-    Returns (H, reps, reduce) where H = [[p, q], [0, r]] (0 <= q < r) spans
-    the same row lattice as E and reps is the (|det E|, 2) int array of the
+    Returns (H, reps, reduce) where H = [[p, q], [0, r]] (0 <= q < r) is
+    hermite_form(E)'s and reps is the (|det E|, 2) int array of the
     residues (i, j), 0 <= i < p, 0 <= j < r, of Z^2 / Z^2 E in lexicographic
     order, so residue (i, j) has index i r + j.  reduce(V) maps an integer
     vector, or an (..., 2) int array of them, to (index, jump) with
@@ -323,22 +351,8 @@ def hnf_residues(E):
     (..., 2), both exact integers.
     """
     E = np.asarray(E, dtype=int)
-    det = int_det(E)
-    if det == 0:
-        raise DomainError("singular quotient matrix")
-    r1, r2 = [int(E[0, 0]), int(E[0, 1])], [int(E[1, 0]), int(E[1, 1])]
-    while r2[0] != 0:
-        if r1[0] == 0 or abs(r2[0]) < abs(r1[0]):
-            r1, r2 = r2, r1
-        if r2[0] != 0:
-            q = r2[0] // r1[0]
-            r2 = [r2[0] - q * r1[0], r2[1] - q * r1[1]]
-    if r1[0] < 0:
-        r1 = [-r1[0], -r1[1]]
-    p, r = r1[0], abs(r2[1])
-    q = r1[1] % r
-    assert p > 0 and r > 0 and p * r == abs(det)
-    H = np.array([[p, q], [0, r]], dtype=int)
+    H, _U = hermite_form(E)
+    (p, q), (_, r) = H.tolist()
     i, j = np.divmod(np.arange(p * r), r)
     reps = np.stack([i, j], axis=1)
 

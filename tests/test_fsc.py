@@ -266,7 +266,7 @@ def test_predict_gaseous_sign_constant():
     # correction is log((1 + 1 + 1 + 1) / 2) = log 2, not 0
     dom = lattice.builtin("rhombi-3464")
     E = np.array([[24, 0], [0, 24]])
-    assert [sg for sg, _lg in kasteleyn.real_point_factors(dom, E)] == [-1, 1, 1, 1]
+    assert kasteleyn.real_point_signs(dom, E) == [-1, 1, 1, 1]
     pred = predict(dom, E)
     assert pred.kind == "non-vanishing"
     assert abs(pred.value - math.log(2.0)) < 1e-15
@@ -274,8 +274,7 @@ def test_predict_gaseous_sign_constant():
 
 
 def test_predict_gaseous_cancelling_signs_raise(monkeypatch):
-    monkeypatch.setattr(kasteleyn, "real_point_factors",
-                        lambda dom, E: [(1, 0.0), (1, 0.0), (1, 0.0), (-1, 0.0)])
+    monkeypatch.setattr(kasteleyn, "real_point_signs", lambda dom, E: [1, 1, 1, -1])
     with pytest.raises(FscError, match="no leading term"):
         predict(lattice.builtin("hexagonal", a=3.0), np.array([[4, 0], [0, 4]]))
 

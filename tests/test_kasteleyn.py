@@ -248,47 +248,66 @@ def test_double_product_array_phases_equal_scalar_calls():
     assert double_product(cp.Q, [[3, 0], [0, 3]], -1, -1, 1e-12)[1] == -math.inf
 
 
-def _record_fiber_work(monkeypatch):
-    """Count fiber products and fiber_points calls and the largest p_eval batch."""
-    seen = {"products": 0, "fiber_points": 0, "batch": 0}
-    product, points = kasteleyn._fiber_product, kasteleyn.fiber_points
+def _record_slice_work(monkeypatch):
+    """Count slice products, their evaluator calls, the points and the largest call."""
+    seen = {"products": 0, "calls": 0, "points": 0, "batch": 0}
+    product = kasteleyn._slice_product
 
-    def counting_points(*args, **kwargs):
-        seen["fiber_points"] += 1
-        return points(*args, **kwargs)
-
-    def recording_product(p_eval, *args, **kwargs):
+    def recording_product(evaluate, *args, **kwargs):
         def recorded(z, w):
-            seen["batch"] = max(seen["batch"], len(z))
-            return p_eval(z, w)
+            size = np.broadcast(z, w).size
+            seen["calls"] += 1
+            seen["points"] += size
+            seen["batch"] = max(seen["batch"], size)
+            return evaluate(z, w)
         seen["products"] += 1
         return product(recorded, *args, **kwargs)
 
-    monkeypatch.setattr(kasteleyn, "fiber_points", counting_points)
-    monkeypatch.setattr(kasteleyn, "_fiber_product", recording_product)
+    monkeypatch.setattr(kasteleyn, "_slice_product", recording_product)
     return seen
 
 
-def test_one_fiber_product_per_table_in_bounded_batches(monkeypatch):
-    seen = _record_fiber_work(monkeypatch)
-    E = [[80, 3], [0, 61]]  # 4880 > FIBER_CHUNK fiber points per slot
-    sector_table(lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2), E)
-    assert seen == {"products": 1, "fiber_points": 1, "batch": kasteleyn.FIBER_CHUNK}
+def _outer_values(E):
+    """The fewer of the two fiber projections: |det E| over the larger column gcd."""
+    E = np.asarray(E)
+    return abs(lattice.int_det(E)) // max(math.gcd(*E[:, 0].tolist()), math.gcd(*E[:, 1].tolist()))
 
 
-def test_one_fiber_product_per_winding_law_in_bounded_batches(monkeypatch):
-    seen = _record_fiber_work(monkeypatch)
-    # 4 slots x 16 x 16 twists x 41 points: several batches of whole phases
-    kasteleyn.winding_distribution_exact(lattice.builtin("hexagonal"), [[7, 2], [-3, 5]], M=16)
-    assert seen["products"] == 1 and seen["fiber_points"] == 1
-    assert 0 < seen["batch"] <= kasteleyn.FIBER_CHUNK
+def test_one_slice_product_per_table(monkeypatch):
+    # O(rows of E): at most 2 min(r, r') (2b + 1) points per table, for the 2r
+    # outer values of the four slots (r = p for a diagonal Hermite form), in
+    # calls of at most FIBER_CHUNK points
+    seen = _record_slice_work(monkeypatch)
+    for name, E in (("hexagonal", [[80, 3], [0, 61]]), ("hexagonal", [[3, 80], [61, 0]]),
+                    ("square-2x1", [[300, 0], [0, 7]]), ("fisher", [[7, 0], [0, 300]]),
+                    ("rhombi-3464", [[2, 3], [0, 5]]), ("square-bip", [[7, 2], [-3, 5]]),
+                    ("hexagonal", [[3000, 0], [0, 3000]])):
+        dom = lattice.builtin(name, a=1.1, b=0.9, c=1.2)
+        b = max(sum(abs(e.dx) for e in dom.edges), sum(abs(e.dy) for e in dom.edges))
+        before = dict(seen)
+        sector_table(dom, E)
+        assert seen["products"] - before["products"] == 1
+        assert seen["points"] - before["points"] <= 2 * _outer_values(E) * (2 * b + 1)
+    assert seen["calls"] > seen["products"] and seen["batch"] <= kasteleyn.FIBER_CHUNK
+
+
+def test_one_slice_product_per_winding_law(monkeypatch):
+    seen = _record_slice_work(monkeypatch)
+    dom = lattice.builtin("hexagonal")
+    cp = charpoly.build_charpoly(dom)
+    kasteleyn.winding_distribution_exact(dom, [[7, 2], [-3, 5]], M=16, cp=cp)
+    # the 2M levels of the slot and twist phases times the outer values
+    b = max(kasteleyn._degree_bound(cp.Q))
+    assert seen["products"] == 1 and seen["calls"] == 1
+    assert seen["points"] <= 2 * 16 * _outer_values([[7, 2], [-3, 5]]) * (2 * b + 1)
 
 
 def test_double_product_goes_through_the_one_product(monkeypatch):
-    seen = _record_fiber_work(monkeypatch)
+    seen = _record_slice_work(monkeypatch)
     cp = charpoly.build_charpoly(lattice.builtin("hexagonal"))
     double_product(cp.Q, [[3, 1], [0, 2]], np.array([1, -1]), -1)
-    assert seen == {"products": 1, "fiber_points": 1, "batch": 12}
+    # r = 2 outer values per phase, both phases at xi = -1, 2b + 1 = 3 inner points
+    assert seen == {"products": 1, "calls": 1, "points": 6, "batch": 6}
 
 
 UNIMODULAR = np.array([[10**8, 10**8 - 1], [10**8 + 1, 10**8]], dtype=np.int64)
@@ -308,8 +327,7 @@ def test_sector_table_invariant_under_huge_unimodular_basis(name):
 def test_a_slot_whose_only_pair_is_a_node_is_exactly_zero(E, slot):
     # unit hexagonal has its nodes at the sixth roots of unity; here one slot's
     # fiber is a real point and one conjugate pair on a node, so only the
-    # scale of the whole product (the other slots' pairs) can tell its
-    # rounding-level det K from zero
+    # scale of all values evaluated can tell its rounding-level det Q from zero
     tab = sector_table(lattice.builtin("hexagonal"), E)
     assert tab.pf_scaled[slot] == 0.0
     assert np.count_nonzero(tab.pf_scaled) == 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -114,8 +115,7 @@ def qblock_winding_reference(dom, E, M=16):
 
 
 def test_polynomial_grid_matches_qblock_determinants():
-    # the last two spread their 4 x 8 x 8 phases times |det E| points over
-    # several FIBER_CHUNK batches
+    # the last two have several outer values and levels per phase
     for dom, E in ((lattice.builtin("hexagonal", a=1.2, b=0.9, c=1.1), [[3, 1], [0, 2]]),
                    (lattice.builtin("hexagonal"), [[2, 1], [-1, 2]]),
                    (lattice.builtin("square-bip", a=1.3, b=0.8), [[2, 1], [0, 3]]),
@@ -199,3 +199,13 @@ def test_gaussian_model_is_covariant_on_both_sides_of_the_condition_limit(m):
         for n, p in base.items():
             if p > 1e-9:
                 assert abs(got[tuple(int(x) for x in np.array(n) @ adj)] - p) < 1e-9
+
+
+def test_block_sign_matches_the_instance_ordering():
+    # the ordering sign of d residue-major copies of a cell, in closed form,
+    # against the permutation of the instance list (whites before blacks
+    # within a cell, as in enlarged cells, make d count)
+    for colors in itertools.product((0, 1), repeat=6):
+        for d in range(1, 9):
+            instance = [colors[v % 6] for v in range(6 * d)]
+            assert kasteleyn._block_sign(list(colors), d) == kasteleyn._black_white(instance)[2]
