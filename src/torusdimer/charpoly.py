@@ -18,7 +18,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .laurent import LaurentPoly2
-from .lattice import verify_orientation
+from .lattice import leibniz_bound, verify_orientation
 
 NodeReport = namedtuple("NodeReport", ["location", "arguments", "hessian", "D", "tau", "kind"])
 
@@ -69,8 +69,7 @@ def build_charpoly(dom):
     rep = verify_orientation(dom)
     if not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive):
         raise CharPolyError("domain signs fail verification: %r" % (rep.offending_items,))
-    bound = (sum(abs(e.dx) for e in dom.edges), sum(abs(e.dy) for e in dom.edges))
-    P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), bound)
+    P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), leibniz_bound(dom))
     if not P.is_real(tol=1e-9):
         raise CharPolyError("P(z, w) came out non-real")
     P = P.real_part()
@@ -80,7 +79,8 @@ def build_charpoly(dom):
         raise CharPolyError("P(z, w) != P(1/z, 1/w)")
     Q = None
     if dom.bipartite:
-        Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)), bound)
+        Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)),
+                                        leibniz_bound(dom, qblock=True))
         rng = np.random.default_rng(11)
         for _ in range(8):
             z = cmath.exp(2j * math.pi * rng.random())

@@ -9,7 +9,6 @@ check, unclassifiable or out-of-class spectral curve).
 """
 
 import argparse
-import cmath
 import functools
 import math
 import os
@@ -19,33 +18,39 @@ from . import charpoly, fsc, kasteleyn, lattice
 
 
 def _fmt_float(x):
-    if x != x or x in (math.inf, -math.inf):
+    if not math.isfinite(x):
         return "null"
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return "%.15g" % x
+    return "%.15g" % (x + 0.0)  # + 0.0 normalizes -0.0
+
+
+def _fmt_str(text):
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+# writers of the exact leaf types; containers write their elements through this
+# table, so only nested containers and subclasses (numpy floats, namedtuples)
+# recurse into _to_json
+_LEAVES = {float: _fmt_float, int: str, str: _fmt_str, bool: lambda b: "true" if b else "false",
+           type(None): lambda _none: "null"}
 
 
 def _to_json(obj):
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    write = _LEAVES.get(type(obj))
+    if write is not None:
+        return write(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return '"%s"' % out
+        return _fmt_str(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    leaves = _LEAVES.get
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: kv[0])
-        body = ",".join('%s:%s' % (_to_json(str(k)), _to_json(v)) for k, v in items)
-        return "{%s}" % body
+        return "{%s}" % ",".join(["%s:%s" % (_fmt_str(str(k)), leaves(type(v), _to_json)(v))
+                                  for k, v in items])
     if isinstance(obj, (list, tuple)):
-        return "[%s]" % ",".join(_to_json(v) for v in obj)
+        return "[%s]" % ",".join([leaves(type(v), _to_json)(v) for v in obj])
     raise TypeError("unserializable value %r" % (obj,))
 
 
@@ -259,23 +264,10 @@ def _cmd_fsc_curve(args):
         family = "square"
     elif family != "hexagonal":
         raise _Usage("fsc-curve families: square (square-1x1) or hexagonal")
-    rows = []
-    if family == "square":
-        for lr in _parse_range(args.range):
-            for name, value in fsc.square_curve_values(lr):
-                rows.append([lr, name, value])
-    else:
-        w6 = [cmath.exp(1j * math.pi / 3), -1.0 + 0j]
-        classes = [
-            ("phase-(1,1)", 1 + 0j, 1 + 0j),
-            ("phase-(1,w)", 1 + 0j, cmath.exp(2j * math.pi / 3)),
-            ("phase-(w6,-1)", w6[0], -1 + 0j),
-            ("phase-(w6,-w6)", w6[0], -w6[0].conjugate()),
-        ]
-        for lr in _parse_range(args.range):
-            tau = 1j * math.exp(lr)
-            for name, zeta, xi_ in classes:
-                rows.append([lr, name, fsc.fsc2(zeta, xi_, tau)])
+    log_rhos = _parse_range(args.range)
+    curve_values = fsc.square_curve_values if family == "square" else fsc.hexagonal_curve_values
+    curves = curve_values(log_rhos)
+    rows = [[lr, name, values[i]] for i, lr in enumerate(log_rhos) for name, values in curves]
     if args.format == "json":
         _emit_json([{"log_rho": r[0], "class": r[1], "fsc": r[2]} for r in rows])
     else:

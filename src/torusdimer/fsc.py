@@ -44,10 +44,16 @@ class FscError(ValueError):
 
 
 def _logsumexp(vals):
-    top = np.max(vals)
-    if top == -math.inf:
-        return -math.inf
-    return float(top + math.log(np.exp(vals - top).sum()))
+    """log sum exp over the last axis: a float for 1-D vals, else an array.
+
+    Each row is shifted by its own maximum and its sum's log taken by
+    math.log, so a row's value does not depend on the rows beside it.
+    """
+    top = np.max(vals, axis=-1)
+    sums = np.exp(vals - np.where(top == -math.inf, 0.0, top)[..., None]).sum(axis=-1)
+    out = np.array([-math.inf if t == -math.inf else t + math.log(s)
+                    for t, s in zip(top.ravel().tolist(), sums.ravel().tolist())])
+    return out.reshape(top.shape) if top.ndim else float(out[0])
 
 
 # -- the three universal correction functions ----------------------------------
@@ -59,8 +65,8 @@ _Z, _W = (-1.0) ** _RP, (-1.0) ** _SP
 
 
 def fsc1(tau):
-    """log of (1/2) sum over sign pairs of Xi(z, w | tau)."""
-    return _logsumexp(log_xi(_Z, _W, tau)) - LOG2
+    """log of (1/2) sum over sign pairs of Xi(z, w | tau); tau a number or an array."""
+    return _logsumexp(log_xi(_Z, _W, np.expand_dims(tau, -1))) - LOG2
 
 
 def fsc1_sector(a, b, tau):
@@ -70,9 +76,25 @@ def fsc1_sector(a, b, tau):
     return math.log(tot) if tot > 0 else -math.inf
 
 
+def _sign_pair_sums(curves, tau):
+    """log of (1/2) sum over sign pairs (z, w) of Xi(z a, w b | tau) Xi(z c, w d | tau).
+
+    One value per curve (a, b, c, d) at every tau of a number or an array,
+    shaped tau.shape + (len(curves),), all from one log_xi call over the
+    distinct factors (a, b) and (c, d).
+    """
+    factors = list(dict.fromkeys([f for a, b, c, d in curves for f in ((a, b), (c, d))]))
+    first = [factors.index((a, b)) for a, b, _c, _d in curves]
+    second = [factors.index((c, d)) for _a, _b, c, d in curves]
+    lx = log_xi(np.array([_Z * a for a, _b in factors]), np.array([_W * b for _a, b in factors]),
+                np.expand_dims(tau, (-2, -1)))
+    return _logsumexp(lx[..., first, :] + lx[..., second, :]) - LOG2
+
+
 def fsc2(zeta, xi_, tau):
-    """log of (1/2) sum over sign pairs of Xi(z zeta, w xi | tau)^2."""
-    return _logsumexp(2 * log_xi(_Z * zeta, _W * xi_, tau)) - LOG2
+    """log of (1/2) sum over sign pairs of Xi(z zeta, w xi | tau)^2; tau a number or an array."""
+    value = _sign_pair_sums([(zeta, xi_, zeta, xi_)], tau)[..., 0]
+    return value if value.ndim else float(value)
 
 
 def fsc2_sector(r, s, zeta, xi_, tau):
@@ -102,11 +124,14 @@ def fsc2_gaussian(r, s, tau, tail=1e-16):
 
 
 def fsc3(zeta, xi_, tau):
-    """log of (1/2) sum over sign pairs of Xi(z, w) Xi(z zeta, w xi); phases +-1."""
+    """log of (1/2) sum over sign pairs of Xi(z, w) Xi(z zeta, w xi); phases +-1.
+
+    tau is a number or an array.
+    """
     if zeta not in (1, -1) or xi_ not in (1, -1):
         raise FscError("fsc3 is defined for sign phases only")
-    lx = log_xi(np.stack([_Z, _Z * zeta]), np.stack([_W, _W * xi_]), tau)
-    return _logsumexp(lx[0] + lx[1]) - LOG2
+    value = _sign_pair_sums([(1, 1, zeta, xi_)], tau)[..., 0]
+    return value if value.ndim else float(value)
 
 
 # -- per-node conformal data ----------------------------------------------------
@@ -150,8 +175,8 @@ def _predicted_table(E, cp):
     logs = np.full(4, det * cp.f0)
     for cd, mult in data:
         logs += mult * log_xi(za * cd.zeta, wa * cd.xi, cd.tau)
-    return (_kasteleyn.SectorTable(E, [-1, 1, 1, 1], logs.tolist(), "fsc-" + rep.kind),
-            data)
+    return (_kasteleyn.SectorTable(E, [-1, 1, 1, 1], logs.tolist(), "fsc-" + rep.kind,
+                                   cp.dom.k), data)
 
 
 def predict_sector_table(dom, E, cp=None):
@@ -339,15 +364,26 @@ def winding_distribution_gaussian(dom, E, cp=None, tail=1e-12):
 
 # -- square-lattice parity table --------------------------------------------------
 
+# (name, (a, b, c, d) of _sign_pair_sums): fsc2(zeta, xi) pairs (zeta, xi) with
+# itself, fsc3(zeta, xi) pairs it with (1, 1)
 SQUARE_CURVES = (
-    ("fsc2(1,1)", lambda tau: fsc2(1, 1, tau)),
-    ("fsc2(i,1)", lambda tau: fsc2(1j, 1, tau)),
-    ("fsc2(1,i)", lambda tau: fsc2(1, 1j, tau)),
-    ("fsc2(i,i)", lambda tau: fsc2(1j, 1j, tau)),
-    ("fsc3(1,-1)", lambda tau: fsc3(1, -1, tau)),
-    ("fsc3(-1,1)", lambda tau: fsc3(-1, 1, tau)),
-    ("fsc3(-1,-1)", lambda tau: fsc3(-1, -1, tau)),
+    ("fsc2(1,1)", (1, 1, 1, 1)),
+    ("fsc2(i,1)", (1j, 1, 1j, 1)),
+    ("fsc2(1,i)", (1, 1j, 1, 1j)),
+    ("fsc2(i,i)", (1j, 1j, 1j, 1j)),
+    ("fsc3(1,-1)", (1, 1, 1, -1)),
+    ("fsc3(-1,1)", (1, 1, -1, 1)),
+    ("fsc3(-1,-1)", (1, 1, -1, -1)),
 )
+
+# fsc2 at the boundary-phase classes of the hexagonal lattice's nodes
+_W6 = cmath.exp(1j * math.pi / 3)
+HEXAGONAL_CURVES = tuple((name, (zeta, xi_, zeta, xi_)) for name, zeta, xi_ in (
+    ("phase-(1,1)", 1 + 0j, 1 + 0j),
+    ("phase-(1,w)", 1 + 0j, cmath.exp(2j * math.pi / 3)),
+    ("phase-(w6,-1)", _W6, -1 + 0j),
+    ("phase-(w6,-w6)", _W6, -_W6.conjugate()),
+))
 
 _SQUARE_TABLE = {
     (0, 0): {(0, 0): "fsc2(1,1)", (0, 1): "fsc3(1,-1)",
@@ -374,13 +410,27 @@ def square_fsc(a, b, c, d):
         return -math.inf
     curve = _SQUARE_TABLE[(a % 2, b % 2)][(c % 2, d % 2)]
     tau = square_tau(a, b, c, d)
-    return dict(SQUARE_CURVES)[curve](tau)
+    return float(_sign_pair_sums([dict(SQUARE_CURVES)[curve]], tau)[0])
+
+
+def _curve_values(curves, logrho):
+    """[(name, values)] of curves at tau = i exp(logrho), from one log_xi call.
+
+    A number logrho gives a float per curve, a sequence a list.
+    """
+    tau = np.array([1j * math.exp(lr) for lr in np.ravel(logrho).tolist()]).reshape(np.shape(logrho))
+    names, phases = zip(*curves)
+    return list(zip(names, np.moveaxis(_sign_pair_sums(phases, tau), -1, 0).tolist()))
 
 
 def square_curve_values(logrho):
     """The seven parity-class correction curves at tau = i exp(logrho)."""
-    tau = 1j * math.exp(logrho)
-    return [(name, fun(tau)) for name, fun in SQUARE_CURVES]
+    return _curve_values(SQUARE_CURVES, logrho)
+
+
+def hexagonal_curve_values(logrho):
+    """fsc2 at the four hexagonal phase classes at tau = i exp(logrho)."""
+    return _curve_values(HEXAGONAL_CURVES, logrho)
 
 
 def square_quotient(a, b, c, d):

@@ -27,13 +27,14 @@ verify_orientation checks.  build_KE and the dense Pfaffians serve it,
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import charpoly as _charpoly
 from .lattice import (_dfs_matchings, adjugate, hermite_form, hnf_residues, instance_edges,
-                      int_det, lattice_coords, permutation_sign)
+                      int_det, lattice_coords, leibniz_bound, permutation_sign)
 
 # sector mixing: canonical vector c = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1))
 # satisfies c = S_MATRIX @ (Z00, Z10, Z01, Z11), and S_MATRIX^2 = 4.
@@ -195,14 +196,21 @@ def pfaffian_log_bipartite(A, colors):
 
 
 class SectorTable:
-    """Pfaffian and homology-sector data of one toric quotient.
+    """Pfaffian and homology-sector data of one toric quotient of a k-vertex cell.
 
     Values are kept scaled by exp(-logscale) (pf_scaled, sectors_scaled,
     Z_scaled), since unscaled ones overflow doubles on large quotients, and
     in log form.  Sector order is (0,0), (1,0), (0,1), (1,1).
+
+    Each log|Pf| is a sum of size about |logscale| carried to ZERO_ULPS * k
+    ulps, so pf_scaled has relative error up to noise = ZERO_ULPS * k * eps *
+    max(1, |logscale|), and a sector, a quarter of a signed sum of the four,
+    is known to noise * sum |pf_scaled| / 4.  A sector at or below that bound
+    is exactly 0.0 (log_sector -inf): none is ever negative, and Z_scaled is
+    the sum of the sectors.
     """
 
-    def __init__(self, E, pf_signs, pf_logs, method):
+    def __init__(self, E, pf_signs, pf_logs, method, k):
         self.E = np.asarray(E, dtype=int)
         self.method = method
         finite = [x for x in pf_logs if x != -math.inf]
@@ -212,7 +220,10 @@ class SectorTable:
             0.0 if lg == -math.inf else sg * math.exp(lg - self.logscale)
             for sg, lg in zip(pf_signs, pf_logs)])
         canon = self.pf_scaled * np.array([-1.0, 1.0, 1.0, 1.0])
-        self.sectors_scaled = 0.25 * (S_MATRIX @ canon)
+        sectors = 0.25 * (S_MATRIX @ canon)
+        noise = ZERO_ULPS * k * sys.float_info.epsilon * max(1.0, abs(self.logscale))
+        cut = 0.25 * noise * sum(map(abs, self.pf_scaled.tolist()))
+        self.sectors_scaled = np.where(sectors > cut, sectors, 0.0)
         self.Z_scaled = float(self.sectors_scaled.sum())
 
     @property
@@ -269,24 +280,25 @@ def sector_table(dom, E):
     black/white block of K), else half the sum of log P = log|det K|.  The
     four slots share one _slice_product of that cell determinant (a slot -1
     is an exact half turn), whose evaluator sees the 2r outer values of the
-    four slots times 2b + 1 inner points, b = sum |dx| (sum |dy| when the
-    variables swap).  A node makes its slot exactly zero: a zero real
-    Pfaffian, or a fiber value within ZERO_ULPS * k ulps of the largest
-    value evaluated (a slot's only pair of points can be a node).
+    four slots times 2b + 1 inner points, b the z-bound of that determinant
+    from lattice.leibniz_bound (the w-bound when the variables swap).  A
+    node makes its slot exactly zero: a zero real Pfaffian, or a fiber value
+    within ZERO_ULPS * k ulps of the largest value evaluated (a slot's only
+    pair of points can be a node).
     """
     E = _as_E(E)
     if dom.k % 2:
         raise QuotientError("odd cell: its quotients carry no Kasteleyn signs; "
                             "double the domain first")
     block, half = (dom.Qblock, 1.0) if dom.bipartite else (dom.K, 0.5)
-    bound = (sum(abs(e.dx) for e in dom.edges), sum(abs(e.dy) for e in dom.edges))
+    bound = leibniz_bound(dom, qblock=dom.bipartite)
     phi, psi = (1 - np.array(SLOTS).T) // 2
     zero_rel = ZERO_ULPS * dom.k * np.finfo(float).eps
     _, logs = _slice_product(lambda z, w: _cell_det(block(z, w)), bound, E, phi, psi, 2,
                              zero_rel)
     signs = real_point_signs(dom, E)
     return SectorTable(E, signs, [half * lg if sign else -math.inf
-                                  for sign, lg in zip(signs, logs)], "fiber")
+                                  for sign, lg in zip(signs, logs)], "fiber", dom.k)
 
 
 # -- fiber products -----------------------------------------------------------

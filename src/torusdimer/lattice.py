@@ -14,10 +14,11 @@ pairs positively, and the matchings of the 1x1, 2x1 and 1x2 quotients
 carry + in homology class (0, 0) and - in the other three.  Given the face
 condition a class has one sign, which the four slot Pfaffians of the
 quotient reveal (kasteleyn.matching_sign_classes), so verify_orientation
-checks all three in polynomial time; orient() produces such signs from
-scratch.
+checks all three in polynomial time, once per signed graph in a process;
+orient() produces such signs from scratch.
 """
 
+import functools
 import json
 import math
 from collections import namedtuple
@@ -383,6 +384,46 @@ def instance_edges(dom, E):
     return tail.ravel(), head.ravel(), jump.reshape(-1, 2)
 
 
+def leibniz_bound(dom, qblock=False):
+    """(bz, bw): the exponents of det K(z, w) (of det Qblock when qblock) lie in
+    [-bz, bz] x [-bw, bw].
+
+    Each Leibniz term takes one entry per row and one per column, so per
+    axis its exponent is at most upper = min(sum over rows of the row's
+    largest entry exponent, the same sum over columns) and at least lower =
+    max(the two sums of the smallest); the bound is max(upper, -lower).  It
+    depends on the edge offsets (and colors) alone, so it is memoised on
+    them like verify_orientation's report.
+    """
+    edges = tuple([(e.tail, e.head, e.dx, e.dy) for e in dom.edges])
+    return _edge_leibniz_bound(edges, tuple(dom.colors) if qblock else None)
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_leibniz_bound(edges, colors):
+    """leibniz_bound of K, or of Qblock when colors are given."""
+    entries = []  # (row, column, dx, dy) of each monomial of the matrix
+    for t, h, dx, dy in edges:
+        forward, backward = (t, h, dx, dy), (h, t, -dx, -dy)
+        if colors is None:
+            entries += [forward, backward]
+        else:  # black rows, white columns
+            entries.append(forward if colors[t] == 0 else backward)
+    bound = []
+    for axis in (2, 3):
+        highs, lows = [], []
+        for side in (0, 1):
+            top, bottom = {}, {}
+            for entry in entries:
+                line, x = entry[side], entry[axis]
+                top[line] = max(top.get(line, x), x)
+                bottom[line] = min(bottom.get(line, x), x)
+            highs.append(sum(top.values()))
+            lows.append(sum(bottom.values()))
+        bound.append(max(min(highs), -max(lows)))
+    return tuple(bound)
+
+
 # -- sign verification --------------------------------------------------------
 
 
@@ -418,11 +459,28 @@ def matching_pairing_sign(dom, edge_indices):
 def verify_orientation(dom):
     """Check the three sign conditions; returns an OrientationReport.
 
-    The class signs come from the slot Pfaffians of the three quotients,
-    which group matchings by class only under the face condition, so they
-    are checked only when the faces and m0 pass (else the third flag is
-    False with no class entries in offending_items).
+    The class signs come from the unit-weight slot Pfaffians of the three
+    quotients, which group matchings by class only under the face
+    condition, so they are checked only when the faces and m0 pass (else
+    the third flag is False with no class entries in offending_items).
+
+    The report depends on the signed graph alone: a matching's sign relative
+    to its homology class never depends on the weights (Cimasoni-Reshetikhin).
+    So it is memoised per process on the key (k, (tail, head, dx, dy, sign)
+    per edge, faces, m0), exactly what the checks read; weights, colors and
+    names never enter it, and each call gets its own offending_items list.
     """
+    key = (dom.k, tuple([(e.tail, e.head, e.dx, e.dy, e.sign) for e in dom.edges]),
+           tuple([tuple(face) for face in dom.faces]), tuple(dom.m0))
+    faces_ok, m0_ok, cycles_ok, bad = _signed_graph_report(key)
+    return OrientationReport(faces_ok, m0_ok, cycles_ok, list(bad))
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_graph_report(key):
+    """verify_orientation's flags and offending items of one memo key."""
+    k, edges, faces, m0 = key
+    dom = FundamentalDomain(k, [(t, h, dx, dy, 1.0, s) for t, h, dx, dy, s in edges], faces, m0)
     bad = [("face", f_idx) for f_idx, face in enumerate(dom.faces)
            if math.prod(dom.edges[ei].sign * d for ei, d in face) != -1]
     if not dom.faces:
@@ -447,7 +505,7 @@ def verify_orientation(dom):
                 if signs != {want}:
                     cycles_ok = False
                     bad.append(("class", (tuple(int(x) for x in E.ravel()), cls, tuple(signs))))
-    return OrientationReport(faces_ok, m0_ok, cycles_ok, bad)
+    return faces_ok, m0_ok, cycles_ok, tuple(bad)
 
 
 def _solve_face_system(dom):

@@ -118,43 +118,56 @@ def log_abs_eta(tau):
 
 
 def _half_turns(t):
-    """Turns t reduced to (-1/2, 1/2]."""
-    t -= round(t)
-    return t + 1.0 if t <= -0.5 else t
+    """Turns t reduced to (-1/2, 1/2], elementwise."""
+    t = t - np.round(t)
+    return np.where(t <= -0.5, t + 1.0, t)
 
 
 def log_xi(zeta, xi_, tau):
     """log of xi(zeta, xi | tau); -inf at the odd characteristic.
 
-    zeta and xi_ broadcast against each other: scalars give a float, arrays
-    an array of their broadcast shape, all at the one tau.  reduce_tau and
-    log_abs_eta run once per call, each pair's turns are moved through the
-    modular moves (_move_turns), and the series is summed at every pair at
-    once over the fixed window |j| <= 5.  At the reduced tau Im tau >=
-    sqrt(3)/2, where term j of the rescaled series is at most
-    exp(-pi (sqrt(3)/2) (j^2 - |j|)) of the largest: the first one left out
-    is below 4e-36 of it.  The odd characteristic, where theta vanishes,
-    gives -inf exactly.
+    zeta, xi_ and tau broadcast together: scalars give a float, arrays an
+    array of their broadcast shape.  reduce_tau and log_abs_eta run once per
+    distinct tau and cmath.phase once per given phase, the turns of the
+    entries that share a sequence of modular moves go through it together
+    (_move_turns), and the series is summed at every entry at once over the
+    fixed window |j| <= 5.  At the reduced tau Im tau >= sqrt(3)/2, where
+    term j of the rescaled series is at most exp(-pi (sqrt(3)/2) (j^2 -
+    |j|)) of the largest: the first one left out is below 4e-36 of it.  The
+    odd characteristic, where theta vanishes, gives -inf exactly.  An
+    entry's value does not depend on the other entries of the call, so one
+    call over many taus gives each the bits of its own call.
     """
-    tau, ops = reduce_tau(tau)
-    log_eta = log_abs_eta(tau)
-    pairs = np.broadcast(zeta, xi_)
-    rates, shifts = [], []
-    for z, x in pairs:
-        r, s, tz, tx = _move_turns(0, 0, cmath.phase(z) / (2 * math.pi),
-                                   cmath.phase(x) / (2 * math.pi), ops)
-        phi, psi = _half_turns(tz + (r + 1) / 2), _half_turns(tx + (s + 1) / 2)
-        if phi == psi == 0.5:
-            rates.append(0j)
-            shifts.append(-math.inf)
-        else:
-            rates.append(2j * math.pi * (tau * phi - psi))
-            shifts.append(-math.pi * tau.imag * phi * phi - log_eta)
+    taus, tau_of = np.unique(np.ravel(np.asarray(tau, dtype=complex)), return_inverse=True)
+    # turns of each given phase, broadcast only afterwards
+    tz, tx = [np.reshape([cmath.phase(v) / (2 * math.pi) for v in np.ravel(a).tolist()],
+                         np.shape(a)) for a in (zeta, xi_)]
+    tz, tx, tau_of = [a.flatten() for a in np.broadcast_arrays(tz, tx, tau_of.reshape(np.shape(tau)))]
+    shape = np.broadcast_shapes(np.shape(zeta), np.shape(xi_), np.shape(tau))
+    moved = [reduce_tau(t) for t in taus.tolist()]
+    reduced = np.array([t for t, _ops in moved])
+    log_eta = np.array([log_abs_eta(t) for t, _ops in moved])
+    r, s = np.zeros(tau_of.shape, dtype=int), np.zeros(tau_of.shape, dtype=int)
+    by_ops = {}  # the taus of each sequence of modular moves
+    for u, (_t, ops) in enumerate(moved):
+        by_ops.setdefault(tuple(ops), []).append(u)
+    for ops, us in by_ops.items():
+        if ops:
+            pick = np.isin(tau_of, us)
+            r[pick], s[pick], tz[pick], tx[pick] = _move_turns(r[pick], s[pick], tz[pick],
+                                                               tx[pick], ops)
+    phi, psi = _half_turns(tz + (r + 1) / 2), _half_turns(tx + (s + 1) / 2)
+    t = reduced[tau_of]
+    odd = (phi == 0.5) & (psi == 0.5)
+    rates = np.where(odd, 0j, 2j * math.pi * (t * phi - psi))
+    shifts = np.where(odd, -math.inf, -math.pi * t.imag * phi * phi - log_eta[tau_of])
     # term j is exp(pi i tau j^2 + j rate), of modulus exp(-pi Im tau (j^2 + 2 j phi)):
     # at most 1, the j = 0 term, since |phi| <= 1/2
     j = _XI_WINDOW
-    expo = np.multiply.outer(rates, j) + (1j * math.pi * tau) * (j * j)
-    out = (np.log(np.abs(np.exp(expo).sum(axis=-1))) + shifts).reshape(pairs.shape)
+    squares = np.array([(1j * math.pi * t) * (j * j) for t, _ops in moved]).reshape(-1, len(j))
+    expo = np.multiply.outer(rates, j)
+    expo += squares[tau_of]
+    out = (np.log(np.abs(np.exp(expo, out=expo).sum(axis=-1))) + shifts).reshape(shape)
     return out if out.ndim else float(out)
 
 
@@ -210,15 +223,15 @@ def _move_turns(r, s, tz, tx, ops):
     S swaps the characteristics and sends (zeta, xi) to (conj xi, zeta); T n
     sends s to s + n r and xi to zeta^n xi, with n tz mod 1 taken exactly
     as n u mod d / d on the float turns u / d of zeta, so that a power near
-    1e8 loses nothing.
+    1e8 loses nothing.  Numbers or equal-shape arrays, elementwise.
     """
     for op in ops:
         if op == "S":
             r, s, tz, tx = s, r, -tx, tz
         else:
             n = op[1]
-            u, d = tz.as_integer_ratio()
-            s, tx = (s + n * r) % 2, tx + n * u % d / d
+            power = [n * u % d / d for u, d in map(float.as_integer_ratio, np.ravel(tz).tolist())]
+            s, tx = (s + n * r) % 2, tx + np.reshape(power, np.shape(tz))
     return r, s, tz, tx
 
 

@@ -342,3 +342,114 @@ def test_winding_on_huge_unimodular_basis(capsys, E):
     # one cell: the three matchings carry masses a, b, c over a + b + c
     top = sorted(huge["exact"].values())[-3:]
     assert max(abs(x - y) for x, y in zip(top, (0.9 / 3.2, 1.1 / 3.2, 1.2 / 3.2))) < 1e-12
+
+
+# stdout of the parent of the batched theta evaluation, which made one
+# log_xi call per (row, curve); the batch must print the same bytes
+SQUARE_CURVE_CSV = """\
+log_rho,class,fsc
+-1.2,fsc2(1,1),1.74921694069693
+-1.2,fsc2(i,1),1.7492169372113
+-1.2,fsc2(1,i),1.12777899214161
+-1.2,fsc2(i,i),1.12777898865597
+-1.2,fsc3(1,-1),-0.175998357093234
+-1.2,fsc3(-1,1),1.73840915384523
+-1.2,fsc3(-1,-1),-0.176116435632105
+-0.5,fsc2(1,1),1.00327255610416
+-0.5,fsc2(i,1),1.00314575957656
+-0.5,fsc2(1,i),0.914705673108266
+-0.5,fsc2(i,i),0.914578876580671
+-0.5,fsc3(1,-1),0.272805533228571
+-0.5,fsc3(-1,1),0.863205039372826
+-0.5,fsc3(-1,-1),0.250283788518494
+0.2,fsc2(1,1),0.899555585176245
+0.2,fsc2(i,1),0.876222834870473
+0.2,fsc2(1,i),0.897697121689929
+0.2,fsc2(i,i),0.874364371384157
+0.2,fsc3(1,-1),0.638595541074085
+0.2,fsc3(-1,1),0.416986021134284
+0.2,fsc3(-1,-1),0.330712798911522
+0.9,fsc2(1,1),1.32897607178046
+0.9,fsc2(i,1),1.01554988800605
+0.9,fsc2(1,i),1.32897529479777
+0.9,fsc2(i,i),1.01554911102336
+0.9,fsc3(1,-1),1.28784478896816
+0.9,fsc3(-1,1),0.0501062525186107
+0.9,fsc3(-1,-1),0.0483433196331153
+"""
+HEXAGONAL_CURVE_JSON = (
+    '[{"class":"phase-(1,1)","fsc":2.34835794317069,"log_rho":-1.5},'
+    '{"class":"phase-(1,w)","fsc":1.65579925735403,"log_rho":-1.5},'
+    '{"class":"phase-(w6,-1)","fsc":2.34835794316892,"log_rho":-1.5},'
+    '{"class":"phase-(w6,-w6)","fsc":1.65579925735226,"log_rho":-1.5},'
+    '{"class":"phase-(1,1)","fsc":0.881373587019543,"log_rho":0},'
+    '{"class":"phase-(1,w)","fsc":0.875776470309757,"log_rho":0},'
+    '{"class":"phase-(w6,-1)","fsc":0.875776470309756,"log_rho":0},'
+    '{"class":"phase-(w6,-w6)","fsc":0.87017935359997,"log_rho":0},'
+    '{"class":"phase-(1,1)","fsc":2.34835794317069,"log_rho":1.5},'
+    '{"class":"phase-(1,w)","fsc":2.34835794316892,"log_rho":1.5},'
+    '{"class":"phase-(w6,-1)","fsc":1.65579925735403,"log_rho":1.5},'
+    '{"class":"phase-(w6,-w6)","fsc":1.65579925735226,"log_rho":1.5}]\n')
+
+
+def test_fsc_curve_stdout_is_pinned(capsys):
+    assert cli.run(["fsc-curve", "--lattice", "square-1x1", "--range=-1.2:0.9:4"]) == 0
+    assert capsys.readouterr().out == SQUARE_CURVE_CSV
+    assert cli.run(["fsc-curve", "--lattice", "hexagonal", "--format", "json",
+                    "--range=-1.5:1.5:3"]) == 0
+    assert capsys.readouterr().out == HEXAGONAL_CURVE_JSON
+
+
+def reference_to_json(obj):
+    """The recursive serializer that cli._to_json replaced, kept as its oracle."""
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return '"%s"' % obj.replace("\\", "\\\\").replace('"', '\\"')
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if obj != obj or obj in (math.inf, -math.inf):
+            return "null"
+        return "%.15g" % (0.0 if obj == 0.0 else obj)
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: kv[0])
+        return "{%s}" % ",".join("%s:%s" % (reference_to_json(str(k)), reference_to_json(v))
+                                 for k, v in items)
+    if isinstance(obj, (list, tuple)):
+        return "[%s]" % ",".join(reference_to_json(v) for v in obj)
+    raise TypeError("unserializable value %r" % (obj,))
+
+
+def test_to_json_matches_its_reference_byte_for_byte():
+    import collections
+
+    import numpy as np
+
+    Pair = collections.namedtuple("Pair", "x y")
+    leaves = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -2.5e300, 1 / 3, 7, -12, 0,
+              True, False, None, 'a "quoted" \\ key', np.float64(-0.0), np.float64(2.0) / 3]
+    doc = {"leaves": leaves, "nested": {"b": [leaves, (1.5, [math.inf, {"x": -0.0}])],
+                                        "a": {"%d,%d" % (i, -i): i / 7 for i in range(-9, 9)}},
+           "pair": Pair(-0.0, [math.nan]), "ints": {3: "three", -1: [True]}, "": [], "e": {}}
+    docs = [doc, leaves, [doc, [doc]], math.nan, -0.0, True, None, "s", 5, Pair(1, 2.0)]
+    for obj in docs:
+        assert cli._to_json(obj) == reference_to_json(obj)
+    for bad in (np.int64(3), [object()], {"k": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._to_json(bad)
+
+
+def test_cli_import_loads_no_test_or_heavy_modules():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, torusdimer.cli; "
+            "print(sorted({'scipy', 'mpmath', 'hypothesis', 'pytest'}"
+            " & {m.partition('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr

@@ -164,3 +164,116 @@ def test_enlarged_curve_is_the_product_over_the_fiber(data):
 def test_sectors_are_nonnegative(dom, E):
     sectors = kasteleyn.sector_table(dom, E).sectors_scaled
     assert sectors.min() >= -1e-12 * sectors.max()
+
+
+def interpolation_box_fits(dom, qblock):
+    """The exponents of det K (det Qblock) lie within leibniz_bound.
+
+    The interpolation grid is two wider per axis than the bound, so an
+    exponent past the grid fails from_evaluator's off-grid check, and one
+    between the bound and the grid shows as a recovered coefficient."""
+    from torusdimer.laurent import LaurentPoly2
+
+    block = dom.Qblock if qblock else dom.K
+    bz, bw = lattice.leibniz_bound(dom, qblock=qblock)
+    poly = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(block(z, w)), (bz + 2, bw + 2))
+    zlo, zhi, wlo, whi = poly.degree_box()
+    return -bz <= zlo and zhi <= bz and -bw <= wlo and whi <= bw
+
+
+def reversed_edges(dom):
+    """The same K with every other edge stored head to tail (sign and offset negated)."""
+    return lattice.FundamentalDomain(
+        dom.k, [(e.head, e.tail, -e.dx, -e.dy, e.weight, -e.sign) if i % 2 else e
+                for i, e in enumerate(dom.edges)],
+        [[(ei, -d if ei % 2 else d) for ei, d in face] for face in dom.faces],
+        dom.m0, dom.colors, dom.name)
+
+
+@pytest.mark.parametrize("name", lattice.BUILTIN_NAMES)
+def test_leibniz_bound_contains_the_builtin_degree_box(name):
+    # reversing edges keeps K, but puts some Qblock monomials of 2-colored
+    # cells on white tails
+    dom = lattice.builtin(name, a=1.3, b=0.8, c=1.1)
+    flipped = reversed_edges(dom)
+    assert np.allclose(flipped.K(0.3 + 0.2j, 1.1j), dom.K(0.3 + 0.2j, 1.1j), rtol=1e-14, atol=0)
+    for cell in (dom, flipped):
+        assert interpolation_box_fits(cell, False)
+        if cell.bipartite:
+            assert interpolation_box_fits(cell, True)
+    assert lattice.leibniz_bound(flipped) == lattice.leibniz_bound(dom)
+    if dom.bipartite:
+        assert (lattice.leibniz_bound(flipped, qblock=True)
+                == lattice.leibniz_bound(dom, qblock=True))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_leibniz_bound_contains_the_enlarged_degree_box(data):
+    dom = data.draw(domains())
+    big = lattice.sublattice_domain(dom, data.draw(quotients(max_det=64 // dom.k)))
+    assert interpolation_box_fits(big, False)
+    if big.bipartite:
+        assert interpolation_box_fits(big, True)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_orientation_memo_equals_an_uncached_check(data):
+    # the memo key holds the signs and no weights: after the same signs at
+    # other weights, any sign flips of a builtin or an enlargement report
+    # what a check with an empty memo reports
+    dom = data.draw(domains())
+    if data.draw(st.booleans()):
+        dom = lattice.sublattice_domain(dom, data.draw(quotients(max_det=16 // dom.k)))
+    n = len(dom.edges)
+    flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    signs = [-e.sign if f else e.sign for e, f in zip(dom.edges, flips)]
+
+    def signed(weights):
+        return lattice.FundamentalDomain(
+            dom.k, [(e.tail, e.head, e.dx, e.dy, w, s)
+                    for e, w, s in zip(dom.edges, weights, signs)],
+            dom.faces, dom.m0, dom.colors, dom.name)
+
+    draw_weights = st.lists(st.floats(0.2, 5.0), min_size=n, max_size=n)
+    lattice.verify_orientation(signed(data.draw(draw_weights)))
+    target = signed(data.draw(draw_weights))
+    got = lattice.verify_orientation(target)
+    lattice._signed_graph_report.cache_clear()
+    assert got == lattice.verify_orientation(target)
+
+
+def test_cancelling_sectors_are_exactly_zero():
+    # Pf slots 1 and 2 vanish and slots 3 and 4 are equal up to rounding, so
+    # Z01 = -Z11 = (pf4 - pf3) / 4: both are sums of positive weights, hence 0
+    dom = lattice.builtin("square-2x1", a=1.001287, b=1.354421)
+    tab = kasteleyn.sector_table(dom, [[16, 0], [3, 9]])
+    assert tab.sectors_scaled.tolist()[2:] == [0.0, 0.0]
+    assert tab.log_sector(0, 1) == tab.log_sector(1, 1) == -math.inf
+    assert tab.Z_scaled == tab.sectors_scaled.sum()
+
+
+def test_small_sectors_stay_nonzero_down_to_the_rounding_bound():
+    # at a = 1000 the 3 x 3 hexagonal torus has Z10 = Z01 = 3e-9 Z, far above
+    # the rounding bound (about 1e-12 of the largest slot), and Z11 = 2e-17 Z,
+    # below it
+    dom = lattice.builtin("hexagonal", a=1000.0)
+    E = [[3, 0], [0, 3]]
+    enum = kasteleyn.enumerate_matchings(dom, E).sectors
+    tab = kasteleyn.sector_table(dom, E)
+    got = tab.sectors_scaled * math.exp(tab.logscale)
+    assert np.all(np.abs(got[:3] - enum[:3]) <= 1e-5 * enum[:3])
+    assert 0 < enum[3] < 1e-16 * enum[0] and got[3] == 0.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sector_zeros_are_the_enumeration_zeros(data):
+    # a sector is exactly 0.0 where no matching lies in its class, and only there
+    dom = data.draw(domains())
+    E = data.draw(quotients(max_det=20 // dom.k))
+    enum = kasteleyn.enumerate_matchings(dom, E)
+    tab = kasteleyn.sector_table(dom, E)
+    assert ((tab.sectors_scaled > 0) == (enum.sectors > 0)).all()
+    assert (tab.sectors_scaled >= 0).all()

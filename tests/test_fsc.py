@@ -557,3 +557,35 @@ def test_ordinary_shape_predictions_unchanged(name, weights, E, value):
     # conformal_data used adj(E); log_Z itself moves with the last bits of f0
     got = predict(lattice.builtin(name, **weights), E).value
     assert abs(got - value) <= 1e-15 * value
+
+
+def reference_curves(tau):
+    """fsc1, fsc2(i, e^0.7i) and fsc3(-1, 1) as one log_xi call and one
+    logsumexp per curve, the oracle of the batched evaluation."""
+    from torusdimer.specialfn import log_xi
+
+    def logsumexp(vals):
+        top = np.max(vals)
+        return -math.inf if top == -math.inf else float(top + math.log(np.exp(vals - top).sum()))
+
+    Z, W = np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    xi_ = cmath.exp(0.7j)
+    fsc3_lx = log_xi(np.stack([Z, -Z]), np.stack([W, W]), tau)
+    return (logsumexp(log_xi(Z, W, tau)) - math.log(2.0),
+            logsumexp(2 * log_xi(Z * 1j, W * xi_, tau)) - math.log(2.0),
+            logsumexp(fsc3_lx[0] + fsc3_lx[1]) - math.log(2.0))
+
+
+def test_fsc_functions_take_tau_arrays():
+    taus = np.array([[1j, complex(0.3, 0.2)], [complex(-1.4, 0.6), 2.5j]])
+    funs = (fsc1, lambda t: fsc2(1j, cmath.exp(0.7j), t), lambda t: fsc3(-1, 1, t))
+    for f, fun in enumerate(funs):
+        got = fun(taus)
+        assert got.shape == taus.shape
+        for k in np.ndindex(taus.shape):
+            one = fun(complex(taus[k]))
+            assert isinstance(one, float) and got[k] == one == reference_curves(complex(taus[k]))[f]
+    values = square_curve_values([0.0, -0.8])
+    assert [name for name, _ in values] == [name for name, _ in square_curve_values(0.0)]
+    for (name, pair), (_, one) in zip(values, square_curve_values(0.0)):
+        assert isinstance(one, float) and pair[0] == one

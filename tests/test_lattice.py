@@ -216,3 +216,48 @@ def test_orientation_never_enumerates(monkeypatch, tmp_path):
         charpoly.build_charpoly(dom)
         assert cli.run(["verify", "--lattice", name]) == 0
         assert cli.run(["criticality", "--lattice", name]) == 0
+
+
+def test_mutating_a_report_leaves_the_memo_intact():
+    dom = builtin("fisher")
+    broken = dom.with_signs([-dom.edges[0].sign] + [e.sign for e in dom.edges[1:]])
+    rep = verify_orientation(broken)
+    want = list(rep.offending_items)
+    assert want
+    rep.offending_items.clear()
+    rep.offending_items.append(("face", "junk"))
+    again = verify_orientation(broken)
+    assert again.offending_items == want
+    assert again.offending_items is not rep.offending_items
+
+
+def test_one_orientation_check_per_signed_lattice(monkeypatch):
+    # the weights never enter the check: 25 spectral curves of one lattice at
+    # four weight sets verify its signs once, three slot-Pfaffian quotients
+    from torusdimer import charpoly, kasteleyn
+
+    calls = []
+    real = kasteleyn.matching_sign_classes
+
+    def counted(dom, E):
+        calls.append(np.asarray(E).tolist())
+        return real(dom, E)
+
+    monkeypatch.setattr(kasteleyn, "matching_sign_classes", counted)
+    lattice._signed_graph_report.cache_clear()
+    pool = [{"a": 1.0, "b": 1.0, "c": 1.0}, {"a": 1.3, "b": 0.8, "c": 1.1},
+            {"a": 0.9, "b": 1.2, "c": 1.0}, {"a": 1.1, "b": 1.1, "c": 0.7}]
+    for i in range(25):
+        charpoly.build_charpoly(builtin("rhombi-3464", **pool[i % 4]))
+    assert len(calls) <= 3
+
+
+def test_leibniz_bound_is_tight_on_the_builtins():
+    want = {"square-2x1": (1, 2), "square-1x2": (2, 1), "square-bip": (1, 2),
+            "hexagonal": (1, 1), "fisher": (1, 1), "rhombi-3464": (3, 3)}
+    for name in BUILTIN_NAMES:
+        assert lattice.leibniz_bound(builtin(name)) == want[name]
+    assert lattice.leibniz_bound(builtin("square-bip"), qblock=True) == (1, 1)
+    assert lattice.leibniz_bound(builtin("hexagonal"), qblock=True) == (1, 1)
+    big = sublattice_domain(builtin("rhombi-3464"), np.diag([4, 4]))
+    assert lattice.leibniz_bound(big) == (12, 12)

@@ -272,3 +272,61 @@ def test_log_xi_over_arrays_equals_elementwise_calls():
                 assert (want == -math.inf) == odd and (got[k] == -math.inf) == odd
                 if not odd:
                     assert abs(got[k] - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def reference_log_xi(zeta, xi_, tau):
+    """log_xi as a loop over phase pairs at one tau, kept as the oracle of the
+    batched evaluation, which must give the same bits."""
+    import numpy as np
+
+    def half_turns(t):
+        t -= round(t)
+        return t + 1.0 if t <= -0.5 else t
+
+    tau, ops = sf.reduce_tau(tau)
+    log_eta = sf.log_abs_eta(tau)
+    pairs = np.broadcast(zeta, xi_)
+    rates, shifts = [], []
+    for z, x in pairs:
+        r, s, tz, tx = 0, 0, cmath.phase(z) / (2 * math.pi), cmath.phase(x) / (2 * math.pi)
+        for op in ops:
+            if op == "S":
+                r, s, tz, tx = s, r, -tx, tz
+            else:
+                u, d = tz.as_integer_ratio()
+                s, tx = (s + op[1] * r) % 2, tx + op[1] * u % d / d
+        phi, psi = half_turns(tz + (r + 1) / 2), half_turns(tx + (s + 1) / 2)
+        if phi == psi == 0.5:
+            rates.append(0j)
+            shifts.append(-math.inf)
+        else:
+            rates.append(2j * math.pi * (tau * phi - psi))
+            shifts.append(-math.pi * tau.imag * phi * phi - log_eta)
+    j = np.arange(-5, 6)
+    expo = np.multiply.outer(rates, j) + (1j * math.pi * tau) * (j * j)
+    return (np.log(np.abs(np.exp(expo).sum(axis=-1))) + shifts).reshape(pairs.shape)
+
+
+def test_log_xi_over_tau_arrays_equals_per_tau_calls_bit_for_bit():
+    # taus that need S moves, T moves, both, none, and repeats; phases that
+    # include the odd characteristic (1, 1), where every tau gives -inf
+    import numpy as np
+
+    rng = random.Random(13)
+    taus = np.array([1j, 2j, 0.5j, complex(0.3, 1.2), complex(0.2, 0.05), complex(-2.7, 0.4),
+                     complex(1e8 + 0.5, 2.0), complex(0.49, 0.02), 0.5j, complex(-2.7, 0.4), 1j,
+                     0.3j, 0.8j, complex(3.1, 1.5), complex(2.9, 2.5)])
+    zeta = np.array([cmath.exp(2j * math.pi * rng.random()) for _ in range(5)] + [1, 1, -1, 1j])
+    xi_ = np.array([cmath.exp(2j * math.pi * rng.random()) for _ in range(5)] + [1, -1, 1, -1j])
+    got = sf.log_xi(zeta[None, :], xi_[None, :], taus[:, None])
+    assert got.shape == (len(taus), len(zeta))
+    for i, tau in enumerate(taus.tolist()):
+        want = sf.log_xi(zeta, xi_, tau)
+        assert got[i].tobytes() == want.tobytes() == reference_log_xi(zeta, xi_, tau).tobytes()
+        assert got[i][5] == -math.inf and np.isfinite(np.delete(got[i], 5)).all()
+        for k in range(len(zeta)):
+            assert got[i][k] == sf.log_xi(complex(zeta[k]), complex(xi_[k]), tau) or k == 5
+    # tau alone an array, phases scalars
+    row = sf.log_xi(-1j, cmath.exp(0.4j), taus)
+    assert row.tobytes() == np.array([sf.log_xi(-1j, cmath.exp(0.4j), t)
+                                      for t in taus.tolist()]).tobytes()
