@@ -106,28 +106,30 @@ def _trim_bounds(rows, rel_tol=1e-12):
     return np.argmax(keep, axis=-1), rows.shape[-1] - np.argmax(keep[:, ::-1], axis=-1)
 
 
-def _trimmed_slice(poly, z, axis):
-    """(ascending coeffs, valuation) of the w- (or z-) slice at the given point."""
-    coeffs, jmin = (poly.slice_w(z) if axis == "w" else poly.slice_z(z))
-    (lo,), (hi,) = _trim_bounds(coeffs[None, :])
-    return coeffs[lo:hi], jmin + int(lo)
+def _slices(poly, x, axis):
+    """(rows, valuation): poly's ascending w- (or z-) coefficients at each point of x.
 
-
-def _slice_roots(poly, z, axis):
-    c, jmin = _trimmed_slice(poly, z, axis)
-    if len(c) == 1:
-        return np.array([]), jmin, c[-1]
-    return np.roots(c[::-1]), jmin, c[-1]
+    One matrix product of the powers of the 1-D array x with the dense
+    coefficient box; valuation is the exponent of every row's first entry.
+    """
+    mat, zmin, wmin = poly._dense()
+    if axis == "z":
+        mat, zmin, wmin = mat.T, wmin, zmin
+    return (x[:, None] ** np.arange(zmin, zmin + mat.shape[0])) @ mat, wmin
 
 
 def _stacked_roots(rows):
     """Roots of a stack of ascending coefficient rows, grouped by trimmed support.
 
-    The rows are trimmed as _trimmed_slice trims one, and the rows of each
-    trimmed span [lo, hi) share one stacked eigvals call on companion
-    matrices built as np.roots builds them (linear and quadratic rows need
-    none).  Yields (pick, lo, c, roots) per span: the boolean row mask, lo,
-    the trimmed coefficients (rows, hi - lo) and the roots (rows, hi - lo - 1).
+    Each row is cut to the span [lo, hi) outside which its entries are at
+    most 1e-12 of its largest (_trim_bounds; a row of zeros raises
+    CharPolyError), so lo counts its roots at 0 and the roots of infinite
+    size are dropped.  The rows of each span share one stacked eigvals call
+    on companion matrices whose first row holds the negated coefficients
+    over the leading one (linear and quadratic rows need none).  Yields
+    (pick, lo, c, roots) per span: the boolean row mask, lo, the trimmed
+    coefficients (rows, hi - lo) and the roots (rows, hi - lo - 1).  Every
+    slice root in the package comes from here.
     """
     lo, hi = _trim_bounds(rows)
     for a, b in sorted(set(zip(lo.tolist(), hi.tolist()))):
@@ -152,11 +154,10 @@ def _slice_log_means(poly, z):
     """(1/2pi) integral of log|poly(z, w)| dw over |w| = 1 at each z of a 1-D array.
 
     Jensen's formula: log|leading w-coefficient| plus log|root| summed over
-    the w-roots outside the unit circle.  One matrix product gives every
-    slice's w-coefficients, and _stacked_roots their roots.
+    the w-roots outside the unit circle.  _slices gives every slice's
+    w-coefficients, and _stacked_roots their roots.
     """
-    mat, zmin, _ = poly._dense()
-    rows = (z[:, None] ** np.arange(zmin, zmin + mat.shape[0])) @ mat
+    rows, _ = _slices(poly, z, "w")
     out = np.empty(len(z))
     for pick, _lo, c, roots in _stacked_roots(rows):
         out[pick] = (np.log(np.abs(c[:, -1]))
@@ -254,27 +255,27 @@ def _newton_node(r, s, Pz, Pw, Pzz, Pzw, Pww):
     return r, s, False
 
 
-def _q_hessian(Q, z0, w0):
-    Az = complex(Q.zdz()(z0, w0))
-    Aw = complex(Q.wdw()(z0, w0))
-    scale = max(abs(c) for c in Q.coeffs.values())
+def _second_form(Dz, Dw, z0, w0):
+    """-Re of the torus second derivatives at (z0, w0), from the first ones Dz, Dw."""
+    h11 = -complex(Dz.zdz()(z0, w0)).real
+    h12 = -complex(Dz.wdw()(z0, w0)).real
+    h22 = -complex(Dw.wdw()(z0, w0)).real
+    return np.array([[h11, h12], [h12, h22]])
+
+
+def _q_hessian(grad, scale, z0, w0):
+    """Node form of |Q|^2 at a zero of Q, from its torus gradient grad = (Q.zdz(), Q.wdw())."""
+    Az, Aw = (complex(d(z0, w0)) for d in grad)
     if max(abs(Az), abs(Aw)) > 1e-7 * scale:
         # simple zero of Q: |Q|^2 is quadratic with gradient outer-product form
         return np.array([[abs(Az) ** 2, (Az * Aw.conjugate()).real],
                          [(Az * Aw.conjugate()).real, abs(Aw) ** 2]])
     # nodal zero of Q itself (P = |Q|^2 quartic): second-derivative form
-    h11 = -complex(Q.zdz().zdz()(z0, w0)).real
-    h12 = -complex(Q.zdz().wdw()(z0, w0)).real
-    h22 = -complex(Q.wdw().wdw()(z0, w0)).real
-    return np.array([[h11, h12], [h12, h22]])
+    return _second_form(*grad, z0, w0)
 
 
-def _p_hessian(cp, z0, w0):
-    P = cp.P
-    h11 = -complex(P.zdz().zdz()(z0, w0)).real / 2
-    h12 = -complex(P.zdz().wdw()(z0, w0)).real / 2
-    h22 = -complex(P.wdw().wdw()(z0, w0)).real / 2
-    return np.array([[h11, h12], [h12, h22]])
+def _p_hessian(P, z0, w0):
+    return _second_form(P.zdz(), P.wdw(), z0, w0) / 2
 
 
 def tau_of_hessian(H):
@@ -351,8 +352,9 @@ def find_nodes(cp):
     """
     found = _torus_zeros(cp.P)
 
-    qscale = None
+    grad = qscale = None
     if cp.Q is not None:
+        grad = (cp.Q.zdz(), cp.Q.wdw())
         qscale = max(abs(c) for c in cp.Q.coeffs.values())
 
     nodes = []
@@ -366,16 +368,16 @@ def find_nodes(cp):
         if real_pt:
             z0, w0 = complex(round(z0.real)), complex(round(w0.real))
         if real_pt and cp.Q is not None and abs(complex(cp.Q(z0, w0))) < 1e-8 * qscale:
-            H = _q_hessian(cp.Q, z0, w0)
+            H = _q_hessian(grad, qscale, z0, w0)
             kind = "real-root-of-Q-node"
         elif real_pt:
-            H = _p_hessian(cp, z0, w0)
+            H = _p_hessian(cp.P, z0, w0)
             kind = "real-node"
         elif cp.Q is not None:
-            H = _q_hessian(cp.Q, z0, w0)
+            H = _q_hessian(grad, qscale, z0, w0)
             kind = "conjugate-pair-member"
         else:
-            H = _p_hessian(cp, z0, w0)
+            H = _p_hessian(cp.P, z0, w0)
             kind = "conjugate-pair-member"
             outside = True
         if np.linalg.det(H) <= 0 or H[1, 1] <= 0:
@@ -390,7 +392,7 @@ def find_nodes(cp):
         cls = CLASS_REAL_ROOT_Q
     elif all(k == "conjugate-pair-member" for k in kinds) and len(nodes) == 2:
         cls = CLASS_CONJUGATE
-        nodes = order_conjugate_pair(cp, nodes)
+        nodes = order_conjugate_pair(grad, nodes)
     elif all(k == "real-node" for k in kinds):
         cls = CLASS_SINGLE_REAL if len(nodes) == 1 else CLASS_TWO_REAL
         if len(nodes) > 2:
@@ -403,55 +405,50 @@ def find_nodes(cp):
 # -- conjugate-node bookkeeping -------------------------------------------------
 
 
-def decreasing_member(q, node_loc, eps=1e-4):
-    """True when the node's w-root moves inside |w| = 1 as z rotates forward."""
-    z0, w0 = node_loc
-    z = z0 * cmath.exp(2j * math.pi * eps)
-    roots, _jmin, _ = _slice_roots(q, z, "w")
-    if len(roots) == 0:
-        raise CharPolyError("node slice lost its roots")
-    w = roots[np.argmin(np.abs(roots - w0))]
-    return abs(w) < 1.0
+def order_conjugate_pair(grad, nodes):
+    """The pair with its distinguished member first: the one whose w-root
+    moves inside |w| = 1 as z turns forward.
 
-
-def order_conjugate_pair(cp, nodes):
-    """Distinguished (decreasing-root) member first."""
-    if cp.Q is None:
+    grad is Q's torus gradient (Q.zdz(), Q.wdw()), or None for a domain
+    without Q, whose order is kept.  Through a simple zero of Q the slice
+    root moves as d log w / d theta = -i Az / Aw for z = z0 e^(i theta),
+    Az = z Q_z and Aw = w Q_w, so |w| decreases exactly where
+    Im(Az conj(Aw)) < 0.  The torus zeros of a real spectral curve are
+    transversal conjugate pairs (Kenyon, Okounkov and Sheffield, Dimers and
+    amoebae), whose members have opposite signs; a pair that does not split
+    raises CharPolyError.
+    """
+    if grad is None:
         return nodes
-    first_dec = decreasing_member(cp.Q, nodes[0].location)
-    second_dec = decreasing_member(cp.Q, nodes[1].location)
-    if first_dec == second_dec:
+    inward = []
+    for n in nodes:
+        Az, Aw = (complex(d(*n.location)) for d in grad)
+        inward.append((Az * Aw.conjugate()).imag < 0)
+    if inward[0] == inward[1]:
         raise CharPolyError("conjugate pair does not split into one decreasing member")
-    return nodes if first_dec else [nodes[1], nodes[0]]
+    return nodes if inward[0] else [nodes[1], nodes[0]]
 
 
 def root_counts(q, nodes=()):
     """Slice windings {('v', x): ..., ('h', y): ...} of Q at x, y = +-1.
 
     ('v', x) counts w-roots of Q(x, w) strictly inside the unit circle
-    plus cancellation the w-valuation; ('h', y) the same with roles swapped.
-    Roots on the unit circle are tolerated only at the supplied node
-    locations.
+    plus the w-valuation of the slice; ('h', y) the same with roles
+    swapped.  The four slices come from _slices and their roots from
+    _stacked_roots, so a vanishing end coefficient moves the valuation or
+    drops a root at infinity.  Roots on the unit circle are tolerated only
+    at the supplied node locations.
     """
-    node_zw = [n.location for n in nodes] if nodes else []
+    x = np.array([1.0, -1.0])
     out = {}
-    for x in (1.0, -1.0):
-        for axis, key in (("w", ("v", int(x))), ("z", ("h", int(x)))):
-            roots, jmin, _ = _slice_roots(q, x, axis)
-            inside = 0
-            for rt in roots:
-                m = abs(rt)
-                if m < 1.0 - 1e-8:
-                    inside += 1
-                elif m <= 1.0 + 1e-8:
-                    near_node = any(
-                        abs(x - (loc[0] if axis == "w" else loc[1])) < 1e-6
-                        and abs(rt - (loc[1] if axis == "w" else loc[0])) < 1e-6
-                        for loc in node_zw
-                    )
-                    if not near_node:
-                        raise CharPolyError(
-                            "slice root on the unit circle away from any node"
-                        )
-            out[key] = inside + jmin
+    for axis, key, fixed in (("w", "v", 0), ("z", "h", 1)):
+        rows, low = _slices(q, x, axis)
+        for pick, lo, _c, roots in _stacked_roots(rows):
+            for at, rts in zip(x[pick], roots):
+                mag = np.abs(rts)
+                for rt in rts[(mag >= 1.0 - 1e-8) & (mag <= 1.0 + 1e-8)]:
+                    if not any(abs(at - loc[fixed]) < 1e-6 and abs(rt - loc[1 - fixed]) < 1e-6
+                               for loc in (n.location for n in nodes)):
+                        raise CharPolyError("slice root on the unit circle away from any node")
+                out[(key, int(at))] = int(np.sum(mag < 1.0 - 1e-8)) + low + lo
     return out

@@ -121,7 +121,12 @@ def _load_domain(args):
     name = args.lattice
     weights = _parse_weights(getattr(args, "weights", None))
     if name in lattice.BUILTIN_NAMES or name == "square-1x1":
-        return lattice.builtin(name, **weights)
+        dom = lattice.builtin(name, **weights)
+        unknown = sorted(set(weights) - set(dom.weights))
+        if unknown:
+            raise _Usage("%s has no weight %s (it has %s)"
+                         % (name, ", ".join(unknown), ", ".join(sorted(dom.weights))))
+        return dom
     if os.path.exists(name):
         dom = lattice.FundamentalDomain.load(name)
         if weights:

@@ -269,30 +269,27 @@ def sector_table_auto(dom, E, cp=None):
 # -- winding statistics ----------------------------------------------------------
 
 
+def _color_swapped(counts):
+    """True when the stored colors' vertical slice winding of root_counts at
+    z = +1 exceeds the one at z = -1 by one."""
+    return counts[("v", 1)] == counts[("v", -1)] + 1
+
+
 def normalized_node_data(cp):
     """Distinguished node in the color convention with increasing spectral flow.
 
-    Returns ((r0, s0), color_swapped): the stored black/white convention is
-    "swapped" when its vertical slice winding at z = +1 exceeds the one at
-    z = -1 by one; the normalized node is then read off the reciprocal
-    polynomial.
+    Returns ((r0, s0), color_swapped), color_swapped as _color_swapped
+    reads Q's slice windings.  Swapping the colors turns Q into
+    Q(1/z, 1/w), which reverses every slice root's motion, so the
+    normalized node is then the other member of cp.nodes' ordered pair.
     """
     if cp.Q is None:
         raise FscError("node normalization needs a 2-colored domain")
     rep = cp.nodes
     if rep.kind != _charpoly.CLASS_CONJUGATE:
         raise FscError("node normalization applies to conjugate-node curves")
-    counts = _charpoly.root_counts(cp.Q, rep.nodes)
-    swapped = counts[("v", 1)] == counts[("v", -1)] + 1
-    if not swapped:
-        return rep.nodes[0].arguments, False
-    q2 = cp.Q.reciprocal_vars()
-    locs = [n.location for n in rep.nodes]
-    dec = [_charpoly.decreasing_member(q2, loc) for loc in locs]
-    if sum(dec) != 1:
-        raise FscError("reciprocal polynomial lost its distinguished member")
-    node = rep.nodes[dec.index(True)]
-    return node.arguments, True
+    swapped = _color_swapped(_charpoly.root_counts(cp.Q, rep.nodes))
+    return rep.nodes[1 if swapped else 0].arguments, swapped
 
 
 def winding_law(dom, E, cp=None):
@@ -312,7 +309,6 @@ def winding_law(dom, E, cp=None):
     node = rep.nodes[0]
     z0, w0 = node.location
     counts = _charpoly.root_counts(cp.Q, rep.nodes)
-    swapped = counts[("v", 1)] == counts[("v", -1)] + 1
 
     if abs(z0 + 1) < 1e-9:
         argz = math.pi
@@ -335,7 +331,7 @@ def winding_law(dom, E, cp=None):
     # E^-T H E^-1 |det E| / sqrt(det H), with E^-1 = adj(E) / det E
     det = abs(_lattice.int_det(E))
     sigma = adj.T @ node.hessian @ adj / (det * node.D)
-    return WindingLaw((float(mu[0]), float(mu[1])), sigma, swapped,
+    return WindingLaw((float(mu[0]), float(mu[1])), sigma, _color_swapped(counts),
                       (int(ell[0]), int(ell[1])))
 
 

@@ -654,10 +654,12 @@ def winding_distribution_exact(dom, E, M=16, cp=None):
     all taken in one slice product in exact turns over 2M: its evaluator
     sees at most 2M r outer values.  The winding masses are read off a 2-D
     DFT and returned as a WindingTable, folded modulo M, so M must exceed
-    the spread of the distribution.
+    the spread of the distribution; M < 1 raises QuotientError.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
+    if M < 1:
+        raise QuotientError("winding window M must be at least 1, got %d" % M)
     E = _as_E(E)
     if cp is None:
         cp = _charpoly.build_charpoly(dom)

@@ -73,14 +73,15 @@ class FundamentalDomain:
                     raise DomainError("edge joins like-colored vertices: %r" % (e,))
         seen = {}
         for f_idx, face in enumerate(self.faces):
-            off = np.zeros(2, dtype=int)
+            x = y = 0
             for (ei, d) in face:
                 if not (0 <= ei < len(self.edges)) or d not in (-1, 1):
                     raise DomainError("bad face step (%d,%d)" % (ei, d))
                 seen[(ei, d)] = seen.get((ei, d), 0) + 1
                 e = self.edges[ei]
-                off += d * np.array([e.dx, e.dy])
-            if off.any():
+                x += d * e.dx
+                y += d * e.dy
+            if x or y:
                 raise DomainError("face %d does not close up in the plane" % f_idx)
         if self.faces:
             for ei in range(len(self.edges)):

@@ -15,6 +15,10 @@ of its arguments:
   the negative exponents.
 
 Scalars and 0-d arrays give a complex, other arrays an ndarray.
+
+The dense coefficient box (_dense) is also where one-variable slices come
+from: charpoly._slices takes the w- or z-coefficients at a whole array of
+points in one matrix product, and charpoly._stacked_roots their roots.
 """
 
 import numpy as np
@@ -154,21 +158,6 @@ class LaurentPoly2:
         return LaurentPoly2(
             {(i, j): c * a**i * b**j for (i, j), c in self.coeffs.items()}
         )
-
-    def slice_w(self, z):
-        """Coefficient vector of w at fixed z: returns (coeffs ascending, jmin)."""
-        _, _, wmin, wmax = self.degree_box()
-        out = np.zeros(wmax - wmin + 1, dtype=complex)
-        for (i, j), c in self.coeffs.items():
-            out[j - wmin] += c * complex(z) ** i
-        return out, wmin
-
-    def slice_z(self, w):
-        zmin, zmax, _, _ = self.degree_box()
-        out = np.zeros(zmax - zmin + 1, dtype=complex)
-        for (i, j), c in self.coeffs.items():
-            out[i - zmin] += c * complex(w) ** j
-        return out, zmin
 
     # -- arithmetic (small helper set, used mainly by tests) ----------------
 

@@ -114,7 +114,7 @@ def test_ronkin_of_P_splits_into_ronkins_of_Q(alpha):
 
 def test_free_energy_evaluates_slices_only_at_gauss_legendre_nodes(monkeypatch):
     cp = build_charpoly(lattice.builtin("hexagonal"))
-    cp.nodes  # order_conjugate_pair takes slice roots too
+    cp.nodes  # found first, so only the quadrature of f0 is counted
     angles = []
     original = charpoly._slice_log_means
 
@@ -134,7 +134,10 @@ def test_free_energy_evaluates_slices_only_at_gauss_legendre_nodes(monkeypatch):
 
 def _jensen_reference(poly, z, rel_tol=1e-12):
     """Jensen mean of log|poly(z, w)| over |w| = 1 from one slice and np.roots."""
-    c, _jmin = poly.slice_w(z)
+    _zmin, _zmax, wmin, wmax = poly.degree_box()
+    c = np.zeros(wmax - wmin + 1, dtype=complex)
+    for (i, j), a in poly.coeffs.items():
+        c[j - wmin] += a * z**i
     top = np.max(np.abs(c))
     keep = np.nonzero(np.abs(c) > rel_tol * top)[0]
     c = c[keep[0]:keep[-1] + 1]

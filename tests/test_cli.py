@@ -257,6 +257,23 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_nonpositive_winding_window_exits_2(capsys, window):
+    code = cli.run(["winding", "--lattice", "hexagonal", "--E", "4,0,0,4", "--window", window])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "window" in captured.err
+
+
+@pytest.mark.parametrize("name, weights", [("hexagonal", "d=2"), ("hexagonal", "a=1.2,d=2"),
+                                           ("square-bip", "c=2"), ("square-1x1", "A=2")])
+def test_unknown_weight_names_exit_2(capsys, name, weights):
+    code = cli.run(["partition", "--lattice", name, "--weights", weights, "--E", "4,0,0,4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "has no weight" in captured.err
+
+
 def test_malformed_json_file_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"k": 2, "edges": [[0, 1, 0]]}')

@@ -98,6 +98,15 @@ def test_malformed_documents():
         FundamentalDomain(2, [(0, 1, 0, 0, 1.0, 2)], [], [])
 
 
+@pytest.mark.parametrize("face", [[(0, 1), (1, -1)], [(0, 1), (2, -1)], [(1, 1), (2, -1)]])
+def test_faces_must_close_up(face):
+    # the hexagonal edges have offsets (0, 0), (1, 0) and (0, 1): each face
+    # here misses by one cell in x, in y, or in both
+    edges = [(e.tail, e.head, e.dx, e.dy, e.weight, e.sign) for e in builtin("hexagonal").edges]
+    with pytest.raises(DomainError, match="face 0 does not close up"):
+        FundamentalDomain(2, edges, [face], [0], colors=[0, 1])
+
+
 def test_with_signs_and_broken_orientation():
     dom = builtin("fisher")
     signs = [e.sign for e in dom.edges]

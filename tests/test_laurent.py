@@ -116,16 +116,6 @@ def test_variable_transforms():
     assert abs(p.scale_vars(2.0, -0.5)(z, w) - p(2 * z, -0.5 * w)) < 1e-12
 
 
-def test_slices():
-    p = random_poly()
-    z0 = complex(0.9, 0.435)
-    w0 = complex(-0.62, 0.78)
-    cw, jmin = p.slice_w(z0)  # ascending coefficients in w
-    cz, imin = p.slice_z(w0)
-    assert abs(np.polyval(cw[::-1], w0) * w0**jmin - p(z0, w0)) < 1e-10
-    assert abs(np.polyval(cz[::-1], z0) * z0**imin - p(z0, w0)) < 1e-10
-
-
 def test_real_detection():
     p = LaurentPoly2({(1, 0): 1.0, (-1, 0): 1.0, (0, 0): 2.0})
     assert p.is_real()
