@@ -7,13 +7,19 @@ torus P is real and nonnegative, and its zeros ("nodes") control the
 finite-size behaviour of the quotient partition functions.
 
 One zero search (_torus_zeros) finds the nodes and the cuts of every Jensen
-quadrature; f0 is half the Ronkin function of P at 0, cut at the nodes.
+quadrature.  It works on arrays at the curve's own degree: the 256 x 256
+seed grid is one real matrix product, and one batched Newton iteration
+runs every seed, reading values, torus gradients and torus Hessians from
+one jet kernel (_torus_jets) that also gives the node forms.  f0 is half
+the Ronkin function of P at 0; on a 2-colored domain it is the mean of
+log|Q|, sliced along the variable of smaller degree span and cut at the
+nodes' arguments in the other one.
 """
 
 import cmath
 import math
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -40,7 +46,8 @@ class CharPolyError(ValueError):
 class CharPoly:
     """P (and Q for a 2-colored domain) of one domain, with its node data and f0.
 
-    nodes and f0 are computed on first use and kept for the object's life.
+    nodes, f0 and windings are computed on first use and kept for the
+    object's life.
     """
 
     def __init__(self, dom, P, Q=None):
@@ -57,6 +64,11 @@ class CharPoly:
     def f0(self):
         """Per-cell free energy, free_energy(self)."""
         return free_energy(self)
+
+    @cached_property
+    def windings(self):
+        """Slice windings of Q, root_counts(self.Q, self.nodes.nodes)."""
+        return root_counts(self.Q, self.nodes.nodes)
 
 
 def build_charpoly(dom):
@@ -81,12 +93,9 @@ def build_charpoly(dom):
     if dom.bipartite:
         Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)),
                                         leibniz_bound(dom, qblock=True))
-        rng = np.random.default_rng(11)
-        for _ in range(8):
-            z = cmath.exp(2j * math.pi * rng.random())
-            w = cmath.exp(2j * math.pi * rng.random())
-            if abs(abs(Q(z, w)) ** 2 - P(z, w).real) > 1e-8 * max(scale, 1.0):
-                raise CharPolyError("P != |Q|^2 on the unit torus")
+        z, w = np.exp(2j * math.pi * np.random.default_rng(11).random((8, 2))).T
+        if np.any(np.abs(np.abs(Q(z, w)) ** 2 - P(z, w).real) > 1e-8 * max(scale, 1.0)):
+            raise CharPolyError("P != |Q|^2 on the unit torus")
     zz = np.exp(1j * math.pi * (np.linspace(-1, 1, 64, endpoint=False) + 1.0 / 64))
     if P(zz[:, None], zz[None, :]).real.min() < -1e-9 * scale:
         raise CharPolyError("P is negative on the unit torus")
@@ -150,15 +159,17 @@ def _stacked_roots(rows):
         yield pick, a, c, np.linalg.eigvals(comp)
 
 
-def _slice_log_means(poly, z):
-    """(1/2pi) integral of log|poly(z, w)| dw over |w| = 1 at each z of a 1-D array.
+def _slice_log_means(poly, x, axis):
+    """(1/2pi) integral of log|poly| over the unit circle of the variable axis,
+    at each point of the 1-D array x of the other variable.
 
-    Jensen's formula: log|leading w-coefficient| plus log|root| summed over
-    the w-roots outside the unit circle.  _slices gives every slice's
-    w-coefficients, and _stacked_roots their roots.
+    Jensen's formula: log|leading coefficient| plus log|root| summed over
+    the slice roots outside the unit circle.  _slices gives every slice's
+    coefficients, and _stacked_roots their roots (linear and quadratic
+    slices in closed form).
     """
-    rows, _ = _slices(poly, z, "w")
-    out = np.empty(len(z))
+    rows, _ = _slices(poly, x, axis)
+    out = np.empty(len(x))
     for pick, _lo, c, roots in _stacked_roots(rows):
         out[pick] = (np.log(np.abs(c[:, -1]))
                      + np.log(np.maximum(np.abs(roots), 1.0)).sum(axis=-1))
@@ -171,20 +182,26 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(64)
 
 
-def _torus_log_mean(poly, cut_args):
-    """Mean of log|poly| over the unit torus.
+def _torus_log_mean(poly, zeros):
+    """Mean of log|poly| over the unit torus; zeros are its torus zeros (r, s)
+    in half turns.
 
-    The inner mean over |w| = 1 is exact by Jensen's formula.  In the angle
-    of z it kinks only at the zeros of poly on the torus, whose z-arguments
-    in half turns are cut_args; each piece between cuts gets 64-point
-    Gauss-Legendre quadrature, and the abscissae of all pieces go to one
-    _slice_log_means call.
+    The slices run along the variable of smaller degree span (w on a tie),
+    and the inner mean over that variable's circle is exact by Jensen's
+    formula.  In the argument of the other variable the slice mean kinks
+    only at the zeros, so the outer integral is cut at their arguments in
+    that variable (r for w-slices, s for z-slices); each piece between cuts
+    gets 64-point Gauss-Legendre quadrature, and the abscissae of all
+    pieces go to one _slice_log_means call.
     """
+    zmin, zmax, wmin, wmax = poly.degree_box()
+    axis = "w" if wmax - wmin <= zmax - zmin else "z"
+    cut_args = [r if axis == "w" else s for r, s in zeros]
     x, wts = _gauss_legendre()
     cuts = np.array(sorted({0.0, 2 * math.pi} | {math.pi * r % (2 * math.pi) for r in cut_args}))
     mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
     angles = mid[:, None] + half[:, None] * x
-    inner = _slice_log_means(poly, np.exp(1j * angles.ravel())).reshape(angles.shape)
+    inner = _slice_log_means(poly, np.exp(1j * angles.ravel()), axis).reshape(angles.shape)
     return float(half @ (inner @ wts)) / (2 * math.pi)
 
 
@@ -192,12 +209,16 @@ def free_energy(cp):
     """Per-cell free energy f0 = mean of (1/2) log P over the unit torus.
 
     This is half the Ronkin function of P at the origin (Kenyon, Okounkov
-    and Sheffield, Dimers and amoebae).  The quadrature of _torus_log_mean
-    is cut at the nodes of cp.nodes, so a curve that find_nodes refuses
-    raises CharPolyError here too; its 64 abscissae per piece are
-    evaluated in one batch (_slice_log_means).
+    and Sheffield, Dimers and amoebae).  On a 2-colored domain P = |Q|^2
+    on the torus, so the integrand is log|Q|, whose slices have half the
+    degree of P's.  _torus_log_mean slices along the variable of smaller
+    degree span and cuts the outer integral at the nodes of cp.nodes, so a
+    curve that find_nodes refuses raises CharPolyError here too.
     """
-    return 0.5 * _torus_log_mean(cp.P, [n.arguments[0] for n in cp.nodes.nodes])
+    zeros = [n.arguments for n in cp.nodes.nodes]
+    if cp.Q is not None:
+        return _torus_log_mean(cp.Q, zeros)
+    return 0.5 * _torus_log_mean(cp.P, zeros)
 
 
 def ronkin(poly, alpha):
@@ -212,7 +233,7 @@ def ronkin(poly, alpha):
     """
     pa = poly.scale_vars(math.exp(float(alpha[0])), math.exp(float(alpha[1])))
     conj = LaurentPoly2({(-i, -j): c.conjugate() for (i, j), c in pa.coeffs.items()})
-    return _torus_log_mean(pa, [r for r, _s in _torus_zeros(pa * conj)])
+    return _torus_log_mean(pa, _torus_zeros(pa * conj))
 
 
 # -- nodes and criticality classes ---------------------------------------------
@@ -227,55 +248,89 @@ def _wrap_half_turns(x):
     return y
 
 
-def _torus_hessian(z, w, Pzz, Pzw, Pww):
-    """Hessian of P(e^{i pi r}, e^{i pi s}) in the half turns (r, s)."""
-    return -math.pi**2 * np.array(
-        [[complex(Pzz(z, w)).real, complex(Pzw(z, w)).real],
-         [complex(Pzw(z, w)).real, complex(Pww(z, w)).real]]
-    )
+def _jet_table(poly):
+    """(i pi i, i pi j, M): poly's dense coefficient box as _torus_jets reads it.
+
+    i and j are the exponent ranges of the box, and row (i, j) of the
+    (entries, 9) matrix M holds c_ij i^a j^b in column 3a + b, for a, b in
+    0..2.
+    """
+    mat, zmin, wmin = poly._dense()
+    i = np.arange(zmin, zmin + mat.shape[0])
+    j = np.arange(wmin, wmin + mat.shape[1])
+    a = np.arange(3)
+    M = mat[:, :, None, None] * (i[:, None] ** a)[:, None, :, None] * (j[:, None] ** a)[:, None]
+    return 1j * math.pi * i, 1j * math.pi * j, M.reshape(-1, 9)
 
 
-def _newton_node(r, s, Pz, Pw, Pzz, Pzw, Pww):
-    """(r, s, converged) of Newton for a stationary point of P in half turns,
-    in plain floats with _torus_hessian's 2 x 2 step solved in closed form."""
+def _torus_jets(table, r, s):
+    """Torus jets of a polynomial at the half-turn points (r, s), 1-D arrays:
+    (n, 3, 3) complex J with J[:, a, b] = sum c_ij i^a j^b z^i w^j at
+    z = e^(i pi r), w = e^(i pi s).
+
+    table is the polynomial's _jet_table.  J[:, 0, 0] is the value,
+    (J10, J01) the torus gradient (z d/dz, w d/dw) and [[J20, J11],
+    [J11, J02]] the torus Hessian, so the half-turn gradient of
+    P(e^(i pi r), e^(i pi s)) is i pi (J10, J01) and its half-turn Hessian
+    -pi^2 [[J20, J11], [J11, J02]].  All nine come from one product of the
+    monomials z^i w^j at every point with M.
+    """
+    iz, iw, M = table
+    mono = np.exp(r[:, None] * iz)[:, :, None] * np.exp(s[:, None] * iw)[:, None, :]
+    return (mono.reshape(len(r), len(M)) @ M).reshape(-1, 3, 3)
+
+
+def _hessian(jet):
+    """The 2 x 2 torus Hessian [[J20, J11], [J11, J02]] of one point's jets."""
+    return np.array([[jet[2, 0], jet[1, 1]], [jet[1, 1], jet[0, 2]]])
+
+
+def _newton(table, r, s, tol):
+    """(r, s, converged) of Newton for stationary points of a polynomial that is
+    real on the unit torus, from every seed (r, s) in half turns at once.
+
+    Each seed stops where both half-turn gradient entries are at most tol;
+    otherwise it takes the closed-form step of the 2 x 2 half-turn Hessian
+    (_torus_jets).  A singular Hessian, a step longer than 0.25 half turn
+    in either coordinate, or 80 steps without stopping ends a seed
+    unconverged at its last point.
+    """
+    r, s = np.array(r, dtype=float), np.array(s, dtype=float)
+    ok = np.zeros(len(r), dtype=bool)
+    live = np.arange(len(r))
     for _ in range(80):
-        z, w = cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s)
-        gr, gs = -math.pi * Pz(z, w).imag, -math.pi * Pw(z, w).imag
-        if max(abs(gr), abs(gs)) <= 1e-12:
-            return r, s, True
-        a, b = -math.pi**2 * Pzz(z, w).real, -math.pi**2 * Pzw(z, w).real
-        c = -math.pi**2 * Pww(z, w).real
+        if not len(live):
+            break
+        jet = _torus_jets(table, r[live], s[live])
+        gr, gs = -math.pi * jet[:, 1, 0].imag, -math.pi * jet[:, 0, 1].imag
+        a, b, c = (-math.pi**2 * jet[:, 2, 0].real, -math.pi**2 * jet[:, 1, 1].real,
+                   -math.pi**2 * jet[:, 0, 2].real)
+        done = np.maximum(np.abs(gr), np.abs(gs)) <= tol
+        ok[live[done]] = True
         det = a * c - b * b
-        if det == 0.0:
-            return r, s, False
-        dr, ds = (c * gr - b * gs) / det, (a * gs - b * gr) / det
-        if not (abs(dr) <= 0.25 and abs(ds) <= 0.25):
-            return r, s, False
-        r, s = r - dr, s - ds
-    return r, s, False
+        den = np.where(det == 0.0, 1.0, det)
+        dr, ds = (c * gr - b * gs) / den, (a * gs - b * gr) / den
+        step = ~done & (det != 0.0) & (np.abs(dr) <= 0.25) & (np.abs(ds) <= 0.25)
+        r[live[step]] -= dr[step]
+        s[live[step]] -= ds[step]
+        live = live[step]
+    return r, s, ok
 
 
-def _second_form(Dz, Dw, z0, w0):
-    """-Re of the torus second derivatives at (z0, w0), from the first ones Dz, Dw."""
-    h11 = -complex(Dz.zdz()(z0, w0)).real
-    h12 = -complex(Dz.wdw()(z0, w0)).real
-    h22 = -complex(Dw.wdw()(z0, w0)).real
-    return np.array([[h11, h12], [h12, h22]])
-
-
-def _q_hessian(grad, scale, z0, w0):
-    """Node form of |Q|^2 at a zero of Q, from its torus gradient grad = (Q.zdz(), Q.wdw())."""
-    Az, Aw = (complex(d(z0, w0)) for d in grad)
+def _q_hessian(jet, scale):
+    """Node form of |Q|^2 at a zero of Q, from Q's torus jets there (_torus_jets)."""
+    Az, Aw = jet[1, 0], jet[0, 1]
     if max(abs(Az), abs(Aw)) > 1e-7 * scale:
         # simple zero of Q: |Q|^2 is quadratic with gradient outer-product form
         return np.array([[abs(Az) ** 2, (Az * Aw.conjugate()).real],
                          [(Az * Aw.conjugate()).real, abs(Aw) ** 2]])
     # nodal zero of Q itself (P = |Q|^2 quartic): second-derivative form
-    return _second_form(*grad, z0, w0)
+    return -_hessian(jet).real
 
 
-def _p_hessian(P, z0, w0):
-    return _second_form(P.zdz(), P.wdw(), z0, w0) / 2
+def _p_hessian(jet):
+    """Node form of P at a zero, from P's torus jets there: -Re of half its torus Hessian."""
+    return -_hessian(jet).real / 2
 
 
 def tau_of_hessian(H):
@@ -284,61 +339,108 @@ def tau_of_hessian(H):
     return complex(-H[0, 1], D) / H[1, 1]
 
 
+_GRID = 256  # seed grid points per torus axis in _torus_zeros
+_GRID_R = -1.0 + 2.0 * (np.arange(_GRID) + 0.5) / _GRID  # their half turns
+
+
+@lru_cache(maxsize=64)
+def _grid_powers(lo, hi):
+    """(V, [Re V, Im V]) for the seed grid's Vandermonde V = e^(i pi r k),
+    r in _GRID_R and k = lo..hi; made once per exponent range (read only)."""
+    V = np.exp(1j * math.pi * _GRID_R[:, None] * np.arange(lo, hi + 1))
+    out = V, np.hstack([V.real, V.imag])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _grid_values(poly):
+    """P(e^(i pi r), e^(i pi s)).real on the seed grid, in one real matrix product.
+
+    With Vz = Cz + i Sz and Vw the grid's Vandermonde rows and X = C Vw^T
+    for the box C, Re(Vz X) = [Cz Sz] [Re X; -Im X], exact for any complex
+    box.
+    """
+    mat, zmin, wmin = poly._dense()
+    X = mat @ _grid_powers(wmin, wmin + mat.shape[1] - 1)[0].T
+    return _grid_powers(zmin, zmin + mat.shape[0] - 1)[1] @ np.concatenate([X.real, -X.imag])
+
+
 def _torus_zeros(P):
     """Zeros of P, real and nonnegative on the unit torus, as half turns (r, s).
 
-    Each zero is a minimum of P.  Grid minima low enough to hide one seed a
-    Newton search for a stationary point, and the points where P vanishes
-    are kept once each, with r and s wrapped into (-1, 1].
+    Each zero is a minimum of P.  The grid minima low enough to hide one
+    and the four real points seed one batched Newton search for stationary
+    points (_newton).  It stops at a gradient of 1e-15 times the coefficient
+    scale sum |c_ij| (|i| + |j|), and at least 1e-12, so curves with large
+    coefficients converge too.  The points where P vanishes are kept once
+    each, with r and s wrapped into (-1, 1].
+
+    P is known only to blur, 1e-10 of its largest coefficient per entry of
+    its box (LaurentPoly2.from_evaluator drops what is smaller).  A grid
+    seed that ends unconverged at a value within blur, or a local minimum
+    within blur that is not a zero, raises CharPolyError: the search cannot
+    tell it from a zero, and dropping it would misreport the curve.
     """
-    grid, value_tol = 256, 1e-10
-    rr = -1.0 + 2.0 * (np.arange(grid) + 0.5) / grid
-    zz = np.exp(1j * math.pi * rr)
-    vals = P(zz[:, None], zz[None, :]).real
+    grid, rr, value_tol = _GRID, _GRID_R, 1e-10
+    vals = _grid_values(P)
     scale = float(vals.max())
-    Pz, Pw = P.zdz(), P.wdw()
-    Pzz, Pzw, Pww = Pz.zdz(), Pz.wdw(), Pw.wdw()
+    table = _jet_table(P)
+    # sums of |c_ij| |i|^a |j|^b, at 3a + b
+    norms = np.abs(table[2]).sum(axis=0)
+    tol = max(1e-12, 1e-15 * float(norms[3] + norms[1]))
 
     # every zero has a grid point within (pi/grid) sqrt(2) radians, where P is
     # at most (pi/grid)^2 sum |c_ij| (i^2 + j^2): no higher minimum can lead to one
-    curvature = sum(abs(c) * (i * i + j * j) for (i, j), c in P.coeffs.items())
-    low = (math.pi / grid) ** 2 * curvature + value_tol * scale
-    ii, jj = np.nonzero(vals <= low)
+    low = (math.pi / grid) ** 2 * float(norms[6] + norms[2]) + value_tol * scale
+    blur = 1e-10 * float(np.abs(table[2][:, 0]).max()) * len(table[2])
+    flat = np.flatnonzero(vals <= low)
+    ii, jj = flat // grid, flat % grid
     v = vals[ii, jj]
     is_min = ((v <= vals[ii - 1, jj]) & (v <= vals[(ii + 1) % grid, jj])
               & (v <= vals[ii, jj - 1]) & (v <= vals[ii, (jj + 1) % grid]))
     # real points are always stationary; seed them first so that a cluster of
     # near-converged candidates around a real zero keeps the exact location
-    cand = [(r, s) for r in (0.0, 1.0) for s in (0.0, 1.0)]
-    cand.extend((rr[i], rr[j]) for i, j in zip(ii[is_min], jj[is_min]))
-    seeds = len(cand)
+    r = np.concatenate([[0.0, 0.0, 1.0, 1.0], rr[ii[is_min]]])
+    s = np.concatenate([[0.0, 1.0, 0.0, 1.0], rr[jj[is_min]]])
 
     found = []
-    for k, (r, s) in enumerate(cand):
-        r2, s2, ok = _newton_node(r, s, Pz, Pw, Pzz, Pzw, Pww)
-        if not ok:
-            continue
-        z0, w0 = cmath.exp(1j * math.pi * r2), cmath.exp(1j * math.pi * s2)
-        value = abs(complex(P(z0, w0)))
-        if value > value_tol * scale:
-            # two zeros a cell or two apart can share one grid minimum, from
-            # which Newton finds the low saddle between them: seed once more
-            # one cell down each side (from grid seeds only, so this ends)
-            if k < seeds and value <= low:
-                lam, V = np.linalg.eigh(_torus_hessian(z0, w0, Pzz, Pzw, Pww))
-                if lam[0] < 0 < lam[1]:
-                    v = V[:, 0] * (2.0 / grid)
-                    cand.extend([(r2 + v[0], s2 + v[1]), (r2 - v[0], s2 - v[1])])
-            continue
-        r2, s2 = _wrap_half_turns(r2), _wrap_half_turns(s2)
-        # dedup radius sized for quartic zeros, where |P| < tol already holds
-        # at distance ~ tol^(1/4) and Newton stalls before full convergence
-        for rknown, sknown in found:
-            if (abs(_wrap_half_turns(r2 - rknown)) < 5e-3
-                    and abs(_wrap_half_turns(s2 - sknown)) < 5e-3):
-                break
-        else:
-            found.append((r2, s2))
+    for first in (True, False):
+        r, s, ok = _newton(table, r, s, tol)
+        jet = _torus_jets(table, r, s)
+        value = np.abs(jet[:, 0, 0])
+        # grid seeds only: the four real points need not be minima
+        lost = 4 + np.flatnonzero(~ok[4:] & (value[4:] <= blur)) if first else []
+        if len(lost):
+            raise CharPolyError("Newton did not converge near the low point (%g, %g)"
+                                % (r[lost[0]], s[lost[0]]))
+        more = []
+        for k in np.flatnonzero(ok):
+            if value[k] > value_tol * scale:
+                # two zeros a cell or two apart can share one grid minimum, from
+                # which Newton finds the low saddle between them: seed once more
+                # one cell down each side (from first seeds only, so this ends)
+                if first and value[k] <= low:
+                    lam, V = np.linalg.eigh(-math.pi**2 * _hessian(jet[k]).real)
+                    if lam[0] < 0 < lam[1]:
+                        d = V[:, 0] * (2.0 / grid)
+                        more += [(r[k] + d[0], s[k] + d[1]), (r[k] - d[0], s[k] - d[1])]
+                    elif lam[0] > 0 and value[k] <= blur:
+                        raise CharPolyError("torus minimum %g of P at (%g, %g) is within its "
+                                            "coefficient error %g" % (value[k], r[k], s[k], blur))
+                continue
+            r2, s2 = _wrap_half_turns(float(r[k])), _wrap_half_turns(float(s[k]))
+            # dedup radius sized for quartic zeros, where |P| < tol already holds
+            # at distance ~ tol^(1/4) and Newton stalls before full convergence
+            for rknown, sknown in found:
+                if (abs(_wrap_half_turns(r2 - rknown)) < 5e-3
+                        and abs(_wrap_half_turns(s2 - sknown)) < 5e-3):
+                    break
+            else:
+                found.append((r2, s2))
+        if not more:
+            break
+        r, s = np.array(more).T
     return found
 
 
@@ -349,17 +451,11 @@ def find_nodes(cp):
     single-real-node, two-real-nodes, distinct-conjugate-nodes,
     real-root-of-Q.  Zeros of a non-colored domain away from the real
     points fall outside the supported classification and are flagged.
+    The node forms come from one _torus_jets call on P's box and, for a
+    2-colored domain, one on Q's box, at all zeros together.
     """
-    found = _torus_zeros(cp.P)
-
-    grad = qscale = None
-    if cp.Q is not None:
-        grad = (cp.Q.zdz(), cp.Q.wdw())
-        qscale = max(abs(c) for c in cp.Q.coeffs.values())
-
-    nodes = []
-    outside = False
-    for (r, s) in sorted(found):
+    points = []
+    for (r, s) in sorted(_torus_zeros(cp.P)):
         real_pt = abs(r - round(r)) < 1e-8 and abs(s - round(s)) < 1e-8
         if real_pt:
             r, s = float(round(r)), float(round(s))
@@ -367,17 +463,28 @@ def find_nodes(cp):
         z0, w0 = cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s)
         if real_pt:
             z0, w0 = complex(round(z0.real)), complex(round(w0.real))
-        if real_pt and cp.Q is not None and abs(complex(cp.Q(z0, w0))) < 1e-8 * qscale:
-            H = _q_hessian(grad, qscale, z0, w0)
+        points.append((r, s, z0, w0, real_pt))
+    r = np.array([p[0] for p in points])
+    s = np.array([p[1] for p in points])
+    p_jet = _torus_jets(_jet_table(cp.P), r, s)
+    if cp.Q is not None:
+        qscale = max(abs(c) for c in cp.Q.coeffs.values())
+        q_jet = _torus_jets(_jet_table(cp.Q), r, s)
+
+    nodes = []
+    outside = False
+    for k, (r, s, z0, w0, real_pt) in enumerate(points):
+        if real_pt and cp.Q is not None and abs(q_jet[k, 0, 0]) < 1e-8 * qscale:
+            H = _q_hessian(q_jet[k], qscale)
             kind = "real-root-of-Q-node"
         elif real_pt:
-            H = _p_hessian(cp.P, z0, w0)
+            H = _p_hessian(p_jet[k])
             kind = "real-node"
         elif cp.Q is not None:
-            H = _q_hessian(grad, qscale, z0, w0)
+            H = _q_hessian(q_jet[k], qscale)
             kind = "conjugate-pair-member"
         else:
-            H = _p_hessian(cp.P, z0, w0)
+            H = _p_hessian(p_jet[k])
             kind = "conjugate-pair-member"
             outside = True
         if np.linalg.det(H) <= 0 or H[1, 1] <= 0:
@@ -392,7 +499,7 @@ def find_nodes(cp):
         cls = CLASS_REAL_ROOT_Q
     elif all(k == "conjugate-pair-member" for k in kinds) and len(nodes) == 2:
         cls = CLASS_CONJUGATE
-        nodes = order_conjugate_pair(grad, nodes)
+        nodes = order_conjugate_pair(cp.Q, nodes)
     elif all(k == "real-node" for k in kinds):
         cls = CLASS_SINGLE_REAL if len(nodes) == 1 else CLASS_TWO_REAL
         if len(nodes) > 2:
@@ -405,25 +512,25 @@ def find_nodes(cp):
 # -- conjugate-node bookkeeping -------------------------------------------------
 
 
-def order_conjugate_pair(grad, nodes):
+def order_conjugate_pair(Q, nodes):
     """The pair with its distinguished member first: the one whose w-root
     moves inside |w| = 1 as z turns forward.
 
-    grad is Q's torus gradient (Q.zdz(), Q.wdw()), or None for a domain
-    without Q, whose order is kept.  Through a simple zero of Q the slice
-    root moves as d log w / d theta = -i Az / Aw for z = z0 e^(i theta),
-    Az = z Q_z and Aw = w Q_w, so |w| decreases exactly where
-    Im(Az conj(Aw)) < 0.  The torus zeros of a real spectral curve are
-    transversal conjugate pairs (Kenyon, Okounkov and Sheffield, Dimers and
-    amoebae), whose members have opposite signs; a pair that does not split
-    raises CharPolyError.
+    Q is the domain's Q, or None for a domain without one, whose order is
+    kept.  Through a simple zero of Q the slice root moves as
+    d log w / d theta = -i Az / Aw for z = z0 e^(i theta), where
+    (Az, Aw) = (z Q_z, w Q_w) is Q's torus gradient (_torus_jets), so |w|
+    decreases exactly where Im(Az conj(Aw)) < 0.  The torus zeros of a real
+    spectral curve are transversal conjugate pairs (Kenyon, Okounkov and
+    Sheffield, Dimers and amoebae), whose members have opposite signs; a
+    pair that does not split raises CharPolyError.
     """
-    if grad is None:
+    if Q is None:
         return nodes
-    inward = []
-    for n in nodes:
-        Az, Aw = (complex(d(*n.location)) for d in grad)
-        inward.append((Az * Aw.conjugate()).imag < 0)
+    r, s = np.array([n.arguments for n in nodes]).T
+    jet = _torus_jets(_jet_table(Q), r, s)
+    Az, Aw = jet[:, 1, 0], jet[:, 0, 1]
+    inward = (Az * Aw.conj()).imag < 0
     if inward[0] == inward[1]:
         raise CharPolyError("conjugate pair does not split into one decreasing member")
     return nodes if inward[0] else [nodes[1], nodes[0]]

@@ -288,7 +288,7 @@ def normalized_node_data(cp):
     rep = cp.nodes
     if rep.kind != _charpoly.CLASS_CONJUGATE:
         raise FscError("node normalization applies to conjugate-node curves")
-    swapped = _color_swapped(_charpoly.root_counts(cp.Q, rep.nodes))
+    swapped = _color_swapped(cp.windings)
     return rep.nodes[1 if swapped else 0].arguments, swapped
 
 
@@ -308,7 +308,7 @@ def winding_law(dom, E, cp=None):
         raise FscError("winding law needs a distinct-conjugate-node curve")
     node = rep.nodes[0]
     z0, w0 = node.location
-    counts = _charpoly.root_counts(cp.Q, rep.nodes)
+    counts = cp.windings
 
     if abs(z0 + 1) < 1e-9:
         argz = math.pi

@@ -10,9 +10,9 @@ of its arguments:
 - a tensor grid, z of shape (n, 1) and w of shape (1, m): two matrix
   products Vz C Vw^T with the Vandermonde rows z^i and w^j of the dense
   coefficient box C;
-- any other arrays: Horner in z over the rows of C, each row's w-polynomial
-  evaluated at the shape of w alone, with one monomial prefactor absorbing
-  the negative exponents.
+- any other arrays, pointwise: z and w are broadcast together, and at each
+  point the Vandermonde rows z^i and w^j are contracted with C in one
+  matrix product and one row sum.
 
 Scalars and 0-d arrays give a complex, other arrays an ndarray.
 
@@ -131,14 +131,11 @@ class LaurentPoly2:
             vz = z ** np.arange(zmin, zmin + mat.shape[0])
             vw = w.T ** np.arange(wmin, wmin + mat.shape[1])
             return vz @ mat @ vw.T
-        acc = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-        for row in mat[::-1]:
-            inner = np.zeros(w.shape, dtype=complex)
-            for c in row[::-1]:
-                inner = inner * w + c
-            acc = acc * z + inner
-        acc = acc * z**zmin * w**wmin
-        return acc if acc.ndim else complex(acc)
+        z, w = np.broadcast_arrays(z, w)
+        vz = z.reshape(-1, 1) ** np.arange(zmin, zmin + mat.shape[0])
+        vw = w.reshape(-1, 1) ** np.arange(wmin, wmin + mat.shape[1])
+        out = ((vz @ mat) * vw).sum(axis=-1).reshape(z.shape)
+        return out if out.ndim else complex(out)
 
     # -- calculus / transforms ---------------------------------------------
 

@@ -118,9 +118,10 @@ def test_free_energy_evaluates_slices_only_at_gauss_legendre_nodes(monkeypatch):
     angles = []
     original = charpoly._slice_log_means
 
-    def counting(poly, z):
-        angles.extend(np.angle(z) % (2 * math.pi))
-        return original(poly, z)
+    def counting(poly, x, axis):
+        assert axis == "w"  # Q's spans tie at 1, so the slices run along w
+        angles.extend(np.angle(x) % (2 * math.pi))
+        return original(poly, x, axis)
 
     monkeypatch.setattr(charpoly, "_slice_log_means", counting)
     cp.f0
@@ -162,7 +163,7 @@ def test_batched_jensen_means_match_per_slice_roots():
     z = np.concatenate([[z0], np.exp(2j * np.pi * rng.random(40)),
                         rng.uniform(0.5, 2.0, 8) * np.exp(2j * np.pi * rng.random(8))])
     for poly in polys:
-        got = charpoly._slice_log_means(poly, z)
+        got = charpoly._slice_log_means(poly, z, "w")
         want = np.array([_jensen_reference(poly, complex(x)) for x in z])
         assert np.max(np.abs(got - want)) < 1e-14
 
@@ -171,7 +172,7 @@ def test_batched_jensen_means_refuse_a_vanishing_slice():
     z0 = cmath.exp(0.7j)
     poly = LaurentPoly2({(1, 1): 1.0, (0, 1): -z0, (1, 0): 2.0, (0, 0): -2 * z0})
     with pytest.raises(CharPolyError):
-        charpoly._slice_log_means(poly, np.array([1j, z0]))
+        charpoly._slice_log_means(poly, np.array([1j, z0]), "w")
 
 
 def test_gaseous_free_energy_is_log_dominant_weight():
@@ -263,14 +264,14 @@ def test_root_counts_hexagonal():
 
 def test_constant_curve_sends_only_the_real_points_to_newton(monkeypatch):
     # unit fisher has P constant: no grid minimum is low enough to hide a zero
-    calls = []
-    original = charpoly._newton_node
+    seeds = []
+    original = charpoly._newton
 
-    def counting(*args):
-        calls.append(args[1:3])
-        return original(*args)
+    def counting(box, r, s, tol):
+        seeds.extend(zip(r, s))
+        return original(box, r, s, tol)
 
-    monkeypatch.setattr(charpoly, "_newton_node", counting)
+    monkeypatch.setattr(charpoly, "_newton", counting)
     rep = charpoly.find_nodes(build_charpoly(lattice.builtin("fisher")))
     assert rep.kind == CLASS_NON_VANISHING
-    assert len(calls) <= 4
+    assert 0 < len(seeds) <= 4

@@ -99,7 +99,7 @@ def test_gradient_order_and_normalized_node_match_the_parent_rules(cp):
     assert not reference_decreasing(cp.Q, nodes[1].location)
     # the reciprocal polynomial reverses every root's motion: its order is the other one
     q2 = cp.Q.reciprocal_vars()
-    flipped = charpoly.order_conjugate_pair((q2.zdz(), q2.wdw()), nodes)
+    flipped = charpoly.order_conjugate_pair(q2, nodes)
     assert flipped == [nodes[1], nodes[0]]
     assert reference_decreasing(q2, flipped[0].location)
     assert not reference_decreasing(q2, flipped[1].location)
@@ -118,7 +118,7 @@ def test_a_pair_that_does_not_split_is_refused():
     cp = build_charpoly(lattice.builtin("hexagonal"))
     first = cp.nodes.nodes[0]
     with pytest.raises(CharPolyError, match="does not split"):
-        charpoly.order_conjugate_pair((cp.Q.zdz(), cp.Q.wdw()), [first, first])
+        charpoly.order_conjugate_pair(cp.Q, [first, first])
 
 
 @st.composite

@@ -209,3 +209,22 @@ def test_block_sign_matches_the_instance_ordering():
         for d in range(1, 9):
             instance = [colors[v % 6] for v in range(6 * d)]
             assert kasteleyn._block_sign(list(colors), d) == kasteleyn._black_white(instance)[2]
+
+
+def test_one_slice_winding_count_per_winding_command(monkeypatch, capsys):
+    # winding_law runs for the printed law and again inside the Gaussian model;
+    # both read cp.windings, which counts Q's slice roots once
+    from torusdimer import charpoly, cli
+
+    calls = []
+    original = charpoly.root_counts
+
+    def counting(q, nodes=()):
+        calls.append(len(nodes))
+        return original(q, nodes)
+
+    monkeypatch.setattr(charpoly, "root_counts", counting)
+    assert cli.run(["winding", "--lattice", "square-bip", "--weights", "a=1.2,b=0.9",
+                    "--E", "6,0,1,6", "--window", "4"]) == 0
+    capsys.readouterr()
+    assert calls == [2]
