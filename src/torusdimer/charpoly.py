@@ -82,7 +82,7 @@ def build_charpoly(dom):
     if not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive):
         raise CharPolyError("domain signs fail verification: %r" % (rep.offending_items,))
     P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), leibniz_bound(dom))
-    if not P.is_real(tol=1e-9):
+    if not P.is_real():
         raise CharPolyError("P(z, w) came out non-real")
     P = P.real_part()
     diff = P - P.reciprocal_vars()
@@ -105,13 +105,13 @@ def build_charpoly(dom):
 # -- free energy and Ronkin function --------------------------------------------
 
 
-def _trim_bounds(rows, rel_tol=1e-12):
-    """(lo, hi) of each row: the span outside which |entries| <= rel_tol * row max."""
+def _trim_bounds(rows):
+    """(lo, hi) of each row: the span outside which |entries| <= 1e-12 * row max."""
     mag = np.abs(rows)
     top = mag.max(axis=-1)
     if np.any(top == 0.0):
         raise CharPolyError("slice vanishes identically")
-    keep = mag > rel_tol * top[:, None]
+    keep = mag > 1e-12 * top[:, None]
     return np.argmax(keep, axis=-1), rows.shape[-1] - np.argmax(keep[:, ::-1], axis=-1)
 
 

@@ -245,7 +245,7 @@ def _cmd_winding(args):
     cp = charpoly.build_charpoly(dom)
     law = fsc.winding_law(dom, E, cp=cp)
     model = fsc.winding_distribution_gaussian(dom, E, cp=cp)
-    exact = kasteleyn.winding_distribution_exact(dom, E, M=args.window, cp=cp)
+    exact = kasteleyn.winding_distribution_exact(dom, E, M=args.window)
     tv = exact.tv_against(model)
     center = max(model, key=model.get)
     exact_masses = exact.as_dict(center=center)

@@ -103,7 +103,7 @@ def fsc2_sector(r, s, zeta, xi_, tau):
     return math.log(tot) if tot > 0 else -math.inf
 
 
-def fsc2_gaussian(r, s, tau, tail=1e-16):
+def fsc2_gaussian(r, s, tau):
     """fsc2(e^{i pi r}, e^{i pi s} | tau) as a lattice Gaussian sum."""
     tau = complex(tau)
     rad = 3
@@ -112,7 +112,7 @@ def fsc2_gaussian(r, s, tau, tail=1e-16):
         n = np.arange(-rad, rad + 1)
         e1, e2 = np.meshgrid(n - float(s), n + float(r), indexing="ij")
         tot = float(np.exp(-0.5 * math.pi * g_tau(tau, e1, e2)).sum())
-        if prev is not None and abs(tot - prev) <= tail * tot:
+        if prev is not None and abs(tot - prev) <= 1e-16 * tot:  # the box no longer adds
             break
         prev = tot
         rad += 2
@@ -335,7 +335,7 @@ def winding_law(dom, E, cp=None):
                       (int(ell[0]), int(ell[1])))
 
 
-def winding_distribution_gaussian(dom, E, cp=None, tail=1e-12):
+def winding_distribution_gaussian(dom, E, cp=None):
     """discrete_gaussian of winding_law: {winding in E-coordinates: mass}.
 
     When Sigma is too ill-conditioned in the basis E to invert (rows far
@@ -350,12 +350,12 @@ def winding_distribution_gaussian(dom, E, cp=None, tail=1e-12):
     # which far-tail cells the winding command prints (7 of the 18 perfbench
     # winding inputs, all with masses below 1e-49).
     if np.linalg.cond(law.sigma) < SIGMA_COND_LIMIT:
-        return discrete_gaussian(law.mu, law.sigma, tail=tail)
+        return discrete_gaussian(law.mu, law.sigma)
     T, R = _lattice.reduce_rows(E)
     law = winding_law(dom, R, cp=cp)
     back = _lattice.adjugate(T).T
     return {tuple(int(x) for x in back @ e): p
-            for e, p in discrete_gaussian(law.mu, law.sigma, tail=tail).items()}
+            for e, p in discrete_gaussian(law.mu, law.sigma).items()}
 
 
 # -- square-lattice parity table --------------------------------------------------
@@ -444,10 +444,8 @@ def square_quotient(a, b, c, d):
         mode = "diagonal"
     elif a % 2 == 0 and c % 2 == 0:
         mode = "horizontal"
-    elif b % 2 == 0 and d % 2 == 0:
+    else:  # an even det puts both rows mod 2 on one F2 line, here the line of (1, 0)
         mode = "vertical"
-    else:  # pragma: no cover - excluded by the parity check above
-        return None
     F = _lattice.DOUBLE_MODES[mode]
     dom = _lattice.double_domain(base, mode)
     return dom, _lattice.lattice_coords(E, F)
@@ -465,7 +463,14 @@ def kappa(a, b, c):
 
 
 def ising_weights(beta_a, beta_b, beta_c):
-    return math.exp(2 * beta_a), math.exp(2 * beta_b), math.exp(2 * beta_c)
+    """The dimer weights e^(2 beta) of the couplings; ValueError when one overflows."""
+    try:
+        return math.exp(2 * beta_a), math.exp(2 * beta_b), math.exp(2 * beta_c)
+    except OverflowError:  # the largest coupling overflows first (a NaN never does)
+        beta, name = max(pair for pair in ((beta_a, "beta_a"), (beta_b, "beta_b"),
+                                           (beta_c, "beta_c")) if pair[0] > 0)
+        raise ValueError("coupling %s = %r overflows its dimer weight e^(2 beta)"
+                         % (name, beta)) from None
 
 
 def ising_log_Z_from_dimers(E, beta_a, beta_b, beta_c):
@@ -501,22 +506,22 @@ _KAPPA_LINES = (
 _KAPPA_POINTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def ising_critical_check(beta_a, beta_b, beta_c, sizes=(2, 4), tol=1e-9):
+def ising_critical_check(beta_a, beta_b, beta_c, sizes=(2, 4)):
     """Criticality report for the triangular Ising model at given couplings.
 
-    Reports which kappa indicator vanishes (if any), the corresponding
-    critical line, and -- when the spectral node sits at a sign point whose
-    quotient phases are (+-1, +-1) -- verifies the exact doubled-sector
-    pattern Z = 2 Z^{rs} on the m x m tori in `sizes`, alongside the Ising
-    partition function computed through the dimer correspondence.
+    Reports which kappa indicator vanishes (to 1e-9 of the largest), if
+    any, the corresponding critical line, and -- when the spectral node
+    sits at a sign point whose quotient phases are (+-1, +-1) -- verifies
+    the exact doubled-sector pattern Z = 2 Z^{rs} on the m x m tori in
+    `sizes`, alongside the Ising partition function computed through the
+    dimer correspondence.
     """
     a, b, c = ising_weights(beta_a, beta_b, beta_c)
     kap = kappa(a, b, c)
     scale = max(abs(k) for k in kap)
-    vanishing = [name for (name, _), k in zip(_KAPPA_LINES, kap)
-                 if abs(k) <= tol * scale]
-    lines = [line for (name, line), k in zip(_KAPPA_LINES, kap)
-             if abs(k) <= tol * scale]
+    hits = [entry for entry, k in zip(_KAPPA_LINES, kap) if abs(k) <= 1e-9 * scale]
+    vanishing = [name for name, _line in hits]
+    lines = [line for _name, line in hits]
     node_loc = None
     if vanishing:
         node_loc = _KAPPA_POINTS[

@@ -17,7 +17,9 @@ of unity, so a table costs O(r deg) instead of O(|det E|).  A
 boundary phase or a twist only moves the circles, so sector_table (four
 slots), winding_distribution_exact (slots times twists) and double_product
 (complex phases) each take one slice product over an array of phases,
-given as exact turns; fiber_points lists the fiber itself for the tests.
+given as exact turns; the first two evaluate the cell determinant (det of
+the black/white block Qblock on a 2-colored domain), double_product a
+LaurentPoly2.  fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
 class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so S_MATRIX turns the four
 slot Pfaffians into signed class sums: matching_sign_classes, which
@@ -392,11 +394,12 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     ((-1)^(p+1) C)^lo (-1)^(p n) prod (rho^p - C), for valuation lo and
     degree n, with log(rho^p - C) taken as p log rho + log(1 - C rho^-p)
     outside the unit circle and as log(-C) + log(1 - rho^p / C) inside it.
-    A fiber value with |evaluate| <= zero_rel * (largest |evaluate| on the
-    grids) zeroes its product: every value of a slice whose coefficients
-    are all that small, and the value at the fiber point nearest a root rho
-    with |rho^p - C| below half of max(|rho|^p, 1), evaluated from the
-    slice's coefficients.
+    A value that is not finite (an overflowed determinant) raises
+    QuotientError.  A fiber value with |evaluate| <= zero_rel * (largest
+    |evaluate| on the grids) zeroes its product: every value of a slice
+    whose coefficients are all that small, and the value at the fiber
+    point nearest a root rho with |rho^p - C| below half of
+    max(|rho|^p, 1), evaluated from the slice's coefficients.
     """
     E = _as_E(E)
     bx, by = bound
@@ -426,8 +429,11 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     for start in range(0, r, step):
         j = np.arange(start, min(start + step, r))
         outer = _cis(2 * math.pi * ((w_turn + j) / r)).ravel()
-        vals = np.asarray(evaluate(outer[:, None], inner[None, :]) if swap
-                          else evaluate(inner[:, None], outer[None, :]).T, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(evaluate(outer[:, None], inner[None, :]) if swap
+                              else evaluate(inner[:, None], outer[None, :]).T, dtype=complex)
+        if not np.isfinite(vals).all():
+            raise QuotientError("a fiber value overflows double precision")
         top = max(top, float(np.abs(vals).max()))
         coeffs = np.roll(np.fft.fft(vals, axis=1) / n_in, b, axis=1)  # exponents -b .. b
         size = np.abs(coeffs).max(axis=1)
@@ -643,31 +649,31 @@ def matching_sign_classes(dom, E):
 
 # -- winding distribution via twisted Pfaffians --------------------------------
 
-def winding_distribution_exact(dom, E, M=16, cp=None):
+def winding_distribution_exact(dom, E, M=16):
     """Exact law of the winding of m (+) m0 on the E-quotient, mod M.
 
     Computes the twisted partition function Z(theta) on the M x M Fourier
     grid.  A twist theta = 2 pi (p, q) / M multiplies the slot phases by
     exp(i theta), and the black/white block of the twisted K_E has
-    determinant prod_{fiber} Q(z, w), so each (slot, p, q) is the ordering
-    sign times one product of the caller's Q (cp built here when None),
-    all taken in one slice product in exact turns over 2M: its evaluator
-    sees at most 2M r outer values.  The winding masses are read off a 2-D
-    DFT and returned as a WindingTable, folded modulo M, so M must exceed
-    the spread of the distribution; M < 1 raises QuotientError.
+    determinant prod_{fiber} det Qblock(z, w), so each (slot, p, q) is the
+    ordering sign times one product of that cell determinant, as in
+    sector_table, all taken in one slice product in exact turns over 2M:
+    its evaluator sees at most 2M r outer values.  The winding masses are
+    read off a 2-D DFT and returned as a WindingTable, folded modulo M, so
+    M must exceed the spread of the distribution; M < 1 raises
+    QuotientError.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     if M < 1:
         raise QuotientError("winding window M must be at least 1, got %d" % M)
     E = _as_E(E)
-    if cp is None:
-        cp = _charpoly.build_charpoly(dom)
     pre = _block_sign(dom.colors, abs(int_det(E)))
     # slot half turns plus twist turns (p, q) / M, exact over 2M
     halves = (M * (1 - np.array(SLOTS)) // 2)[:, :, None, None]
     twist = 2 * np.arange(M)
-    grid_phase, grid_log = _slice_product(cp.Q, _degree_bound(cp.Q), E,
+    grid_phase, grid_log = _slice_product(lambda z, w: _cell_det(dom.Qblock(z, w)),
+                                          leibniz_bound(dom, qblock=True), E,
                                           halves[:, 0] + twist[:, None],
                                           halves[:, 1] + twist[None, :], 2 * M, 0.0)
     signs = np.array([-0.5, 0.5, 0.5, 0.5])[:, None, None]

@@ -61,8 +61,8 @@ class FundamentalDomain:
         for e in self.edges:
             if not (0 <= e.tail < self.k and 0 <= e.head < self.k):
                 raise DomainError("edge endpoint out of range: %r" % (e,))
-            if e.weight <= 0:
-                raise DomainError("edge weights must be positive: %r" % (e,))
+            if not 0 < e.weight < math.inf:
+                raise DomainError("edge weights must be finite and positive: %r" % (e,))
             if e.sign not in (-1, 1):
                 raise DomainError("edge sign must be +-1: %r" % (e,))
         if self.colors is not None:
@@ -178,8 +178,8 @@ def builtin(name, **weights):
     """
     w = {k: float(v) for k, v in weights.items()}
     for v in w.values():
-        if v <= 0:
-            raise DomainError("weights must be positive")
+        if not 0 < v < math.inf:
+            raise DomainError("weights must be finite and positive, got %r" % v)
 
     if name == "hexagonal":
         a, b, c = w.get("a", 1.0), w.get("b", 1.0), w.get("c", 1.0)
@@ -602,20 +602,20 @@ def _twist_candidates(dom, m0):
             yield cand
 
 
-def orient(dom, m0=None):
+def orient(dom):
     """Assign edge signs making the domain pass verify_orientation.
 
-    Solves the face conditions over F2, normalizes the reference-matching
-    sign by a vertex gauge, then searches the four boundary sign twists
-    for the one whose homology classes carry the right signs, each
-    candidate costing the 12 slot Pfaffians of verify_orientation.  Raises
+    Solves the face conditions over F2, normalizes the sign of the
+    reference matching (dom.m0, else find_reference_matching's) by a
+    vertex gauge, then searches the four boundary sign twists for the one
+    whose homology classes carry the right signs, each candidate costing
+    the 12 slot Pfaffians of verify_orientation.  Raises
     OrientationError when no assignment passes the checks (e.g. the face
     data does not describe a planar torus embedding).
     """
     if dom.k % 2:
         raise OrientationError("odd cell: no perfect matchings, cannot orient")
-    if m0 is None:
-        m0 = dom.m0 if dom.m0 else find_reference_matching(dom)
+    m0 = dom.m0 if dom.m0 else find_reference_matching(dom)
     for cand in _twist_candidates(dom, m0):
         rep = verify_orientation(cand)
         if rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive:
@@ -692,12 +692,11 @@ def sublattice_domain(dom, F, reorient=True):
         if not ok:
             colors = None
 
-    out = FundamentalDomain(k2, new_edges, new_faces,
-                            new_m0 if new_m0 else [], colors=colors,
+    out = FundamentalDomain(k2, new_edges, new_faces, new_m0, colors=colors,
                             name=(dom.name or "domain") + "-x%d" % d,
                             weights=dom.weights)
     if reorient:
-        out = orient(out, m0=out.m0 if out.m0 else None)
+        out = orient(out)
     return out
 
 

@@ -2,15 +2,13 @@
 
 Coefficients are stored sparsely as a dict mapping integer exponent pairs
 (i, j) to complex numbers, representing sum_{ij} c_ij z^i w^j.  Evaluation
-follows numpy broadcasting and picks one of three strategies by the shape
-of its arguments:
+follows numpy broadcasting and picks one of two strategies by the shape of
+its arguments:
 
-- two scalars (neither a numpy array): a plain Python complex sum over the
-  monomials;
 - a tensor grid, z of shape (n, 1) and w of shape (1, m): two matrix
   products Vz C Vw^T with the Vandermonde rows z^i and w^j of the dense
   coefficient box C;
-- any other arrays, pointwise: z and w are broadcast together, and at each
+- anything else, pointwise: z and w are broadcast together, and at each
   point the Vandermonde rows z^i and w^j are contracted with C in one
   matrix product and one row sum.
 
@@ -52,13 +50,17 @@ class LaurentPoly2:
         times the largest, and then checks the result against the
         evaluator at a few off-grid points in one more call.  A
         residual above 1e-8 (relative to the sampled scale) raises
-        DegreeBoundError, which normally means `bound` was too small.
+        DegreeBoundError, which normally means `bound` was too small; so
+        does a sample that is not finite, such as an overflowed det.
         """
         bz, bw = (int(bound), int(bound)) if np.isscalar(bound) else map(int, bound)
         n1, n2 = 2 * bz + 1, 2 * bw + 1
         za = np.exp(2j * np.pi * np.arange(n1) / n1)
         wb = np.exp(2j * np.pi * np.arange(n2) / n2)
-        samples = np.asarray(fun(za[:, None], wb[None, :]), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = np.asarray(fun(za[:, None], wb[None, :]), dtype=complex)
+        if not np.isfinite(samples).all():
+            raise DegreeBoundError("a sample of the evaluator overflows double precision")
         # c[i,j] = (1/N) sum_ab f(z_a, w_b) z_a^-i w_b^-j  -- a forward FFT.
         table = np.fft.fft2(samples) / (n1 * n2)
         scale = max(np.max(np.abs(samples)), 1e-300)
@@ -93,15 +95,13 @@ class LaurentPoly2:
         wj = [e[1] for e in self.coeffs]
         return (min(zi), max(zi), min(wj), max(wj))
 
-    def is_real(self, tol=1e-9):
+    def is_real(self):
+        """True when every imaginary part is at most 1e-9 of the largest coefficient."""
         top = max((abs(c) for c in self.coeffs.values()), default=1.0)
-        return all(abs(c.imag) <= tol * top for c in self.coeffs.values())
+        return all(abs(c.imag) <= 1e-9 * top for c in self.coeffs.values())
 
     def real_part(self):
         return LaurentPoly2({e: c.real for e, c in self.coeffs.items()})
-
-    def __len__(self):
-        return len(self.coeffs)
 
     def __repr__(self):
         terms = []
@@ -121,9 +121,6 @@ class LaurentPoly2:
         return mat, zmin, wmin
 
     def __call__(self, z, w):
-        if not (isinstance(z, np.ndarray) or isinstance(w, np.ndarray)):
-            z, w = complex(z), complex(w)
-            return sum((c * z**i * w**j for (i, j), c in self.coeffs.items()), 0j)
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
         mat, zmin, wmin = self._dense()

@@ -25,6 +25,7 @@ import numpy as np
 TAU_IM_FLOOR = 1e-3
 _TRUNC = 1e-16
 _XI_WINDOW = np.arange(-5, 6)  # the terms j that log_xi sums
+_GAUSSIAN_TAIL = 1e-12  # discrete_gaussian leaves out less than this share of the mass
 
 
 def _check_tau(tau):
@@ -244,14 +245,12 @@ def g_tau(tau, e1, e2):
     return val if val.shape else float(val)
 
 
-def discrete_gaussian(mu, sigma, window=None, tail=1e-12):
+def discrete_gaussian(mu, sigma):
     """Probability table on Z^2 with weights exp(-pi/2 (e-mu)^T Sigma^-1 (e-mu)).
 
-    Returns a dict {(n1, n2): probability} normalized over all of Z^2
-    (the truncation radius is grown until the neglected tail is below
-    `tail` relative to the total).  If `window` is given as
-    ((lo1, hi1), (lo2, hi2)) only cells inside it are returned, still with
-    the full-lattice normalization.
+    Returns a dict {(n1, n2): probability} normalized over all of Z^2: the
+    truncation radius is grown until the neglected tail is below
+    _GAUSSIAN_TAIL of the total, and cells below 1e-300 are left out.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -259,7 +258,7 @@ def discrete_gaussian(mu, sigma, window=None, tail=1e-12):
     evals = np.linalg.eigvalsh(sigma_inv)
     if np.min(evals) <= 0:
         raise ValueError("covariance must be positive definite")
-    rad = math.sqrt(2 * (-math.log(tail) + 40.0) / (math.pi * np.min(evals))) + 2.0
+    rad = math.sqrt(2 * (-math.log(_GAUSSIAN_TAIL) + 40.0) / (math.pi * np.min(evals))) + 2.0
     for _ in range(60):
         r = int(math.ceil(rad))
         n1 = np.arange(math.floor(mu[0]) - r, math.floor(mu[0]) + r + 1)
@@ -275,21 +274,11 @@ def discrete_gaussian(mu, sigma, window=None, tail=1e-12):
         mass = np.exp(-0.5 * math.pi * quad)
         total = float(mass.sum())
         border = float(mass[0, :].sum() + mass[-1, :].sum() + mass[:, 0].sum() + mass[:, -1].sum())
-        if border < tail * total / 10.0:
+        if border < _GAUSSIAN_TAIL * total / 10.0:
             break
         rad *= 1.5
     else:
         raise ValueError("tail target unattainable")
-    out = {}
-    if window is not None:
-        (lo1, hi1), (lo2, hi2) = window
-    for a in range(mass.shape[0]):
-        for b in range(mass.shape[1]):
-            p = mass[a, b] / total
-            if p < 1e-300:
-                continue
-            e = (int(n1[a]), int(n2[b]))
-            if window is not None and not (lo1 <= e[0] <= hi1 and lo2 <= e[1] <= hi2):
-                continue
-            out[e] = p
-    return out
+    probs = mass / total
+    a, b = np.nonzero(probs >= 1e-300)  # row-major: the cells in (n1, n2) order
+    return dict(zip(zip(n1[a].tolist(), n2[b].tolist()), probs[a, b].tolist()))

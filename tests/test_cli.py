@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -272,6 +273,59 @@ def test_unknown_weight_names_exit_2(capsys, name, weights):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "has no weight" in captured.err
+
+
+def _one_line_error(capsys, argv):
+    """(exit code, stderr) of cli.run with numpy's RuntimeWarnings made errors;
+    the command must print nothing on stdout and one line on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error:")
+    return code, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--lattice", "hexagonal", "--weights", "a=inf", "--E", "4,0,0,4"],
+    ["partition", "--lattice", "hexagonal", "--weights", "a=nan", "--E", "4,0,0,4"],
+    ["winding", "--lattice", "hexagonal", "--weights", "a=inf", "--E", "4,0,0,4"],
+    ["sectors", "--lattice", "fisher", "--weights", "b=-inf", "--E", "2,0,0,2"],
+])
+def test_non_finite_builtin_weights_exit_2(capsys, argv):
+    code, err = _one_line_error(capsys, argv)
+    assert code == 2 and "weights must be finite and positive" in err
+
+
+def test_non_finite_weight_in_a_lattice_file_exits_2(tmp_path, capsys):
+    doc = lattice.builtin("hexagonal").to_json()
+    doc["edges"][1][4] = math.inf
+    path = tmp_path / "hex-inf.json"
+    path.write_text(json.dumps(doc))  # json writes the weight as Infinity
+    assert "Infinity" in path.read_text()
+    code, err = _one_line_error(capsys, ["partition", "--lattice", str(path), "--E", "4,0,0,4"])
+    assert code == 2 and "edge weights must be finite and positive" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ising", "--beta-a", "400", "--beta-b", "0.3", "--sizes", "2"], "coupling beta_a"),
+    (["criticality", "--lattice", "hexagonal", "--weights", "a=1e200"],
+     "overflows double precision"),
+    (["criticality", "--lattice", "fisher", "--weights", "a=1e200"],
+     "overflows double precision"),
+    (["partition", "--lattice", "hexagonal", "--weights", "a=1e200", "--E", "100,0,0,100"],
+     "overflows double precision"),
+    # sector tables whose cell determinants overflow: no table of zeros, and no
+    # Ising report that puts the couplings on all four critical lines
+    (["partition", "--lattice", "fisher", "--weights", "a=1e200", "--E", "4,0,0,4"],
+     "overflows double precision"),
+    (["ising", "--beta-a", "120", "--beta-b", "120", "--beta-c", "120", "--sizes", "2"],
+     "overflows double precision"),
+])
+def test_overflowing_inputs_exit_2(capsys, argv, message):
+    code, err = _one_line_error(capsys, argv)
+    assert code == 2 and message in err
 
 
 def test_malformed_json_file_exit_2(tmp_path, capsys):

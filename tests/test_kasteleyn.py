@@ -294,12 +294,25 @@ def test_one_slice_product_per_table(monkeypatch):
 def test_one_slice_product_per_winding_law(monkeypatch):
     seen = _record_slice_work(monkeypatch)
     dom = lattice.builtin("hexagonal")
-    cp = charpoly.build_charpoly(dom)
-    kasteleyn.winding_distribution_exact(dom, [[7, 2], [-3, 5]], M=16, cp=cp)
+    kasteleyn.winding_distribution_exact(dom, [[7, 2], [-3, 5]], M=16)
     # the 2M levels of the slot and twist phases times the outer values
-    b = max(kasteleyn._degree_bound(cp.Q))
+    b = max(lattice.leibniz_bound(dom, qblock=True))
     assert seen["products"] == 1 and seen["calls"] == 1
     assert seen["points"] <= 2 * 16 * _outer_values([[7, 2], [-3, 5]]) * (2 * b + 1)
+
+
+def test_winding_law_reads_the_cell_determinant_not_a_charpoly(monkeypatch):
+    # the exact layer evaluates det Qblock directly, as sector_table does
+    def refuse(dom):
+        raise AssertionError("winding_distribution_exact built a CharPoly")
+
+    monkeypatch.setattr(charpoly, "build_charpoly", refuse)
+    dom = lattice.builtin("square-bip", a=1.2, b=0.9)
+    E = np.array([[2, 0], [0, 2]])
+    probs = kasteleyn.winding_distribution_exact(dom, E).as_dict()
+    enum = enumerate_matchings(dom, E)
+    for e, mass in enum.winding.items():
+        assert abs(probs.get(e, 0.0) - mass / enum.Z) < 1e-9
 
 
 def test_double_product_goes_through_the_one_product(monkeypatch):

@@ -52,7 +52,7 @@ def _monomial_sum(p, z, w):
 @example(coeffs={(0, 0): 2.0 - 1.5j}, seed=1)
 def test_call_matches_monomial_sum_at_every_argument_shape(coeffs, seed):
     # scalars, 0-d arrays, both tensor-grid orientations, paired arrays and a
-    # broadcast 3-D pair: the scalar sum, the grid matmul and the pointwise product
+    # broadcast 3-D pair: the grid matmul and the pointwise product
     p = LaurentPoly2(coeffs)
     rng = np.random.default_rng(seed)
 

@@ -215,6 +215,59 @@ def test_discrete_gaussian_normalisation():
     assert abs(mean[0] - mu[0]) < 0.05 and abs(mean[1] - mu[1]) < 0.05
 
 
+def _discrete_gaussian_by_cells(mu, sigma, tail=1e-12):
+    """discrete_gaussian's table built cell by cell: the same box search, then
+    each mass divided by the total and kept from 1e-300 up, in (n1, n2) order."""
+    import numpy as np
+
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    sigma_inv = np.linalg.inv(sigma)
+    rad = math.sqrt(2 * (-math.log(tail) + 40.0)
+                    / (math.pi * np.min(np.linalg.eigvalsh(sigma_inv)))) + 2.0
+    for _ in range(60):
+        r = int(math.ceil(rad))
+        n1 = np.arange(math.floor(mu[0]) - r, math.floor(mu[0]) + r + 1)
+        n2 = np.arange(math.floor(mu[1]) - r, math.floor(mu[1]) + r + 1)
+        g1, g2 = np.meshgrid(n1, n2, indexing="ij")
+        d1, d2 = g1 - mu[0], g2 - mu[1]
+        quad = (sigma_inv[0, 0] * d1 * d1 + 2 * sigma_inv[0, 1] * d1 * d2
+                + sigma_inv[1, 1] * d2 * d2)
+        mass = np.exp(-0.5 * math.pi * quad)
+        total = float(mass.sum())
+        border = float(mass[0, :].sum() + mass[-1, :].sum() + mass[:, 0].sum() + mass[:, -1].sum())
+        if border < tail * total / 10.0:
+            break
+        rad *= 1.5
+    out = {}
+    for a in range(mass.shape[0]):
+        for b in range(mass.shape[1]):
+            p = mass[a, b] / total
+            if p < 1e-300:
+                continue
+            out[(int(n1[a]), int(n2[b]))] = p
+    return out
+
+
+def test_discrete_gaussian_matches_the_cell_by_cell_table():
+    # keys in the same order and every float bit for bit, at random centres
+    # and shapes, a centre on a half-integer and a condition number of 1e6
+    import numpy as np
+
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(12):
+        A = rng.normal(size=(2, 2))
+        cases.append((rng.uniform(-40, 40, 2), A @ A.T + rng.uniform(0.05, 2.0) * np.eye(2)))
+    rot = np.array([[math.cos(0.7), -math.sin(0.7)], [math.sin(0.7), math.cos(0.7)]])
+    cases.append((np.array([2.5, -1.0]), np.array([[0.9, 0.2], [0.2, 0.6]])))
+    cases.append((rng.uniform(-5, 5, 2), rot @ np.diag([1e-4, 1e2]) @ rot.T))
+    assert np.linalg.cond(cases[-1][1]) == pytest.approx(1e6)
+    for mu, sigma in cases:
+        got, want = sf.discrete_gaussian(mu, sigma), _discrete_gaussian_by_cells(mu, sigma)
+        assert list(got) == list(want)
+        assert all(got[e] == want[e] for e in want)
+
+
 def test_transform_xi_args_T_power_in_closed_form():
     # ('T', n) acts as n single steps s -> r + s, xi -> zeta xi, for either sign of n
     rng = random.Random(7)
