@@ -112,6 +112,8 @@ def _parse_range(text):
         raise _Usage("--range expects lo:hi:count")
     if count < 1:
         raise _Usage("--range count must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _Usage("--range bounds must be finite")
     if count == 1:
         return [lo]
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
@@ -256,8 +258,8 @@ def _cmd_winding(args):
         "ell": [int(law.ell[0]), int(law.ell[1])],
         "tv_distance": float(tv),
         "window": int(args.window),
-        "model": {"%d,%d" % k: float(v) for k, v in sorted(model.items())},
-        "exact": {"%d,%d" % k: float(v) for k, v in sorted(exact_masses.items())},
+        "model": {"%d,%d" % k: float(v) for k, v in model.items()},
+        "exact": {"%d,%d" % k: float(v) for k, v in exact_masses.items()},
     }
     _emit_json(out)
     return 0
@@ -344,15 +346,17 @@ def _build_parser():
         if need_E:
             p.add_argument("--E", required=True,
                            help="four integers u,v,x,y (rows of E)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    # --format only where the command writes CSV; the others print JSON only
     p = sub.add_parser("partition", help="total partition function on the E-quotient")
     add_common(p, need_E=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--dump-matrix", action="store_true",
                    help="include K_E(1,1) as coordinate triplets")
 
     p = sub.add_parser("sectors", help="homology-sector decomposition")
     add_common(p, need_E=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--double-dimer", action="store_true",
                    help="include double-dimer sectors")
     p.add_argument("--dump-matrix", action="store_true")

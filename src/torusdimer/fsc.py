@@ -43,6 +43,10 @@ class FscError(ValueError):
     pass
 
 
+class CurveRangeError(ValueError):
+    """A correction curve asked at a log aspect where it leaves double precision."""
+
+
 def _logsumexp(vals):
     """log sum exp over the last axis: a float for 1-D vals, else an array.
 
@@ -412,11 +416,23 @@ def square_fsc(a, b, c, d):
 def _curve_values(curves, logrho):
     """[(name, values)] of curves at tau = i exp(logrho), from one log_xi call.
 
-    A number logrho gives a float per curve, a sequence a list.
+    A number logrho gives a float per curve, a sequence a list.  A logrho
+    that is not finite, or a tau or value that overflows, raises
+    CurveRangeError.
     """
-    tau = np.array([1j * math.exp(lr) for lr in np.ravel(logrho).tolist()]).reshape(np.shape(logrho))
+    lrs = np.ravel(logrho).tolist()
     names, phases = zip(*curves)
-    return list(zip(names, np.moveaxis(_sign_pair_sums(phases, tau), -1, 0).tolist()))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            tau = np.array([1j * math.exp(lr) for lr in lrs]).reshape(np.shape(logrho))
+            ok = np.isfinite(tau).all() and (tau.imag > 0).all()
+            values = _sign_pair_sums(phases, tau) if ok else None
+    except (OverflowError, FloatingPointError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise CurveRangeError("the correction curves leave double precision for log rho "
+                              "from %g to %g" % (lrs[0], lrs[-1]))
+    return list(zip(names, np.moveaxis(values, -1, 0).tolist()))
 
 
 def square_curve_values(logrho):

@@ -17,9 +17,11 @@ of unity, so a table costs O(r deg) instead of O(|det E|).  A
 boundary phase or a twist only moves the circles, so sector_table (four
 slots), winding_distribution_exact (slots times twists) and double_product
 (complex phases) each take one slice product over an array of phases,
-given as exact turns; the first two evaluate the cell determinant (det of
-the black/white block Qblock on a 2-colored domain), double_product a
-LaurentPoly2.  fiber_points lists the fiber itself for the tests.
+given as exact turns, and computes each distinct phase once (at even M
+the four slots of the winding table share their M^2 twisted phases).
+The first two evaluate the cell determinant (det of the black/white
+block Qblock on a 2-colored domain), double_product a LaurentPoly2.
+fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
 class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so S_MATRIX turns the four
 slot Pfaffians into signed class sums: matching_sign_classes, which
@@ -377,7 +379,9 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     """double_product of evaluate at the boundary phases exp(2 pi i (phi, psi) / den).
 
     phi and psi are broadcasting integer arrays and bound is (bz, bw), the
-    largest |exponent| of z and of w in evaluate.  With the variables
+    largest |exponent| of z and of w in evaluate.  Phases equal modulo den
+    are computed once (one np.unique over the reduced pairs) and their
+    results copied to every place they occur.  With the variables
     swapped when that evaluates fewer points (r is |det E| over the gcd of
     E's first column, r (2b + 1) the points per phase), take
     H = U E = [[p, q], [0, r]] (lattice.hermite_form).  The fiber of a
@@ -412,9 +416,13 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     phi, psi = np.broadcast_arrays(*(np.asarray(np.asarray(t, dtype=exact) % den, dtype=exact)
                                      for t in (phi, psi)))
     shape = phi.shape
+    # each distinct phase once; copy_of scatters the results back
+    key = np.asarray(phi * den + psi, dtype=exact).ravel()
+    keys, copy_of = np.unique(key, return_inverse=True)
+    phi, psi = keys // den, keys % den
     (u11, u12), (u21, u22) = ([u % den for u in row] for row in U.tolist())
-    zeta_t = (u11 * phi.ravel() + u12 * psi.ravel()) % den
-    xi_t = (u21 * phi.ravel() + u22 * psi.ravel()) % den
+    zeta_t = (u11 * phi + u12 * psi) % den
+    xi_t = (u21 * phi + u22 * psi) % den
     levels, level_of = np.unique(xi_t, return_inverse=True)
     # outer value j of a phase: w = exp(2 pi i (xi_t / den + j) / r); its circle
     # z^p = C with C = (r zeta_t - q xi_t) / (r den) - q j / r turns
@@ -446,8 +454,8 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
         turns += block_turns
         np.minimum.at(low, phase_of, value)
     dead = low <= zero_rel * top
-    phase = np.where(dead, 0j, _cis(2 * math.pi * (turns % 1.0))).reshape(shape)
-    logabs = np.where(dead, -math.inf, logabs).reshape(shape)
+    phase = np.where(dead, 0j, _cis(2 * math.pi * (turns % 1.0)))[copy_of].reshape(shape)
+    logabs = np.where(dead, -math.inf, logabs)[copy_of].reshape(shape)
     return (complex(phase), float(logabs)) if not shape else (phase, logabs)
 
 
@@ -658,7 +666,10 @@ def winding_distribution_exact(dom, E, M=16):
     determinant prod_{fiber} det Qblock(z, w), so each (slot, p, q) is the
     ordering sign times one product of that cell determinant, as in
     sector_table, all taken in one slice product in exact turns over 2M:
-    its evaluator sees at most 2M r outer values.  The winding masses are
+    its evaluator sees at most 2M r outer values.  A slot -1 is a half
+    turn, M / 2 twist steps, so at even M the four slots land on the same
+    M^2 phases, and the slice product computes each of them once (4 M^2
+    distinct phases at odd M).  The winding masses are
     read off a 2-D DFT and returned as a WindingTable, folded modulo M, so
     M must exceed the spread of the distribution; M < 1 raises
     QuotientError.
@@ -701,17 +712,15 @@ class WindingTable:
             pc, qc = np.unravel_index(int(np.argmax(self.probs)), self.probs.shape)
         else:
             pc, qc = int(round(center[0])), int(round(center[1]))
-        out = {}
-        for p in range(M):
-            for q in range(M):
-                e1 = (p - pc + M // 2) % M + pc - M // 2
-                e2 = (q - qc + M // 2) % M + qc - M // 2
-                out[(e1, e2)] = self.probs[p % M, q % M]
-        return out
+        e1 = (np.arange(M) - pc + M // 2) % M + pc - M // 2
+        e2 = (np.arange(M) - qc + M // 2) % M + qc - M // 2
+        keys = zip(np.repeat(e1, M).tolist(), np.tile(e2, M).tolist())
+        return dict(zip(keys, self.probs.ravel().tolist()))
 
     def tv_against(self, masses):
         """Total variation against a {winding: mass} law folded mod M."""
+        windings = np.array(list(masses), dtype=np.int64).reshape(-1, 2) % self.M
         folded = np.zeros((self.M, self.M))
-        for (e1, e2), p in masses.items():
-            folded[e1 % self.M, e2 % self.M] += p
+        # adds in the dict's order, as a loop over its items would
+        np.add.at(folded, (windings[:, 0], windings[:, 1]), np.fromiter(masses.values(), float))
         return 0.5 * float(np.abs(self.probs - folded).sum())

@@ -21,6 +21,8 @@ points in one matrix product, and charpoly._stacked_roots their roots.
 
 import numpy as np
 
+SAMPLE_CHUNK = 4096  # grid points per evaluator call in from_evaluator: bounds its work arrays
+
 
 class DegreeBoundError(ValueError):
     """The evaluator does not agree with any Laurent polynomial in the box."""
@@ -44,11 +46,13 @@ class LaurentPoly2:
         """Recover a Laurent polynomial from point evaluations.
 
         `bound` is (bz, bw): exponents are assumed to lie in [-bz, bz] x
-        [-bw, bw].  Samples the evaluator, which must accept numpy arrays,
-        in one call on the roots-of-unity grid of size (2bz+1) x (2bw+1),
-        reads coefficients off a 2-D DFT, prunes entries below 1e-10
-        times the largest, and then checks the result against the
-        evaluator at a few off-grid points in one more call.  A
+        [-bw, bw].  Samples the evaluator, which must accept tensor grids
+        of numpy arrays, on the roots-of-unity grid of size (2bz+1) x
+        (2bw+1), in blocks of rows of at most SAMPLE_CHUNK points (a row
+        longer than that is split too), reads coefficients off a 2-D DFT,
+        prunes entries below 1e-10 times the largest, and then checks the
+        result against the evaluator at a few off-grid points in one more
+        call.  A
         residual above 1e-8 (relative to the sampled scale) raises
         DegreeBoundError, which normally means `bound` was too small; so
         does a sample that is not finite, such as an overflowed det.
@@ -57,8 +61,13 @@ class LaurentPoly2:
         n1, n2 = 2 * bz + 1, 2 * bw + 1
         za = np.exp(2j * np.pi * np.arange(n1) / n1)
         wb = np.exp(2j * np.pi * np.arange(n2) / n2)
+        rows, cols = max(1, SAMPLE_CHUNK // n2), min(n2, SAMPLE_CHUNK)
+        samples = np.empty((n1, n2), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = np.asarray(fun(za[:, None], wb[None, :]), dtype=complex)
+            for i in range(0, n1, rows):
+                for j in range(0, n2, cols):
+                    samples[i:i + rows, j:j + cols] = fun(za[i:i + rows, None],
+                                                          wb[None, j:j + cols])
         if not np.isfinite(samples).all():
             raise DegreeBoundError("a sample of the evaluator overflows double precision")
         # c[i,j] = (1/N) sum_ab f(z_a, w_b) z_a^-i w_b^-j  -- a forward FFT.

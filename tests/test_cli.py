@@ -258,6 +258,39 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["709:709:1", "710:710:1", "-709:-709:1", "-800:-800:1",
+                                  "inf:inf:1", "-inf:0:2", "0:nan:2", "-1e308:1e308:3",
+                                  "700:710:3"])
+@pytest.mark.parametrize("family", ["square-1x1", "hexagonal"])
+def test_fsc_curve_out_of_range_exits_2(capsys, family, text):
+    # tau = i exp(log rho) leaves double precision, or the bounds are not
+    # finite: a named error, never nan rows or a traceback
+    code = cli.run(["fsc-curve", "--lattice", family, "--range=" + text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert "finite" in captured.err or "double precision" in captured.err
+
+
+def test_curve_values_raise_a_named_error_past_double_precision():
+    assert math.isfinite(fsc.square_curve_values(700)[0][1])
+    for logrho in (709, [0.0, 710.0], -709, -800, float("nan"), float("inf")):
+        with pytest.raises(fsc.CurveRangeError):
+            fsc.hexagonal_curve_values(logrho)
+
+
+@pytest.mark.parametrize("argv", [["winding", "--lattice", "hexagonal", "--E", "4,0,0,4"],
+                                  ["criticality", "--lattice", "hexagonal"],
+                                  ["verify", "--lattice", "hexagonal"]])
+def test_format_is_refused_where_only_json_is_written(capsys, argv):
+    # --format belongs to partition, sectors and fsc-curve, which can write CSV
+    with pytest.raises(SystemExit) as stop:
+        cli.run(argv + ["--format", "csv"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert "--format" in captured.err
+
+
 @pytest.mark.parametrize("window", ["0", "-3"])
 def test_nonpositive_winding_window_exits_2(capsys, window):
     code = cli.run(["winding", "--lattice", "hexagonal", "--E", "4,0,0,4", "--window", window])

@@ -294,11 +294,84 @@ def test_one_slice_product_per_table(monkeypatch):
 def test_one_slice_product_per_winding_law(monkeypatch):
     seen = _record_slice_work(monkeypatch)
     dom = lattice.builtin("hexagonal")
-    kasteleyn.winding_distribution_exact(dom, [[7, 2], [-3, 5]], M=16)
-    # the 2M levels of the slot and twist phases times the outer values
     b = max(lattice.leibniz_bound(dom, qblock=True))
-    assert seen["products"] == 1 and seen["calls"] == 1
-    assert seen["points"] <= 2 * 16 * _outer_values([[7, 2], [-3, 5]]) * (2 * b + 1)
+    for M in (16, 15):
+        before = dict(seen)
+        kasteleyn.winding_distribution_exact(dom, [[7, 2], [-3, 5]], M=M)
+        # the 2M levels of the slot and twist phases times the outer values
+        assert seen["products"] - before["products"] == 1
+        assert seen["calls"] - before["calls"] == 1
+        outer = _outer_values([[7, 2], [-3, 5]])
+        assert seen["points"] - before["points"] <= 2 * M * outer * (2 * b + 1)
+
+
+def _record_phase_rows(monkeypatch):
+    """The number of phases in each call of kasteleyn._circle_products."""
+    phases = []
+    circle_products = kasteleyn._circle_products
+
+    def recording(coeffs, b, p, c_turn, rows):
+        phases.append(rows.shape[0])
+        return circle_products(coeffs, b, p, c_turn, rows)
+
+    monkeypatch.setattr(kasteleyn, "_circle_products", recording)
+    return phases
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 12, 13, 16])
+def test_each_distinct_twisted_phase_is_one_circle_product(monkeypatch, M):
+    # a slot -1 is M / 2 twist steps: at even M the four slots share the M^2
+    # twisted phases, at odd M all 4 M^2 phases differ
+    phases = _record_phase_rows(monkeypatch)
+    kasteleyn.winding_distribution_exact(lattice.builtin("square-bip", a=1.2, b=0.9),
+                                         [[8, 0], [5, 8]], M=M)
+    assert phases and set(phases) == {M * M if M % 2 == 0 else 4 * M * M}
+
+
+def test_a_sector_table_is_four_circle_products(monkeypatch):
+    phases = _record_phase_rows(monkeypatch)
+    sector_table(lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2), [[80, 3], [0, 61]])
+    assert phases and set(phases) == {4}
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 12, 16])
+@pytest.mark.parametrize("name,E", [("hexagonal", [[6, 0], [1, 6]]),
+                                    ("square-bip", [[8, 0], [5, 8]])])
+def test_winding_table_matches_a_slot_by_slot_recompute(monkeypatch, M, name, E):
+    # the shared phases are computed once and copied to every slot; one slice
+    # product per slot, where no two phases coincide, gives the same bits
+    dom = lattice.builtin(name, a=1.2, b=0.9, c=1.1)
+    shared = kasteleyn.winding_distribution_exact(dom, E, M=M).probs
+    product = kasteleyn._slice_product
+
+    def per_slot(evaluate, bound, E, phi, psi, den, zero_rel):
+        phi, psi = np.broadcast_arrays(phi, psi)
+        slots = [product(evaluate, bound, E, f, s, den, zero_rel) for f, s in zip(phi, psi)]
+        return tuple(np.stack(part) for part in zip(*slots))
+
+    monkeypatch.setattr(kasteleyn, "_slice_product", per_slot)
+    assert kasteleyn.winding_distribution_exact(dom, E, M=M).probs.tobytes() == shared.tobytes()
+
+
+def test_winding_table_fold_and_dict_match_their_loops():
+    table = kasteleyn.winding_distribution_exact(lattice.builtin("hexagonal", a=1.1, b=0.9),
+                                                 [[6, 0], [0, 6]], M=12)
+    M = table.M
+    masses = {(e1, e2): 1.0 / (1 + e1 * e1 + 3 * e2 * e2)
+              for e1 in range(-13, 14, 2) for e2 in range(5, -20, -3)}
+    folded = np.zeros((M, M))
+    for (e1, e2), p in masses.items():
+        folded[e1 % M, e2 % M] += p
+    assert table.tv_against(masses) == 0.5 * float(np.abs(table.probs - folded).sum())
+    assert table.tv_against({}) == 0.5 * float(table.probs.sum())
+    for center in (None, (3.4, -7.6)):
+        pc, qc = ((int(round(c)) for c in center) if center
+                  else np.unravel_index(int(np.argmax(table.probs)), table.probs.shape))
+        loop = {((p - pc + M // 2) % M + pc - M // 2, (q - qc + M // 2) % M + qc - M // 2):
+                table.probs[p, q] for p in range(M) for q in range(M)}
+        got = table.as_dict(center)
+        assert list(got.items()) == list(loop.items())
+        assert all(type(e1) is int and type(e2) is int for e1, e2 in got)
 
 
 def test_winding_law_reads_the_cell_determinant_not_a_charpoly(monkeypatch):

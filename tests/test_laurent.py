@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from torusdimer import laurent, lattice
 from torusdimer.laurent import LaurentPoly2, DegreeBoundError
 
 rng = np.random.default_rng(20240818)
@@ -87,6 +88,39 @@ def test_from_evaluator_rejects_undersized_bound():
     p = LaurentPoly2({(3, 0): 1.0, (0, -3): 1.0})
     with pytest.raises(DegreeBoundError):
         LaurentPoly2.from_evaluator(lambda z, w: p(z, w), bound=2)
+
+
+@pytest.mark.parametrize("chunk", [6, 7, 20])
+def test_from_evaluator_samples_in_bounded_blocks(monkeypatch, chunk):
+    # rhombi-3464's det K on its 7 x 7 grid: blocks of whole rows (20), one
+    # row (7) or part of a row (6) give the same bits as one block
+    dom = lattice.builtin("rhombi-3464", a=1.1, b=0.9, c=1.2)
+    bz, bw = lattice.leibniz_bound(dom)
+    assert (2 * bz + 1, 2 * bw + 1) == (7, 7)
+
+    def det(z, w):
+        return np.linalg.det(dom.K(z, w))
+
+    whole = LaurentPoly2.from_evaluator(det, (bz, bw))
+    sizes = []
+
+    def recorded(z, w):
+        sizes.append(np.broadcast(z, w).size)
+        return det(z, w)
+
+    monkeypatch.setattr(laurent, "SAMPLE_CHUNK", chunk)
+    blocked = LaurentPoly2.from_evaluator(recorded, (bz, bw))
+    assert list(blocked.coeffs.items()) == list(whole.coeffs.items())
+    # the grid in blocks, then the 6 off-grid check points in one call
+    assert max(sizes) <= chunk and sum(sizes[:-1]) == 49 and len(sizes) > 2
+
+
+def test_every_builtin_is_sampled_in_one_block():
+    for name in lattice.BUILTIN_NAMES:
+        dom = lattice.builtin(name)
+        for qblock in (False, True) if dom.bipartite else (False,):
+            bz, bw = lattice.leibniz_bound(dom, qblock=qblock)
+            assert (2 * bz + 1) * (2 * bw + 1) <= laurent.SAMPLE_CHUNK
 
 
 def test_arithmetic():

@@ -269,8 +269,10 @@ def test_covering_identity(cover):
     assume(all(_dist(a, b) > 1e-6 for k, a in enumerate(images) for b in images[:k]))
     cell = lattice.sublattice_domain(dom, F)
     bz, bw = lattice.leibniz_bound(cell)
-    # build_charpoly samples K at all (2bz + 1)(2bw + 1) points at once, and
-    # the bound is loose on sheared cells (5 GB for hexagonal [[26, 0], [7, 1]])
+    # build_charpoly samples K at (2bz + 1)(2bw + 1) points, in blocks of
+    # laurent.SAMPLE_CHUNK, and the bound is loose on sheared cells: 5 GB of
+    # k x k matrices in all for hexagonal [[26, 0], [7, 1]], so such cells
+    # are skipped for their time
     assume((2 * bz + 1) * (2 * bw + 1) * cell.k**2 * 16 <= 2e8)
     big = build_charpoly(cell)
     det = abs(int(round(np.linalg.det(F))))
