@@ -413,12 +413,11 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     b = by if swap else bx
     # exact turns over den of zeta' and xi' (Python ints when den * r is large)
     exact = np.int64 if r * den < 2 ** 31 else object
-    phi, psi = np.broadcast_arrays(*(np.asarray(np.asarray(t, dtype=exact) % den, dtype=exact)
-                                     for t in (phi, psi)))
-    shape = phi.shape
+    phi, psi = (np.asarray(t, dtype=exact) % den for t in (phi, psi))
+    key = np.asarray(phi * den + psi, dtype=exact)
+    shape = key.shape
     # each distinct phase once; copy_of scatters the results back
-    key = np.asarray(phi * den + psi, dtype=exact).ravel()
-    keys, copy_of = np.unique(key, return_inverse=True)
+    keys, copy_of = np.unique(key.ravel(), return_inverse=True)
     phi, psi = keys // den, keys % den
     (u11, u12), (u21, u22) = ([u % den for u in row] for row in U.tolist())
     zeta_t = (u11 * phi + u12 * psi) % den
