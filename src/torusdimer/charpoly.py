@@ -75,8 +75,8 @@ def build_charpoly(dom):
     """Spectral polynomial(s) of an oriented domain.
 
     Refuses domains that fail verify_orientation (their determinants do
-    not count matchings with coherent signs) and curves that go negative
-    on the unit torus.
+    not count matchings with coherent signs).  A P that goes negative on
+    the unit torus is refused by find_nodes, on the first use of nodes.
     """
     rep = verify_orientation(dom)
     if not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive):
@@ -96,9 +96,6 @@ def build_charpoly(dom):
         z, w = np.exp(2j * math.pi * np.random.default_rng(11).random((8, 2))).T
         if np.any(np.abs(np.abs(Q(z, w)) ** 2 - P(z, w).real) > 1e-8 * max(scale, 1.0)):
             raise CharPolyError("P != |Q|^2 on the unit torus")
-    zz = np.exp(1j * math.pi * (np.linspace(-1, 1, 64, endpoint=False) + 1.0 / 64))
-    if P(zz[:, None], zz[None, :]).real.min() < -1e-9 * scale:
-        raise CharPolyError("P is negative on the unit torus")
     return CharPoly(dom, P, Q)
 
 
@@ -380,12 +377,16 @@ def _torus_zeros(P):
     its box (LaurentPoly2.from_evaluator drops what is smaller).  A grid
     seed that ends unconverged at a value within blur, or a local minimum
     within blur that is not a zero, raises CharPolyError: the search cannot
-    tell it from a zero, and dropping it would misreport the curve.
+    tell it from a zero, and dropping it would misreport the curve.  A grid
+    value below -1e-9 times P's largest coefficient raises it too (P < 0).
     """
     grid, rr, value_tol = _GRID, _GRID_R, 1e-10
     vals = _grid_values(P)
     scale = float(vals.max())
     table = _jet_table(P)
+    top = float(np.abs(table[2][:, 0]).max())  # P's largest coefficient
+    if vals.min() < -1e-9 * top:
+        raise CharPolyError("P is negative on the unit torus")
     # sums of |c_ij| |i|^a |j|^b, at 3a + b
     norms = np.abs(table[2]).sum(axis=0)
     tol = max(1e-12, 1e-15 * float(norms[3] + norms[1]))
@@ -393,7 +394,7 @@ def _torus_zeros(P):
     # every zero has a grid point within (pi/grid) sqrt(2) radians, where P is
     # at most (pi/grid)^2 sum |c_ij| (i^2 + j^2): no higher minimum can lead to one
     low = (math.pi / grid) ** 2 * float(norms[6] + norms[2]) + value_tol * scale
-    blur = 1e-10 * float(np.abs(table[2][:, 0]).max()) * len(table[2])
+    blur = 1e-10 * top * len(table[2])
     flat = np.flatnonzero(vals <= low)
     ii, jj = flat // grid, flat % grid
     v = vals[ii, jj]

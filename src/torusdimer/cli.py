@@ -106,14 +106,15 @@ def _parse_E(text):
 
 def _parse_range(text):
     try:
-        lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+        lo_text, hi_text, count = text.split(":")
+        lo, hi, count = float(lo_text), float(hi_text), int(count)
     except ValueError:
         raise _Usage("--range expects lo:hi:count")
     if count < 1:
         raise _Usage("--range count must be >= 1")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise _Usage("--range bounds must be finite")
+    if not math.isfinite(hi - lo):  # also refuses an infinite or nan bound
+        raise _Usage("--range %s:%s: the bounds and their difference must be finite"
+                     % (lo_text, hi_text))
     if count == 1:
         return [lo]
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
@@ -150,15 +151,11 @@ def _complex_pair(z):
 
 
 def _matrix_dump(dom, E):
-    """--dump-matrix block: K_E(1, 1) as coordinate triplets."""
+    """--dump-matrix block: K_E(1, 1) as coordinate triplets, row by row."""
     K = kasteleyn.build_KE(dom, E, 1, 1)
-    entries = []
-    n = K.shape[0]
-    for i in range(n):
-        for j in range(n):
-            v = K[i, j]
-            if v != 0:
-                entries.append([i, j, float(v.real), float(v.imag)])
+    i, j = K.nonzero()  # row-major, the order of a loop over i and then j
+    v = K[i, j]
+    entries = list(zip(i.tolist(), j.tolist(), v.real.tolist(), v.imag.tolist()))
     return {"zeta": [1.0, 0.0], "xi": [1.0, 0.0], "entries": entries}
 
 

@@ -62,49 +62,57 @@ def _logsumexp(vals):
 
 # -- the three universal correction functions ----------------------------------
 
-# the four sign pairs (z, w) = ((-1)^rp, (-1)^sp), in the order (1, 1), (1, -1),
-# (-1, 1), (-1, -1)
-_RP, _SP = np.divmod(np.arange(4), 2)
-_Z, _W = (-1.0) ** _RP, (-1.0) ** _SP
+
+def _slot_logs(products, tau):
+    """log prod Xi(z zeta, w xi | tau) over each product's phase pairs (zeta, xi) at
+    each slot (z, w) of kasteleyn.SLOTS, shaped tau.shape + (len(products), 4).
+
+    The products are equal-length tuples, a squared factor given twice (added
+    as lx + lx); one log_xi call takes the distinct pairs at every tau.
+    """
+    factors = list(dict.fromkeys(f for product in products for f in product))
+    z, w = np.array(_kasteleyn.SLOTS, dtype=float).T
+    lx = log_xi(np.array([z * a for a, _b in factors]), np.array([w * b for _a, b in factors]),
+                np.expand_dims(tau, (-2, -1)))
+    return lx[..., [[factors.index(f) for f in product] for product in products], :].sum(axis=-2)
+
+
+def _corrections(products, tau):
+    """log of (1/2) sum over the slots of each product's slot values (_slot_logs)."""
+    return _logsumexp(_slot_logs(products, tau)) - LOG2
+
+
+def _correction(product, tau):
+    value = _corrections([product], tau)[..., 0]
+    return value if value.ndim else float(value)
+
+
+def _sector_share(product, r, s, tau):
+    """log of the (r, s) sector of kasteleyn.slot_sectors at one product's slot
+    values, signed by kasteleyn.SLOT_SIGNS (-inf when not positive)."""
+    pf = _kasteleyn.SLOT_SIGNS * np.exp(_slot_logs([product], tau)[0])
+    share = float(_kasteleyn.slot_sectors(pf)[_kasteleyn.SECTOR_ORDER.index((r % 2, s % 2))])
+    return math.log(share) if share > 0 else -math.inf
 
 
 def fsc1(tau):
     """log of (1/2) sum over sign pairs of Xi(z, w | tau); tau a number or an array."""
-    return _logsumexp(log_xi(_Z, _W, np.expand_dims(tau, -1))) - LOG2
+    return _correction(((1, 1),), tau)
 
 
 def fsc1_sector(a, b, tau):
     """log of the (a, b) sector share of fsc1 (can be -inf)."""
-    sgn = (-1.0) ** ((b + _RP) * (a + _SP))
-    tot = 0.25 * float(np.sum(sgn * np.exp(log_xi(-_Z, -_W, tau))))
-    return math.log(tot) if tot > 0 else -math.inf
-
-
-def _sign_pair_sums(curves, tau):
-    """log of (1/2) sum over sign pairs (z, w) of Xi(z a, w b | tau) Xi(z c, w d | tau).
-
-    One value per curve (a, b, c, d) at every tau of a number or an array,
-    shaped tau.shape + (len(curves),), all from one log_xi call over the
-    distinct factors (a, b) and (c, d).
-    """
-    factors = list(dict.fromkeys([f for a, b, c, d in curves for f in ((a, b), (c, d))]))
-    first = [factors.index((a, b)) for a, b, _c, _d in curves]
-    second = [factors.index((c, d)) for _a, _b, c, d in curves]
-    lx = log_xi(np.array([_Z * a for a, _b in factors]), np.array([_W * b for _a, b in factors]),
-                np.expand_dims(tau, (-2, -1)))
-    return _logsumexp(lx[..., first, :] + lx[..., second, :]) - LOG2
+    return _sector_share(((1, 1),), a, b, tau)
 
 
 def fsc2(zeta, xi_, tau):
     """log of (1/2) sum over sign pairs of Xi(z zeta, w xi | tau)^2; tau a number or an array."""
-    value = _sign_pair_sums([(zeta, xi_, zeta, xi_)], tau)[..., 0]
-    return value if value.ndim else float(value)
+    return _correction(((zeta, xi_), (zeta, xi_)), tau)
 
 
 def fsc2_sector(r, s, zeta, xi_, tau):
-    sgn = (-1.0) ** ((r + _SP) * (s + _RP))
-    tot = 0.25 * float(np.sum(sgn * np.exp(2 * log_xi(_Z * -zeta, _W * -xi_, tau))))
-    return math.log(tot) if tot > 0 else -math.inf
+    """log of the (r, s) sector share of fsc2 (can be -inf)."""
+    return _sector_share(((zeta, xi_), (zeta, xi_)), r, s, tau)
 
 
 def fsc2_gaussian(r, s, tau):
@@ -134,8 +142,7 @@ def fsc3(zeta, xi_, tau):
     """
     if zeta not in (1, -1) or xi_ not in (1, -1):
         raise FscError("fsc3 is defined for sign phases only")
-    value = _sign_pair_sums([(1, 1, zeta, xi_)], tau)[..., 0]
-    return value if value.ndim else float(value)
+    return _correction(((1, 1), (zeta, xi_)), tau)
 
 
 # -- per-node conformal data ----------------------------------------------------
@@ -175,11 +182,10 @@ def _predicted_table(E, cp):
         raise FscError("non-vanishing spectral curve: no nodes, no universal correction")
     det = abs(_lattice.int_det(E))
     data = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
-    za, wa = np.array(_kasteleyn.SLOTS, dtype=float).T
     logs = np.full(4, det * cp.f0)
     for cd, mult in data:
-        logs += mult * log_xi(za * cd.zeta, wa * cd.xi, cd.tau)
-    return (_kasteleyn.SectorTable(E, [-1, 1, 1, 1], logs.tolist(), "fsc-" + rep.kind,
+        logs += _slot_logs([((cd.zeta, cd.xi),) * mult], cd.tau)[0]
+    return (_kasteleyn.SectorTable(E, _kasteleyn.SLOT_SIGNS, logs.tolist(), "fsc-" + rep.kind,
                                    cp.dom.k), data)
 
 
@@ -194,9 +200,9 @@ def predict(dom, E, cp=None):
     """FscResult for the E-quotient: correction value, sector shares, shape data.
 
     On a non-vanishing (gaseous) curve every |Pf| is exp(|det E| f0) up to
-    exponentially small terms, so the value is log((-s1 + s2 + s3 + s4) / 2)
-    from the exact slot signs (kasteleyn.real_point_signs), with no
-    sector refinement.
+    exponentially small terms, so the value is log of half the sum of
+    kasteleyn.SLOT_SIGNS times the exact slot signs
+    (kasteleyn.real_point_signs), with no sector refinement.
     """
     E = np.asarray(E, dtype=int)
     if cp is None:
@@ -205,10 +211,11 @@ def predict(dom, E, cp=None):
     f0 = cp.f0
     det = abs(_lattice.int_det(E))
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        s1, s2, s3, s4 = signs = _kasteleyn.real_point_signs(dom, E)
-        if -s1 + s2 + s3 + s4 <= 0:
+        signs = _kasteleyn.real_point_signs(dom, E)
+        lead = float(_kasteleyn.SLOT_SIGNS @ signs)
+        if lead <= 0:
             raise FscError("gaseous slot signs %r cancel: no leading term" % (signs,))
-        value = math.log(0.5 * (-s1 + s2 + s3 + s4))
+        value = math.log(0.5 * lead)
         return FscResult(rep.kind, value, None, None, None, None, None, None,
                          f0, det * f0 + value, [])
     table, nodes = _predicted_table(E, cp)
@@ -364,21 +371,21 @@ def winding_distribution_gaussian(dom, E, cp=None):
 
 # -- square-lattice parity table --------------------------------------------------
 
-# (name, (a, b, c, d) of _sign_pair_sums): fsc2(zeta, xi) pairs (zeta, xi) with
-# itself, fsc3(zeta, xi) pairs it with (1, 1)
+# (name, product of _slot_logs): fsc2(zeta, xi) pairs (zeta, xi) with itself,
+# fsc3(zeta, xi) pairs it with (1, 1)
 SQUARE_CURVES = (
-    ("fsc2(1,1)", (1, 1, 1, 1)),
-    ("fsc2(i,1)", (1j, 1, 1j, 1)),
-    ("fsc2(1,i)", (1, 1j, 1, 1j)),
-    ("fsc2(i,i)", (1j, 1j, 1j, 1j)),
-    ("fsc3(1,-1)", (1, 1, 1, -1)),
-    ("fsc3(-1,1)", (1, 1, -1, 1)),
-    ("fsc3(-1,-1)", (1, 1, -1, -1)),
+    ("fsc2(1,1)", ((1, 1), (1, 1))),
+    ("fsc2(i,1)", ((1j, 1), (1j, 1))),
+    ("fsc2(1,i)", ((1, 1j), (1, 1j))),
+    ("fsc2(i,i)", ((1j, 1j), (1j, 1j))),
+    ("fsc3(1,-1)", ((1, 1), (1, -1))),
+    ("fsc3(-1,1)", ((1, 1), (-1, 1))),
+    ("fsc3(-1,-1)", ((1, 1), (-1, -1))),
 )
 
 # fsc2 at the boundary-phase classes of the hexagonal lattice's nodes
 _W6 = cmath.exp(1j * math.pi / 3)
-HEXAGONAL_CURVES = tuple((name, (zeta, xi_, zeta, xi_)) for name, zeta, xi_ in (
+HEXAGONAL_CURVES = tuple((name, ((zeta, xi_), (zeta, xi_))) for name, zeta, xi_ in (
     ("phase-(1,1)", 1 + 0j, 1 + 0j),
     ("phase-(1,w)", 1 + 0j, cmath.exp(2j * math.pi / 3)),
     ("phase-(w6,-1)", _W6, -1 + 0j),
@@ -410,7 +417,7 @@ def square_fsc(a, b, c, d):
         return -math.inf
     curve = _SQUARE_TABLE[(a % 2, b % 2)][(c % 2, d % 2)]
     tau = square_tau(a, b, c, d)
-    return float(_sign_pair_sums([dict(SQUARE_CURVES)[curve]], tau)[0])
+    return _correction(dict(SQUARE_CURVES)[curve], tau)
 
 
 def _curve_values(curves, logrho):
@@ -426,7 +433,7 @@ def _curve_values(curves, logrho):
         with np.errstate(over="raise", invalid="raise"):
             tau = np.array([1j * math.exp(lr) for lr in lrs]).reshape(np.shape(logrho))
             ok = np.isfinite(tau).all() and (tau.imag > 0).all()
-            values = _sign_pair_sums(phases, tau) if ok else None
+            values = _corrections(phases, tau) if ok else None
     except (OverflowError, FloatingPointError):
         values = None
     if values is None or not np.isfinite(values).all():
@@ -498,12 +505,14 @@ def ising_log_Z_from_dimers(E, beta_a, beta_b, beta_c):
     per coupling bond.
     """
     a, b, c = ising_weights(beta_a, beta_b, beta_c)
-    dom = _lattice.builtin("fisher", a=a, b=b, c=c)
-    E = np.asarray(E, dtype=int)
-    det = abs(_lattice.int_det(E))
-    table = _kasteleyn.sector_table(dom, E)
-    log_z00 = table.log_sector(0, 0)
-    return LOG2 + log_z00 - det * (beta_a + beta_b + beta_c)
+    table = _kasteleyn.sector_table(_lattice.builtin("fisher", a=a, b=b, c=c), E)
+    return _ising_log_Z(table, beta_a, beta_b, beta_c)
+
+
+def _ising_log_Z(table, beta_a, beta_b, beta_c):
+    """log Ising Z from the decorated lattice's sector table at weights e^{2 beta}."""
+    det = abs(_lattice.int_det(table.E))
+    return LOG2 + table.log_sector(0, 0) - det * (beta_a + beta_b + beta_c)
 
 
 IsingReport = namedtuple(
@@ -518,8 +527,6 @@ _KAPPA_LINES = (
     ("kappa_b", "antiferromagnetic critical line a-b+c+abc = 0"),
     ("kappa_c", "antiferromagnetic critical line a+b-c+abc = 0"),
 )
-
-_KAPPA_POINTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def ising_critical_check(beta_a, beta_b, beta_c, sizes=(2, 4)):
@@ -540,22 +547,19 @@ def ising_critical_check(beta_a, beta_b, beta_c, sizes=(2, 4)):
     lines = [line for _name, line in hits]
     node_loc = None
     if vanishing:
-        node_loc = _KAPPA_POINTS[
-            [name for name, _ in _KAPPA_LINES].index(vanishing[0])]
+        # kappa_0, kappa_a, kappa_b, kappa_c vanish with a node at the slots in order
+        slot = [name for name, _ in _KAPPA_LINES].index(vanishing[0])
+        node_loc, node_half = _kasteleyn.SLOTS[slot], _kasteleyn.SLOT_HALF_TURNS[slot]
     dom = _lattice.builtin("fisher", a=a, b=b, c=c)
     checks = []
     logz = {}
     for m in sizes:
         E = np.array([[m, 0], [0, m]], dtype=int)
         table = _kasteleyn.sector_table(dom, E)
-        logz[m] = (LOG2 + table.log_sector(0, 0)
-                   - m * m * (beta_a + beta_b + beta_c))
+        logz[m] = _ising_log_Z(table, beta_a, beta_b, beta_c)
         if node_loc is None:
             continue
-        z0, w0 = node_loc
-        zeta = z0 ** E[0, 0] * w0 ** E[0, 1]
-        xi_ = z0 ** E[1, 0] * w0 ** E[1, 1]
-        rE, sE = (0 if zeta == 1 else 1), (0 if xi_ == 1 else 1)
+        rE, sE = (E @ node_half % 2).tolist()  # the half turns of the node's phases
         twice = 2.0 * table.sectors_scaled[_kasteleyn.SECTOR_ORDER.index((sE, rE))]
         checks.append((m, (sE, rE), abs(table.Z_scaled - twice) <= 1e-10 * abs(table.Z_scaled)))
     return IsingReport(kap, vanishing, lines, node_loc, checks, logz)

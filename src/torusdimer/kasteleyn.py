@@ -23,10 +23,11 @@ The first two evaluate the cell determinant (det of the black/white
 block Qblock on a 2-colored domain), double_product a LaurentPoly2.
 fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
-class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so S_MATRIX turns the four
-slot Pfaffians into signed class sums: matching_sign_classes, which
-verify_orientation checks.  build_KE and the dense Pfaffians serve it,
---dump-matrix and the tests; enumerate_matchings is a test oracle only.
+class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so slot_sectors turns the
+four slot Pfaffians into sectors (SectorTable) and signed class sums
+(matching_sign_classes, which verify_orientation checks).  build_KE and the
+dense Pfaffians serve it, --dump-matrix and the tests; enumerate_matchings
+is a test oracle only.
 """
 
 import cmath
@@ -37,19 +38,22 @@ from fractions import Fraction
 import numpy as np
 
 from . import charpoly as _charpoly
+from . import laurent as _laurent
 from .lattice import (_dfs_matchings, adjugate, hermite_form, hnf_residues, instance_edges,
                       int_det, lattice_coords, leibniz_bound, permutation_sign)
 
-# sector mixing: canonical vector c = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1))
-# satisfies c = S_MATRIX @ (Z00, Z10, Z01, Z11), and S_MATRIX^2 = 4.
+# The slot rule: the slots are the boundary phases ((-1)^a, (-1)^b) at half turns
+# (a, b), and c = SLOT_SIGNS * pf = (-Pf(1,1), Pf(1,-1), Pf(-1,1), Pf(-1,-1)) is
+# S_MATRIX @ (Z00, Z10, Z01, Z11), S_MATRIX^2 = 4: Z = sum(c) / 2; slot_sectors inverts it.
 S_MATRIX = np.array(
     [[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]], dtype=float
 )
-SLOTS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+SLOT_HALF_TURNS = ((0, 0), (0, 1), (1, 0), (1, 1))
+SLOTS = tuple(((-1) ** a, (-1) ** b) for a, b in SLOT_HALF_TURNS)
+SLOT_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 SECTOR_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 ENUM_CAP = 28
-FIBER_CHUNK = 4096  # points per evaluator call in a slice product: bounds the work arrays
 ZERO_ULPS = 64  # a fiber value within ZERO_ULPS * k ulps of the largest evaluated is a node
 
 
@@ -188,8 +192,9 @@ def _block_sign(colors, d):
 def pfaffian_log_bipartite(A, colors):
     """Pfaffian of a 2-colored skew matrix through the black/white block.
 
-    A test oracle only: slogdet loses digits on periodic quotients from
-    about 1000 vertices on (5.7e-3 in log|Pf| at 2048 hexagonal vertices).
+    Unused: kept only for perfbench/tracer.py's wrap list until ROADMAP item
+    7.  slogdet loses digits on periodic quotients from about 1000 vertices
+    on (5.7e-3 in log|Pf| at 2048 hexagonal vertices).
     """
     blacks, whites, pre = _black_white(colors)
     sign, logdet = np.linalg.slogdet(A[np.ix_(blacks, whites)])
@@ -197,6 +202,11 @@ def pfaffian_log_bipartite(A, colors):
 
 
 # -- sector decomposition -----------------------------------------------------
+
+
+def slot_sectors(pf):
+    """The sectors, in SECTOR_ORDER, whose four slot Pfaffians are pf: S_MATRIX c / 4."""
+    return 0.25 * (S_MATRIX @ (SLOT_SIGNS * pf))
 
 
 class SectorTable:
@@ -223,8 +233,7 @@ class SectorTable:
         self.pf_scaled = np.array([
             0.0 if lg == -math.inf else sg * math.exp(lg - self.logscale)
             for sg, lg in zip(pf_signs, pf_logs)])
-        canon = self.pf_scaled * np.array([-1.0, 1.0, 1.0, 1.0])
-        sectors = 0.25 * (S_MATRIX @ canon)
+        sectors = slot_sectors(self.pf_scaled)
         noise = ZERO_ULPS * k * sys.float_info.epsilon * max(1.0, abs(self.logscale))
         cut = 0.25 * noise * sum(map(abs, self.pf_scaled.tolist()))
         self.sectors_scaled = np.where(sectors > cut, sectors, 0.0)
@@ -260,11 +269,10 @@ def real_point_signs(dom, E):
     E (a, b) mod 2; conjugate pairs give det K >= 0, so this is sign Pf K_E.
     """
     E = _as_E(E)
-    points = [(a, b) for a in (0, 1) for b in (0, 1)]
-    cells = dom.K(*(1.0 - 2.0 * np.array(points).T))  # the four real points in one call
-    sign = {p: int(np.sign(pfaffian_log(cell)[0].real)) for p, cell in zip(points, cells)}
-    return [math.prod(sign[p] for p in points if tuple(E @ p % 2) == (zeta < 0, xi < 0))
-            for zeta, xi in SLOTS]
+    cells = dom.K(*np.array(SLOTS, dtype=float).T)  # the four real points in one call
+    sign = [int(np.sign(pfaffian_log(cell)[0].real)) for cell in cells]
+    return [math.prod(sg for p, sg in zip(SLOT_HALF_TURNS, sign) if tuple(E @ p % 2) == half)
+            for half in SLOT_HALF_TURNS]
 
 
 def _cell_det(M):
@@ -296,7 +304,7 @@ def sector_table(dom, E):
                             "double the domain first")
     block, half = (dom.Qblock, 1.0) if dom.bipartite else (dom.K, 0.5)
     bound = leibniz_bound(dom, qblock=dom.bipartite)
-    phi, psi = (1 - np.array(SLOTS).T) // 2
+    phi, psi = np.array(SLOT_HALF_TURNS).T
     zero_rel = ZERO_ULPS * dom.k * np.finfo(float).eps
     _, logs = _slice_product(lambda z, w: _cell_det(block(z, w)), bound, E, phi, psi, 2,
                              zero_rel)
@@ -392,7 +400,7 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
 
     evaluate sees every outer value of every phase times the 2b + 1 inner
     roots of unity (b the inner bound), as tensor grids of at most about
-    FIBER_CHUNK points, and an FFT along the inner axis gives each
+    laurent.SAMPLE_CHUNK points, and an FFT along the inner axis gives each
     z-slice's coefficients; charpoly._stacked_roots gives its roots rho and
     leading coefficient.  The product over one circle is lead^p
     ((-1)^(p+1) C)^lo (-1)^(p n) prod (rho^p - C), for valuation lo and
@@ -432,7 +440,7 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     inner = _cis(2 * math.pi * np.arange(n_in) / n_in)
     logabs, turns = np.zeros(len(level_of)), np.zeros(len(level_of))
     low, top = np.full(len(level_of), np.inf), 0.0  # smallest fiber value per phase, largest seen
-    step = max(1, FIBER_CHUNK // (len(levels) * n_in))
+    step = max(1, _laurent.SAMPLE_CHUNK // (len(levels) * n_in))
     for start in range(0, r, step):
         j = np.arange(start, min(start + step, r))
         outer = _cis(2 * math.pi * ((w_turn + j) / r)).ravel()
@@ -635,9 +643,9 @@ def enumerate_matchings(dom, E):
 def matching_sign_classes(dom, E):
     """{homology class mod 2: {sign}} of the matchings in the Pfaffian of K_E(1, 1).
 
-    Valid for clockwise-odd faces, where each class has one sign: then
-    A = diag(1, -1, -1, -1) S_MATRIX diag(-1, 1, 1, 1) pf / 4 are the signed
-    class sums (SECTOR_ORDER) and |A_c| > 1e-9 max |A| marks a class present.
+    Valid for clockwise-odd faces, where each class has one sign: the signed
+    class sums A = SLOT_SIGNS[0] S_MATRIX[0] slot_sectors(pf) are the sectors
+    times the class signs in Pf(1, 1), and |A_c| > 1e-9 max |A| marks c present.
     Unit weights, which keep the signs, stop extreme weights hiding a class.
     """
     E = _as_E(E)
@@ -649,7 +657,7 @@ def matching_sign_classes(dom, E):
     if top == -math.inf:
         return {}
     pf = np.array([ph.real * math.exp(lg - top) for ph, lg in pf])
-    A = 0.25 * np.array([1, -1, -1, -1]) * (S_MATRIX @ (pf * np.array([-1, 1, 1, 1])))
+    A = SLOT_SIGNS[0] * S_MATRIX[0] * slot_sectors(pf)
     cut = 1e-9 * np.max(np.abs(A))
     return {c: {int(np.sign(a))} for c, a in zip(SECTOR_ORDER, A) if abs(a) > cut}
 
@@ -680,13 +688,13 @@ def winding_distribution_exact(dom, E, M=16):
     E = _as_E(E)
     pre = _block_sign(dom.colors, abs(int_det(E)))
     # slot half turns plus twist turns (p, q) / M, exact over 2M
-    halves = (M * (1 - np.array(SLOTS)) // 2)[:, :, None, None]
+    halves = (M * np.array(SLOT_HALF_TURNS))[:, :, None, None]
     twist = 2 * np.arange(M)
     grid_phase, grid_log = _slice_product(lambda z, w: _cell_det(dom.Qblock(z, w)),
                                           leibniz_bound(dom, qblock=True), E,
                                           halves[:, 0] + twist[:, None],
                                           halves[:, 1] + twist[None, :], 2 * M, 0.0)
-    signs = np.array([-0.5, 0.5, 0.5, 0.5])[:, None, None]
+    signs = (0.5 * SLOT_SIGNS)[:, None, None]  # Z = sum(c) / 2
     Zg = np.sum(signs * pre * grid_phase * np.exp(grid_log - np.max(grid_log)), axis=0)
     Z0 = Zg[0, 0]
     if not (abs(Z0.imag) < 1e-8 * abs(Z0) and Z0.real > 0):

@@ -2,17 +2,10 @@
 
 Coefficients are stored sparsely as a dict mapping integer exponent pairs
 (i, j) to complex numbers, representing sum_{ij} c_ij z^i w^j.  Evaluation
-follows numpy broadcasting and picks one of two strategies by the shape of
-its arguments:
-
-- a tensor grid, z of shape (n, 1) and w of shape (1, m): two matrix
-  products Vz C Vw^T with the Vandermonde rows z^i and w^j of the dense
-  coefficient box C;
-- anything else, pointwise: z and w are broadcast together, and at each
-  point the Vandermonde rows z^i and w^j are contracted with C in one
-  matrix product and one row sum.
-
-Scalars and 0-d arrays give a complex, other arrays an ndarray.
+follows numpy broadcasting, pointwise: z and w are broadcast together, and
+at each point the Vandermonde rows z^i and w^j are contracted with the
+dense coefficient box C in one matrix product and one row sum.  Scalars
+and 0-d arrays give a complex, other arrays an ndarray.
 
 The dense coefficient box (_dense) is also where one-variable slices come
 from: charpoly._slices takes the w- or z-coefficients at a whole array of
@@ -21,7 +14,7 @@ points in one matrix product, and charpoly._stacked_roots their roots.
 
 import numpy as np
 
-SAMPLE_CHUNK = 4096  # grid points per evaluator call in from_evaluator: bounds its work arrays
+SAMPLE_CHUNK = 4096  # points per evaluator call of from_evaluator and kasteleyn._slice_product
 
 
 class DegreeBoundError(ValueError):
@@ -133,10 +126,6 @@ class LaurentPoly2:
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
         mat, zmin, wmin = self._dense()
-        if z.ndim == w.ndim == 2 and z.shape[1] == w.shape[0] == 1:
-            vz = z ** np.arange(zmin, zmin + mat.shape[0])
-            vw = w.T ** np.arange(wmin, wmin + mat.shape[1])
-            return vz @ mat @ vw.T
         z, w = np.broadcast_arrays(z, w)
         vz = z.reshape(-1, 1) ** np.arange(zmin, zmin + mat.shape[0])
         vw = w.reshape(-1, 1) ** np.arange(wmin, wmin + mat.shape[1])

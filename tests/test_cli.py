@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from torusdimer import cli, fsc, lattice
+from torusdimer import cli, fsc, kasteleyn, lattice
 
 
 def run_json(capsys, argv):
@@ -117,6 +117,16 @@ def test_partition_dump_matrix_is_skew(capsys):
     assert entries
     for (i, j), v in entries.items():
         assert entries[(j, i)] == -v
+
+
+def test_dump_matrix_triplets_match_the_entry_loop():
+    # a loop over all n^2 entries is the oracle, byte for byte
+    dom = lattice.builtin("fisher", a=1.3, b=0.8, c=1.1)
+    E = [[2, 1], [0, 2]]
+    K = kasteleyn.build_KE(dom, E, 1, 1)
+    loop = [[i, j, float(K[i, j].real), float(K[i, j].imag)]
+            for i in range(K.shape[0]) for j in range(K.shape[0]) if K[i, j] != 0]
+    assert cli._to_json(cli._matrix_dump(dom, E)["entries"]) == cli._to_json(loop)
 
 
 def test_partition_large_quotient_magnitude_path(capsys):
@@ -270,6 +280,17 @@ def test_fsc_curve_out_of_range_exits_2(capsys, family, text):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert "finite" in captured.err or "double precision" in captured.err
+
+
+@pytest.mark.parametrize("lo, hi", [("-1e308", "1e308"), ("-1.7e308", "1.7e308"),
+                                    ("1e308", "-1e308")])
+def test_fsc_curve_range_wider_than_doubles_names_its_bounds(capsys, lo, hi):
+    # finite bounds whose difference overflows: refused before any point is
+    # made, naming the bounds as given rather than the nan point
+    code = cli.run(["fsc-curve", "--lattice", "square-1x1", "--range=%s:%s:3" % (lo, hi)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "%s:%s" % (lo, hi) in captured.err and "nan" not in captured.err
 
 
 def test_curve_values_raise_a_named_error_past_double_precision():

@@ -114,6 +114,25 @@ def test_sector_decompositions_sum_up():
         assert abs(math.log(total2) - fsc2(zeta, xi_, tau)) < 1e-10
 
 
+def test_sector_shares_are_the_sector_table_split_label_by_label():
+    # fsc1_sector and fsc2_sector split the slot values as SectorTable does,
+    # with the slot signs (-1, 1, 1, 1) of a critical curve
+    from torusdimer.specialfn import log_xi
+    rng = random.Random(29)
+    for _ in range(25):
+        tau = random_tau(rng)
+        zeta = cmath.exp(2j * math.pi * rng.random())
+        xi_ = cmath.exp(2j * math.pi * rng.random())
+        for power, (z0, w0), share in (
+                (1, (1, 1), lambda r, s: fsc1_sector(r, s, tau)),
+                (2, (zeta, xi_), lambda r, s: fsc2_sector(r, s, zeta, xi_, tau))):
+            logs = [power * log_xi(z * z0, w * w0, tau) for z, w in kasteleyn.SLOTS]
+            table = kasteleyn.SectorTable(np.eye(2, dtype=int), [-1, 1, 1, 1], logs, "", 2)
+            for r, s in kasteleyn.SECTOR_ORDER:
+                got, want = share(r, s), table.log_sector(r, s)
+                assert abs(math.exp(got) - math.exp(want)) <= 1e-12 * math.exp(table.log_Z), (r, s)
+
+
 def random_sl2(rng):
     # random word in the generators keeps entries small
     T = np.eye(2, dtype=int)

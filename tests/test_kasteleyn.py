@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from torusdimer import charpoly, kasteleyn, lattice
+from torusdimer import charpoly, kasteleyn, lattice, laurent
 from torusdimer.kasteleyn import (
     S_MATRIX,
     SLOTS,
@@ -276,7 +276,7 @@ def _outer_values(E):
 def test_one_slice_product_per_table(monkeypatch):
     # O(rows of E): at most 2 min(r, r') (2b + 1) points per table, for the 2r
     # outer values of the four slots (r = p for a diagonal Hermite form), in
-    # calls of at most FIBER_CHUNK points
+    # calls of at most laurent.SAMPLE_CHUNK points
     seen = _record_slice_work(monkeypatch)
     for name, E in (("hexagonal", [[80, 3], [0, 61]]), ("hexagonal", [[3, 80], [61, 0]]),
                     ("square-2x1", [[300, 0], [0, 7]]), ("fisher", [[7, 0], [0, 300]]),
@@ -288,7 +288,7 @@ def test_one_slice_product_per_table(monkeypatch):
         sector_table(dom, E)
         assert seen["products"] - before["products"] == 1
         assert seen["points"] - before["points"] <= 2 * _outer_values(E) * (2 * b + 1)
-    assert seen["calls"] > seen["products"] and seen["batch"] <= kasteleyn.FIBER_CHUNK
+    assert seen["calls"] > seen["products"] and seen["batch"] <= laurent.SAMPLE_CHUNK
 
 
 def test_one_slice_product_per_winding_law(monkeypatch):

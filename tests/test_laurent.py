@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusdimer import laurent, lattice
+from torusdimer import kasteleyn, laurent, lattice
 from torusdimer.laurent import LaurentPoly2, DegreeBoundError
 
 rng = np.random.default_rng(20240818)
@@ -53,7 +53,7 @@ def _monomial_sum(p, z, w):
 @example(coeffs={(0, 0): 2.0 - 1.5j}, seed=1)
 def test_call_matches_monomial_sum_at_every_argument_shape(coeffs, seed):
     # scalars, 0-d arrays, both tensor-grid orientations, paired arrays and a
-    # broadcast 3-D pair: the grid matmul and the pointwise product
+    # broadcast 3-D pair, all through the one pointwise product
     p = LaurentPoly2(coeffs)
     rng = np.random.default_rng(seed)
 
@@ -113,6 +113,43 @@ def test_from_evaluator_samples_in_bounded_blocks(monkeypatch, chunk):
     assert list(blocked.coeffs.items()) == list(whole.coeffs.items())
     # the grid in blocks, then the 6 off-grid check points in one call
     assert max(sizes) <= chunk and sum(sizes[:-1]) == 49 and len(sizes) > 2
+
+
+def test_a_tensor_grid_is_the_pointwise_call_on_its_broadcast():
+    # from_evaluator's roots-of-unity grid: the same bits as the broadcast
+    # pair, and the direct coefficient sum to rounding
+    p = random_poly(nterms=9, span=3)
+    z = np.exp(2j * np.pi * np.arange(7) / 7)[:, None]
+    w = np.exp(2j * np.pi * np.arange(9) / 9)[None, :]
+    got = p(z, w)
+    want, scale = _monomial_sum(p, z, w)
+    assert np.array_equal(got, p(*np.broadcast_arrays(z, w)))
+    assert got.shape == (7, 9) and np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_one_block_size_bounds_both_samplers(monkeypatch):
+    # from_evaluator and kasteleyn._slice_product read laurent.SAMPLE_CHUNK at
+    # call time, so one patched value bounds every evaluator call of both
+    monkeypatch.setattr(laurent, "SAMPLE_CHUNK", 12)
+    sizes = []
+
+    def recording(fun):
+        def recorded(z, w):
+            sizes.append(np.broadcast(z, w).size)
+            return fun(z, w)
+        return recorded
+
+    dom = lattice.builtin("rhombi-3464", a=1.1, b=0.9, c=1.2)
+    det = recording(lambda z, w: np.linalg.det(dom.K(z, w)))
+    LaurentPoly2.from_evaluator(det, lattice.leibniz_bound(dom))  # a 7 x 7 grid
+    assert len(sizes) > 2 and max(sizes) <= 12
+    sizes.clear()
+    hexagonal = lattice.builtin("hexagonal", a=1.1, b=0.9)
+    det = recording(lambda z, w: kasteleyn._cell_det(hexagonal.Qblock(z, w)))
+    phi, psi = np.array(kasteleyn.SLOT_HALF_TURNS).T  # the four slots of a sector table
+    kasteleyn._slice_product(det, lattice.leibniz_bound(hexagonal, qblock=True),
+                             [[9, 0], [0, 9]], phi, psi, 2, 0.0)
+    assert len(sizes) > 2 and max(sizes) <= 12
 
 
 def test_every_builtin_is_sampled_in_one_block():

@@ -218,6 +218,17 @@ def test_an_unconverged_low_grid_seed_is_an_error(monkeypatch):
         charpoly.find_nodes(build_charpoly(lattice.builtin("hexagonal")))
 
 
+def test_a_negative_P_is_refused_by_the_node_search():
+    # P = 1 - 1.2 (cos pi r + cos pi s) dips to -1.4 at (0, 0): the node
+    # search refuses it on its seed grid, on the first use of the nodes
+    P = LaurentPoly2({(0, 0): 1.0, (1, 0): -0.6, (-1, 0): -0.6, (0, 1): -0.6, (0, -1): -0.6})
+    cp = charpoly.CharPoly(lattice.builtin("fisher"), P)
+    with pytest.raises(CharPolyError, match="P is negative on the unit torus"):
+        charpoly.find_nodes(cp)
+    with pytest.raises(CharPolyError, match="P is negative on the unit torus"):
+        cp.f0
+
+
 def test_an_unresolved_cell_is_refused_not_called_non_vanishing():
     # P reaches 2.9e18 but is 3.4e8 at the node images (+-0.5, +-0.5), within
     # the 1e-10 of its largest coefficients that P is known to
