@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import charpoly, fsc, kasteleyn, lattice
 
 
@@ -151,24 +153,32 @@ def _complex_pair(z):
 
 
 def _matrix_dump(dom, E):
-    """--dump-matrix block: K_E(1, 1) as coordinate triplets, row by row."""
-    K = kasteleyn.build_KE(dom, E, 1, 1)
-    i, j = K.nonzero()  # row-major, the order of a loop over i and then j
-    v = K[i, j]
-    entries = list(zip(i.tolist(), j.tolist(), v.real.tolist(), v.imag.tolist()))
+    """--dump-matrix block: the nonzero entries of K_E(1, 1) as triplets, row by row,
+    from the edge table with no n x n matrix.  Each entry sums its terms +-sign *
+    weight in kasteleyn.build_KE's order (edge table, forward then backward), to the bit.
+    """
+    d = abs(lattice.int_det(E))
+    tail, head, _jump = lattice.instance_edges(dom, E)
+    val = np.tile([e.sign * e.weight for e in dom.edges], d)
+    rows = np.stack([tail, head], axis=1).ravel()
+    cols = np.stack([head, tail], axis=1).ravel()
+    keys, entry = np.unique(rows * (dom.k * d) + cols, return_inverse=True)  # row-major
+    sums = np.bincount(entry, weights=np.stack([val, -val], axis=1).ravel())
+    i, j = np.divmod(keys[sums != 0], dom.k * d)
+    entries = [[a, b, v, 0.0] for a, b, v in zip(i.tolist(), j.tolist(), sums[sums != 0].tolist())]
     return {"zeta": [1.0, 0.0], "xi": [1.0, 0.0], "entries": entries}
 
 
 def _cmd_partition(args):
     dom = _load_domain(args)
     E = _parse_E(args.E)
-    table = fsc.sector_table_auto(dom, E)
+    table, method = fsc.sector_table_auto(dom, E)
     log_z = table.log_Z
     out = {
         "det_E": lattice.int_det(E),
         "log_Z": None if log_z == -math.inf else log_z,
         "Z": _unscaled(table.Z_scaled, table.logscale),
-        "method": table.method,
+        "method": method,
     }
     if args.dump_matrix:
         out["matrix"] = _matrix_dump(dom, E)
@@ -185,13 +195,13 @@ def _cmd_partition(args):
 def _cmd_sectors(args):
     dom = _load_domain(args)
     E = _parse_E(args.E)
-    table = fsc.sector_table_auto(dom, E)
+    table, method = fsc.sector_table_auto(dom, E)
     sectors = [_unscaled(x, table.logscale) for x in table.sectors_scaled]
     out = {
         "Z00": sectors[0], "Z10": sectors[1], "Z01": sectors[2], "Z11": sectors[3],
         "Z": _unscaled(table.Z_scaled, table.logscale),
         "pf": [[_unscaled(x, table.logscale), 0.0] for x in table.pf_scaled],
-        "method": table.method,
+        "method": method,
     }
     if args.double_dimer:
         dd, logscale = table.double_dimer_sectors()
@@ -242,8 +252,8 @@ def _cmd_winding(args):
     dom = _load_domain(args)
     E = _parse_E(args.E)
     cp = charpoly.build_charpoly(dom)
-    law = fsc.winding_law(dom, E, cp=cp)
-    model = fsc.winding_distribution_gaussian(dom, E, cp=cp)
+    law = fsc.winding_law(cp, E)
+    model = fsc.winding_distribution_gaussian(cp, E)
     exact = kasteleyn.winding_distribution_exact(dom, E, M=args.window)
     tv = exact.tv_against(model)
     center = max(model, key=model.get)
@@ -263,13 +273,11 @@ def _cmd_winding(args):
 
 
 def _cmd_fsc_curve(args):
-    family = args.family or args.lattice
-    if family in ("square-1x1", "square"):
-        family = "square"
-    elif family != "hexagonal":
+    curve_values = {"square-1x1": fsc.square_curve_values, "square": fsc.square_curve_values,
+                    "hexagonal": fsc.hexagonal_curve_values}.get(args.lattice)
+    if curve_values is None:
         raise _Usage("fsc-curve families: square (square-1x1) or hexagonal")
     log_rhos = _parse_range(args.range)
-    curve_values = fsc.square_curve_values if family == "square" else fsc.hexagonal_curve_values
     curves = curve_values(log_rhos)
     rows = [[lr, name, values[i]] for i, lr in enumerate(log_rhos) for name, values in curves]
     if args.format == "json":
@@ -369,8 +377,6 @@ def _build_parser():
     p = sub.add_parser("fsc-curve", help="finite-size correction curves")
     p.add_argument("--lattice", required=True,
                    help="square-1x1 or hexagonal (selects the curve family)")
-    p.add_argument("--family", default=None,
-                   help="override family: square or hexagonal")
     p.add_argument("--range", default="-1:1:41",
                    help="log-aspect sweep as lo:hi:count")
     p.add_argument("--format", choices=("json", "csv"), default="csv")

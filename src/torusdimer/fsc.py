@@ -14,6 +14,11 @@ with per-node data from conformal_data and m_j = 2 for a real root of Q
 fsc1/fsc2/fsc3 correction functions, winding laws, the square-lattice
 parity table, and the Ising specialization -- is bookkeeping on top of
 that rule.
+
+predict, predict_sector_table, winding_law and winding_distribution_gaussian
+take the spectral curve (cp, E) and read its domain as cp.dom; predict_logZ
+(which also serves the curveless unit square) and sector_table_auto take
+(dom, E).  A singular or non-2x2 E raises kasteleyn.QuotientError.
 """
 
 import cmath
@@ -185,33 +190,28 @@ def _predicted_table(E, cp):
     logs = np.full(4, det * cp.f0)
     for cd, mult in data:
         logs += _slot_logs([((cd.zeta, cd.xi),) * mult], cd.tau)[0]
-    return (_kasteleyn.SectorTable(E, _kasteleyn.SLOT_SIGNS, logs.tolist(), "fsc-" + rep.kind,
-                                   cp.dom.k), data)
+    return _kasteleyn.SectorTable(E, _kasteleyn.SLOT_SIGNS, logs.tolist(), cp.dom.k), data
 
 
-def predict_sector_table(dom, E, cp=None):
-    """Asymptotic sector table of the E-quotient from the node data alone."""
-    if cp is None:
-        cp = _charpoly.build_charpoly(dom)
-    return _predicted_table(np.asarray(E, dtype=int), cp)[0]
+def predict_sector_table(cp, E):
+    """Asymptotic sector table of the E-quotient from the node data of cp alone."""
+    return _predicted_table(_kasteleyn._as_E(E), cp)[0]
 
 
-def predict(dom, E, cp=None):
-    """FscResult for the E-quotient: correction value, sector shares, shape data.
+def predict(cp, E):
+    """FscResult for the E-quotient of cp.dom: correction value, sector shares, shape data.
 
     On a non-vanishing (gaseous) curve every |Pf| is exp(|det E| f0) up to
     exponentially small terms, so the value is log of half the sum of
     kasteleyn.SLOT_SIGNS times the exact slot signs
-    (kasteleyn.real_point_signs), with no sector refinement.
+    (kasteleyn.real_point_signs of cp.dom), with no sector refinement.
     """
-    E = np.asarray(E, dtype=int)
-    if cp is None:
-        cp = _charpoly.build_charpoly(dom)
+    E = _kasteleyn._as_E(E)
     rep = cp.nodes
     f0 = cp.f0
     det = abs(_lattice.int_det(E))
     if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        signs = _kasteleyn.real_point_signs(dom, E)
+        signs = _kasteleyn.real_point_signs(cp.dom, E)
         lead = float(_kasteleyn.SLOT_SIGNS @ signs)
         if lead <= 0:
             raise FscError("gaseous slot signs %r cancel: no leading term" % (signs,))
@@ -239,13 +239,14 @@ def predict(dom, E, cp=None):
 SQUARE_F0 = 0.9159655941772190 / math.pi  # Catalan / pi, per site
 
 
-def predict_logZ(dom, E, cp=None):
+def predict_logZ(dom, E):
     """Predicted log Z_E = detE * f0 + fsc, dispatching on criticality class.
 
     The unit square lattice (odd cell) is dispatched through the parity
-    table of its row vectors; a coverless parity returns -inf.
+    table of its row vectors; a coverless parity returns -inf.  Any other
+    domain goes through predict on its spectral curve, built here.
     """
-    E = np.asarray(E, dtype=int)
+    E = _kasteleyn._as_E(E)
     if dom.k % 2:
         if dom.name != "square-1x1":
             raise FscError("odd fundamental domains other than the unit square "
@@ -260,21 +261,20 @@ def predict_logZ(dom, E, cp=None):
         det = abs(a * d - b * c)
         scale = 0.5 * math.log(dom.weights["a"])  # one dimer covers two sites
         return det * (SQUARE_F0 + scale) + value
-    return predict(dom, E, cp=cp).log_Z
+    return predict(_charpoly.build_charpoly(dom), E).log_Z
 
 
-def sector_table_auto(dom, E, cp=None):
-    """kasteleyn.sector_table with the method label that the CLI prints.
+def sector_table_auto(dom, E):
+    """(kasteleyn.sector_table, the method label that the CLI prints).
 
-    "dense" up to 4096 vertices (640 for a non-bipartite domain), else
-    "magnitude+" and the class of cp.nodes (cp built here when None).
+    The label is "dense" up to 4096 vertices (640 for a non-bipartite
+    domain), else "magnitude+" and the class of the nodes of dom's spectral
+    curve, which is built here only then.
     """
     table = _kasteleyn.sector_table(dom, E)
     if dom.k * abs(_lattice.int_det(E)) <= (4096 if dom.bipartite else 640):
-        table.method = "dense"
-    else:
-        table.method = "magnitude+" + (cp or _charpoly.build_charpoly(dom)).nodes.kind
-    return table
+        return table, "dense"
+    return table, "magnitude+" + _charpoly.build_charpoly(dom).nodes.kind
 
 
 # -- winding statistics ----------------------------------------------------------
@@ -303,17 +303,15 @@ def normalized_node_data(cp):
     return rep.nodes[1 if swapped else 0].arguments, swapped
 
 
-def winding_law(dom, E, cp=None):
-    """Discrete-Gaussian law (mu, Sigma) of the height winding on the E-quotient.
+def winding_law(cp, E):
+    """Discrete-Gaussian law (mu, Sigma) of the height winding on the E-quotient of cp.dom.
 
     Conventions follow the stored 2-coloring: windings count black-to-white
     cell offsets of the matching against the reference m0, and mu is built
     from the stored distinguished node and the -1-arc slice windings
     (completed continuously when the node sits at z = -1 or w = -1).
     """
-    E = np.asarray(E, dtype=int)
-    if cp is None:
-        cp = _charpoly.build_charpoly(dom)
+    E = _kasteleyn._as_E(E)
     rep = cp.nodes
     if rep.kind != _charpoly.CLASS_CONJUGATE:
         raise FscError("winding law needs a distinct-conjugate-node curve")
@@ -346,7 +344,7 @@ def winding_law(dom, E, cp=None):
                       (int(ell[0]), int(ell[1])))
 
 
-def winding_distribution_gaussian(dom, E, cp=None):
+def winding_distribution_gaussian(cp, E):
     """discrete_gaussian of winding_law: {winding in E-coordinates: mass}.
 
     When Sigma is too ill-conditioned in the basis E to invert (rows far
@@ -355,7 +353,7 @@ def winding_distribution_gaussian(dom, E, cp=None):
     exactly by e -> adj(T)^T e = T^-T e: winding_law is linear in adj(E)^T,
     and adj(T R) = adj(R) adj(T).
     """
-    law = winding_law(dom, E, cp=cp)
+    law = winding_law(cp, E)
     # Both bases give the same masses, but discrete_gaussian returns a box of
     # cells around mu in the basis it works in: reducing every E would change
     # which far-tail cells the winding command prints (7 of the 18 perfbench
@@ -363,7 +361,7 @@ def winding_distribution_gaussian(dom, E, cp=None):
     if np.linalg.cond(law.sigma) < SIGMA_COND_LIMIT:
         return discrete_gaussian(law.mu, law.sigma)
     T, R = _lattice.reduce_rows(E)
-    law = winding_law(dom, R, cp=cp)
+    law = winding_law(cp, R)
     back = _lattice.adjugate(T).T
     return {tuple(int(x) for x in back @ e): p
             for e, p in discrete_gaussian(law.mu, law.sigma).items()}
@@ -529,7 +527,7 @@ _KAPPA_LINES = (
 )
 
 
-def ising_critical_check(beta_a, beta_b, beta_c, sizes=(2, 4)):
+def ising_critical_check(beta_a, beta_b, beta_c, sizes):
     """Criticality report for the triangular Ising model at given couplings.
 
     Reports which kappa indicator vanishes (to 1e-9 of the largest), if

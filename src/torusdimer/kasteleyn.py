@@ -25,9 +25,9 @@ fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
 class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so slot_sectors turns the
 four slot Pfaffians into sectors (SectorTable) and signed class sums
-(matching_sign_classes, which verify_orientation checks).  build_KE and the
-dense Pfaffians serve it, --dump-matrix and the tests; enumerate_matchings
-is a test oracle only.
+(matching_sign_classes, which verify_orientation checks).  The dense
+Pfaffians serve it and the tests; build_KE and enumerate_matchings are
+test oracles only.
 """
 
 import cmath
@@ -224,9 +224,8 @@ class SectorTable:
     the sum of the sectors.
     """
 
-    def __init__(self, E, pf_signs, pf_logs, method, k):
+    def __init__(self, E, pf_signs, pf_logs, k):
         self.E = np.asarray(E, dtype=int)
-        self.method = method
         finite = [x for x in pf_logs if x != -math.inf]
         # all four Pfaffians vanish on a coverless quotient
         self.logscale = max(finite) if finite else 0.0
@@ -310,7 +309,7 @@ def sector_table(dom, E):
                              zero_rel)
     signs = real_point_signs(dom, E)
     return SectorTable(E, signs, [half * lg if sign else -math.inf
-                                  for sign, lg in zip(signs, logs)], "fiber", dom.k)
+                                  for sign, lg in zip(signs, logs)], dom.k)
 
 
 # -- fiber products -----------------------------------------------------------
@@ -664,7 +663,7 @@ def matching_sign_classes(dom, E):
 
 # -- winding distribution via twisted Pfaffians --------------------------------
 
-def winding_distribution_exact(dom, E, M=16):
+def winding_distribution_exact(dom, E, M):
     """Exact law of the winding of m (+) m0 on the E-quotient, mod M.
 
     Computes the twisted partition function Z(theta) on the M x M Fourier

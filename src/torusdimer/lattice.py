@@ -632,12 +632,13 @@ DOUBLE_MODES = {
 }
 
 
-def sublattice_domain(dom, F, reorient=True):
+def sublattice_domain(dom, F):
     """Quotient-compatible enlargement of the cell by the sublattice Z^2 F.
 
     Vertex instances are ordered (residue index, vertex index); cell
     displacement n of the new domain corresponds to displacement n F of
-    the original one.  Signs are reassigned from scratch via orient().
+    the original one.  Signs are always reassigned from scratch by orient(),
+    which keeps the instance order of the edges and faces.
     """
     F = np.asarray(F, dtype=int)
     _, reps, reduce = hnf_residues(F)
@@ -692,12 +693,9 @@ def sublattice_domain(dom, F, reorient=True):
         if not ok:
             colors = None
 
-    out = FundamentalDomain(k2, new_edges, new_faces, new_m0, colors=colors,
-                            name=(dom.name or "domain") + "-x%d" % d,
-                            weights=dom.weights)
-    if reorient:
-        out = orient(out)
-    return out
+    return orient(FundamentalDomain(k2, new_edges, new_faces, new_m0, colors=colors,
+                                    name=(dom.name or "domain") + "-x%d" % d,
+                                    weights=dom.weights))
 
 
 def double_domain(dom, mode):

@@ -45,12 +45,11 @@ class LaurentPoly2:
         longer than that is split too), reads coefficients off a 2-D DFT,
         prunes entries below 1e-10 times the largest, and then checks the
         result against the evaluator at a few off-grid points in one more
-        call.  A
-        residual above 1e-8 (relative to the sampled scale) raises
+        call.  A residual above 1e-8 (relative to the sampled scale) raises
         DegreeBoundError, which normally means `bound` was too small; so
         does a sample that is not finite, such as an overflowed det.
         """
-        bz, bw = (int(bound), int(bound)) if np.isscalar(bound) else map(int, bound)
+        bz, bw = map(int, bound)
         n1, n2 = 2 * bz + 1, 2 * bw + 1
         za = np.exp(2j * np.pi * np.arange(n1) / n1)
         wb = np.exp(2j * np.pi * np.arange(n2) / n2)
@@ -64,19 +63,12 @@ class LaurentPoly2:
         if not np.isfinite(samples).all():
             raise DegreeBoundError("a sample of the evaluator overflows double precision")
         # c[i,j] = (1/N) sum_ab f(z_a, w_b) z_a^-i w_b^-j  -- a forward FFT.
-        table = np.fft.fft2(samples) / (n1 * n2)
+        # Rolled so that row i, column j hold exponents (i - bz, j - bw).
+        table = np.roll(np.fft.fft2(samples) / (n1 * n2), (bz, bw), axis=(0, 1))
         scale = max(np.max(np.abs(samples)), 1e-300)
-        coeffs = {}
-        for i in range(-bz, bz + 1):
-            for j in range(-bw, bw + 1):
-                c = table[i % n1, j % n2]
-                if abs(c) > 0:
-                    coeffs[(i, j)] = c
-        poly = cls(coeffs)
-        top = max((abs(c) for c in poly.coeffs.values()), default=0.0)
-        poly.coeffs = {
-            e: c for e, c in poly.coeffs.items() if abs(c) >= 1e-10 * top
-        }
+        size = np.abs(table)
+        i, j = np.nonzero((size > 0) & (size >= 1e-10 * size.max()))
+        poly = cls(dict(zip(zip((i - bz).tolist(), (j - bw).tolist()), table[i, j].tolist())))
         # off-grid check at irrational angles
         rng = np.random.default_rng(20240817)
         t = rng.random((6, 2))

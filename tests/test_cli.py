@@ -119,14 +119,30 @@ def test_partition_dump_matrix_is_skew(capsys):
         assert entries[(j, i)] == -v
 
 
-def test_dump_matrix_triplets_match_the_entry_loop():
-    # a loop over all n^2 entries is the oracle, byte for byte
-    dom = lattice.builtin("fisher", a=1.3, b=0.8, c=1.1)
-    E = [[2, 1], [0, 2]]
-    K = kasteleyn.build_KE(dom, E, 1, 1)
-    loop = [[i, j, float(K[i, j].real), float(K[i, j].imag)]
-            for i in range(K.shape[0]) for j in range(K.shape[0]) if K[i, j] != 0]
-    assert cli._to_json(cli._matrix_dump(dom, E)["entries"]) == cli._to_json(loop)
+def test_dump_matrix_triplets_match_the_entry_loop(monkeypatch):
+    # a loop over all n^2 entries of build_KE is the oracle, byte for byte;
+    # the dump itself reads the edge table and never builds K_E.  On the 1x1
+    # hexagonal quotient the three edges share one entry: a = b + c cancels
+    # it, and 0.3 - 0.1 - 0.2 leaves a rounding residue that depends on the order
+    cases = [(lattice.builtin("fisher", a=1.3, b=0.8, c=1.1), [[2, 1], [0, 2]]),
+             (lattice.builtin("hexagonal", a=2.0, b=1.0, c=1.0), [[1, 0], [0, 1]]),
+             (lattice.builtin("hexagonal", a=2.0, b=1.0, c=1.0), [[2, 0], [0, 1]]),
+             (lattice.builtin("hexagonal", a=0.3, b=0.1, c=0.2), [[1, 0], [0, 1]]),
+             (lattice.builtin("square-bip", a=1.2, b=0.7), [[1, 2], [0, 3]]),
+             (lattice.builtin("rhombi-3464"), [[1, 0], [0, 1]])]
+    want = []
+    for dom, E in cases:
+        K = kasteleyn.build_KE(dom, E, 1, 1)
+        want.append([[i, j, float(K[i, j].real), float(K[i, j].imag)]
+                     for i in range(K.shape[0]) for j in range(K.shape[0]) if K[i, j] != 0])
+    assert want[1] == [] and len(want[3]) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dump built K_E")
+
+    monkeypatch.setattr(kasteleyn, "build_KE", refuse)
+    for (dom, E), loop in zip(cases, want):
+        assert cli._to_json(cli._matrix_dump(dom, E)["entries"]) == cli._to_json(loop)
 
 
 def test_partition_large_quotient_magnitude_path(capsys):
@@ -208,6 +224,14 @@ def test_fsc_curve_hexagonal_family(capsys):
     assert code == 0
     assert len(rows) == 4
     assert all(math.isfinite(r["fsc"]) for r in rows)
+
+
+def test_fsc_curve_family_option_is_gone(capsys):
+    # --lattice picks the curve family; there is no second way to say it
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["fsc-curve", "--lattice", "square-1x1", "--family", "square"])
+    assert exc.value.code == 2
+    assert "--family" in capsys.readouterr().err
 
 
 def test_verify_builtin_ok(capsys):

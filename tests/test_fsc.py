@@ -127,7 +127,7 @@ def test_sector_shares_are_the_sector_table_split_label_by_label():
                 (1, (1, 1), lambda r, s: fsc1_sector(r, s, tau)),
                 (2, (zeta, xi_), lambda r, s: fsc2_sector(r, s, zeta, xi_, tau))):
             logs = [power * log_xi(z * z0, w * w0, tau) for z, w in kasteleyn.SLOTS]
-            table = kasteleyn.SectorTable(np.eye(2, dtype=int), [-1, 1, 1, 1], logs, "", 2)
+            table = kasteleyn.SectorTable(np.eye(2, dtype=int), [-1, 1, 1, 1], logs, 2)
             for r, s in kasteleyn.SECTOR_ORDER:
                 got, want = share(r, s), table.log_sector(r, s)
                 assert abs(math.exp(got) - math.exp(want)) <= 1e-12 * math.exp(table.log_Z), (r, s)
@@ -213,8 +213,8 @@ def test_predict_single_real_node_converges():
     errs = []
     for m in (8, 16):
         E = np.array([[m, 0], [0, m]])
-        tab = sector_table_auto(dom, E)
-        pred = predict(dom, E, cp=cp)
+        tab, _method = sector_table_auto(dom, E)
+        pred = predict(cp, E)
         assert pred.kind == "single-real-node"
         errs.append(abs(tab.log_Z - pred.log_Z))
     assert errs[1] < errs[0] < 2e-3
@@ -229,8 +229,8 @@ def test_predict_conjugate_nodes_converges():
     errs = []
     for m in (4, 8, 16):
         E = np.array([[m, m], [-m, m]])
-        tab = sector_table_auto(dom, E)
-        pred = predict(dom, E, cp=cp)
+        tab, _method = sector_table_auto(dom, E)
+        pred = predict(cp, E)
         assert pred.kind == "distinct-conjugate-nodes"
         errs.append(abs(tab.log_Z - pred.log_Z))
     assert errs[2] < errs[1] < errs[0]
@@ -243,8 +243,8 @@ def test_predict_two_real_nodes_converges():
     errs = []
     for m in (8, 16):
         E = np.array([[m, 0], [0, 2 * m]])
-        tab = sector_table_auto(dom, E)
-        pred = predict(dom, E, cp=cp)
+        tab, _method = sector_table_auto(dom, E)
+        pred = predict(cp, E)
         assert pred.kind == "two-real-nodes"
         errs.append(abs(tab.log_Z - pred.log_Z))
     assert errs[1] < errs[0] < 1e-2
@@ -256,10 +256,10 @@ def test_predict_gaseous():
     errs = []
     for n in (4, 8):
         E = np.array([[n, 0], [0, n]])
-        pred = predict(dom, E, cp=cp)
+        pred = predict(cp, E)
         assert pred.kind == "non-vanishing"
         assert pred.value == 0.0 and pred.per_sector is None
-        tab = sector_table_auto(dom, E)
+        tab, _method = sector_table_auto(dom, E)
         errs.append(abs(tab.log_Z - pred.log_Z))
     # the additive correction decays exponentially in the gaseous phase
     assert errs[1] < errs[0] / 10
@@ -269,7 +269,7 @@ def test_predict_gaseous():
 def test_gaseous_sector_table_matches_parlett_reid():
     dom = lattice.builtin("hexagonal", a=3.0)
     for E in ([[8, 0], [0, 8]], [[6, 2], [0, 7]]):
-        tab = sector_table_auto(dom, E)
+        tab, _method = sector_table_auto(dom, E)
         want = [kasteleyn.pfaffian_log(kasteleyn.build_KE(dom, E, z, w))
                 for z, w in kasteleyn.SLOTS]
         top = max(lg for _ph, lg in want)
@@ -286,7 +286,7 @@ def test_predict_gaseous_sign_constant():
     dom = lattice.builtin("rhombi-3464")
     E = np.array([[24, 0], [0, 24]])
     assert kasteleyn.real_point_signs(dom, E) == [-1, 1, 1, 1]
-    pred = predict(dom, E)
+    pred = predict(charpoly.build_charpoly(dom), E)
     assert pred.kind == "non-vanishing"
     assert abs(pred.value - math.log(2.0)) < 1e-15
     assert abs(predict_logZ(dom, E) - kasteleyn.sector_table(dom, E).log_Z) < 1e-6
@@ -295,7 +295,50 @@ def test_predict_gaseous_sign_constant():
 def test_predict_gaseous_cancelling_signs_raise(monkeypatch):
     monkeypatch.setattr(kasteleyn, "real_point_signs", lambda dom, E: [1, 1, 1, -1])
     with pytest.raises(FscError, match="no leading term"):
-        predict(lattice.builtin("hexagonal", a=3.0), np.array([[4, 0], [0, 4]]))
+        predict(charpoly.build_charpoly(lattice.builtin("hexagonal", a=3.0)),
+                np.array([[4, 0], [0, 4]]))
+
+
+def test_gaseous_predict_reads_the_signs_of_its_curves_domain(monkeypatch):
+    # one curve argument: the slot signs come from cp.dom, the domain whose
+    # nodes (none) and f0 the prediction uses
+    cp = charpoly.build_charpoly(lattice.builtin("rhombi-3464"))
+    seen = []
+    original = kasteleyn.real_point_signs
+
+    def spy(dom, E):
+        seen.append(dom)
+        return original(dom, E)
+
+    monkeypatch.setattr(kasteleyn, "real_point_signs", spy)
+    pred = predict(cp, [[24, 0], [0, 24]])
+    assert pred.kind == "non-vanishing" and abs(pred.value - math.log(2.0)) < 1e-15
+    assert len(seen) == 1 and seen[0] is cp.dom
+
+
+@pytest.fixture(scope="module")
+def hexagonal_curve():
+    return charpoly.build_charpoly(lattice.builtin("hexagonal"))
+
+
+_E_ENTRY_POINTS = {
+    "predict": predict,
+    "predict_sector_table": fsc.predict_sector_table,
+    "winding_law": winding_law,
+    "winding_distribution_gaussian": fsc.winding_distribution_gaussian,
+    "predict_logZ": lambda cp, E: predict_logZ(cp.dom, E),
+    "predict_logZ-parity-table": lambda cp, E: predict_logZ(lattice.builtin("square-1x1"), E),
+}
+
+
+@pytest.mark.parametrize("E", [[[1, 0], [0, 0]], [[2, 0], [4, 0]], [[1, 2]]],
+                         ids=["rank-1", "parallel-rows", "1x2"])
+@pytest.mark.parametrize("entry", sorted(_E_ENTRY_POINTS))
+def test_a_singular_or_misshapen_E_raises_quotient_error(hexagonal_curve, entry, E):
+    # kasteleyn's check, as in sector_table: not a ZeroDivisionError, an
+    # unpacking error or a law full of inf and nan
+    with pytest.raises(kasteleyn.QuotientError):
+        _E_ENTRY_POINTS[entry](hexagonal_curve, E)
 
 
 # (lattice, weights, E, method, log_Z, scaled (Pf(1,1), Pf(1,-1), Pf(-1,1),
@@ -317,8 +360,8 @@ _ABOVE_LABEL_LIMIT = (
 @pytest.mark.parametrize("name,weights,E,method,log_z,pf", _ABOVE_LABEL_LIMIT,
                          ids=[row[0] for row in _ABOVE_LABEL_LIMIT])
 def test_critical_tables_above_label_limit_unchanged(name, weights, E, method, log_z, pf):
-    tab = sector_table_auto(lattice.builtin(name, **weights), E)
-    assert tab.method == method
+    tab, label = sector_table_auto(lattice.builtin(name, **weights), E)
+    assert label == method
     assert abs(tab.log_Z - log_z) < 1e-12 * log_z
     assert np.max(np.abs(tab.pf_scaled - np.array(pf))) < 1e-12
 
@@ -327,8 +370,8 @@ def test_per_sector_prediction_tracks_exact_sectors():
     dom = critical_fisher()
     cp = charpoly.build_charpoly(dom)
     E = np.array([[10, 0], [0, 10]])
-    tab = sector_table_auto(dom, E)
-    pred = fsc.predict_sector_table(dom, E, cp=cp)
+    tab, _method = sector_table_auto(dom, E)
+    pred = fsc.predict_sector_table(cp, E)
     for r, s in kasteleyn.SECTOR_ORDER:
         a = tab.log_sector(r, s)
         b = pred.log_sector(r, s)
@@ -343,9 +386,9 @@ def test_double_dimer_sectors_match_discrete_gaussian():
     cp = charpoly.build_charpoly(dom)
     m = 32
     E = np.array([[m, 0], [0, m]])
-    tab = sector_table_auto(dom, E)
+    tab, _method = sector_table_auto(dom, E)
     zz, logscale2 = tab.double_dimer_sectors()
-    pred = predict(dom, E, cp=cp)
+    pred = predict(cp, E)
     tau = pred.tau
     f0 = pred.f0
     den = 2 * math.exp(2 * log_abs_eta(tau))
@@ -374,24 +417,24 @@ def test_double_dimer_sectors_match_discrete_gaussian():
 def test_winding_law_hexagonal_3I():
     dom = lattice.builtin("hexagonal")
     E = np.array([[3, 0], [0, 3]])
-    law = winding_law(dom, E)
+    law = winding_law(charpoly.build_charpoly(dom), E)
     assert law.color_swapped
     assert np.allclose(law.mu, (1.0, 1.0), atol=1e-9)
     assert law.ell == (0, 0)
-    table = kasteleyn.winding_distribution_exact(dom, E)
+    table = kasteleyn.winding_distribution_exact(dom, E, M=16)
     probs = table.as_dict()
     assert abs(probs[(1, 1)] - 0.5) < 1e-12  # 21 of 42 covers
 
 
 def test_winding_law_hexagonal_rotated():
     dom = lattice.builtin("hexagonal")
-    law = winding_law(dom, np.array([[2, 2], [-2, 2]]))
+    law = winding_law(charpoly.build_charpoly(dom), np.array([[2, 2], [-2, 2]]))
     assert np.allclose(law.mu, (4.0 / 3.0, 0.0), atol=1e-9)
 
 
 def test_winding_law_square_bip():
     dom = lattice.builtin("square-bip")
-    law = winding_law(dom, np.array([[2, 0], [0, 2]]))
+    law = winding_law(charpoly.build_charpoly(dom), np.array([[2, 0], [0, 2]]))
     assert not law.color_swapped
     assert np.allclose(law.mu, (1.0, 0.0), atol=1e-9)
 
@@ -399,8 +442,8 @@ def test_winding_law_square_bip():
 def test_winding_gaussian_total_variation_small():
     dom = lattice.builtin("hexagonal")
     E = np.array([[6, 6], [-6, 6]])
-    table = kasteleyn.winding_distribution_exact(dom, E)
-    masses = fsc.winding_distribution_gaussian(dom, E)
+    table = kasteleyn.winding_distribution_exact(dom, E, M=16)
+    masses = fsc.winding_distribution_gaussian(charpoly.build_charpoly(dom), E)
     tv = table.tv_against(masses)
     assert tv < 0.1
 
@@ -503,7 +546,7 @@ def test_ising_dimer_identity_exact():
 
 def test_ising_critical_onsager_point():
     beta = 0.5 * math.log(1 + math.sqrt(2))
-    report = ising_critical_check(beta, beta, 0.0)
+    report = ising_critical_check(beta, beta, 0.0, sizes=(2, 4))
     assert report.vanishing == ["kappa_0"]
     assert report.node_location == (1, 1)
     assert abs(report.kappa[0]) < 1e-12
@@ -549,8 +592,8 @@ def test_mirror_tori_predict_the_same_partition_function():
     # [[600,0],[0,2]] and [[2,0],[0,600]] are the same torus up to a rotation
     dom = lattice.builtin("hexagonal")
     cp = charpoly.build_charpoly(dom)
-    a = predict(dom, [[600, 0], [0, 2]], cp=cp).log_Z
-    b = predict(dom, [[2, 0], [0, 600]], cp=cp).log_Z
+    a = predict(cp, [[600, 0], [0, 2]]).log_Z
+    b = predict(cp, [[2, 0], [0, 600]]).log_Z
     assert abs(a - b) < 1e-11
 
 
@@ -559,8 +602,8 @@ def test_huge_thin_torus_prediction_matches_other_basis():
     # adj(E) keep the prediction; the float E^-1 shape was 7.6% off
     dom = lattice.builtin("hexagonal")
     cp = charpoly.build_charpoly(dom)
-    a = predict(dom, [[2**27 + 1, 0], [2**27 - 1, 2]], cp=cp)
-    b = predict(dom, [[2, -2], [2**27 - 1, 2]], cp=cp)
+    a = predict(cp, [[2**27 + 1, 0], [2**27 - 1, 2]])
+    b = predict(cp, [[2, -2], [2**27 - 1, 2]])
     assert abs(a.value - b.value) < 1e-8 * abs(b.value)
 
 
@@ -574,7 +617,7 @@ def test_huge_thin_torus_prediction_matches_other_basis():
 def test_ordinary_shape_predictions_unchanged(name, weights, E, value):
     # the correction log_Z - |det E| f0, pinned before log_xi reduced tau and
     # conformal_data used adj(E); log_Z itself moves with the last bits of f0
-    got = predict(lattice.builtin(name, **weights), E).value
+    got = predict(charpoly.build_charpoly(lattice.builtin(name, **weights)), E).value
     assert abs(got - value) <= 1e-15 * value
 
 

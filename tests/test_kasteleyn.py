@@ -148,7 +148,7 @@ def test_winding_distribution_exact_agrees_with_enumeration():
     dom = lattice.builtin("hexagonal")
     E = np.array([[2, 0], [0, 2]])
     enum = enumerate_matchings(dom, E)
-    table = kasteleyn.winding_distribution_exact(dom, E)
+    table = kasteleyn.winding_distribution_exact(dom, E, M=16)
     probs = table.as_dict()
     for e, mass in enum.winding.items():
         assert abs(probs.get(e, 0.0) - mass / enum.Z) < 1e-9
@@ -382,7 +382,7 @@ def test_winding_law_reads_the_cell_determinant_not_a_charpoly(monkeypatch):
     monkeypatch.setattr(charpoly, "build_charpoly", refuse)
     dom = lattice.builtin("square-bip", a=1.2, b=0.9)
     E = np.array([[2, 0], [0, 2]])
-    probs = kasteleyn.winding_distribution_exact(dom, E).as_dict()
+    probs = kasteleyn.winding_distribution_exact(dom, E, M=16).as_dict()
     enum = enumerate_matchings(dom, E)
     for e, mass in enum.winding.items():
         assert abs(probs.get(e, 0.0) - mass / enum.Z) < 1e-9

@@ -78,7 +78,7 @@ def test_call_matches_monomial_sum_at_every_argument_shape(coeffs, seed):
 
 def test_from_evaluator_roundtrip():
     p = random_poly(nterms=8, span=4)
-    q = LaurentPoly2.from_evaluator(lambda z, w: p(z, w), bound=4)
+    q = LaurentPoly2.from_evaluator(lambda z, w: p(z, w), bound=(4, 4))
     assert q.coeffs.keys() == p.coeffs.keys()
     for key, c in p.coeffs.items():
         assert abs(q.coeffs[key] - c) < 1e-10
@@ -87,7 +87,41 @@ def test_from_evaluator_roundtrip():
 def test_from_evaluator_rejects_undersized_bound():
     p = LaurentPoly2({(3, 0): 1.0, (0, -3): 1.0})
     with pytest.raises(DegreeBoundError):
-        LaurentPoly2.from_evaluator(lambda z, w: p(z, w), bound=2)
+        LaurentPoly2.from_evaluator(lambda z, w: p(z, w), bound=(2, 2))
+
+
+def loop_read_coefficients(fun, bz, bw):
+    """from_evaluator's coefficients by a loop over every exponent of the box,
+    row by row, then the same pruning: the oracle of the array read."""
+    n1, n2 = 2 * bz + 1, 2 * bw + 1
+    za = np.exp(2j * np.pi * np.arange(n1) / n1)
+    wb = np.exp(2j * np.pi * np.arange(n2) / n2)
+    table = np.fft.fft2(fun(za[:, None], wb[None, :])) / (n1 * n2)
+    coeffs = {}
+    for i in range(-bz, bz + 1):
+        for j in range(-bw, bw + 1):
+            c = table[i % n1, j % n2]
+            if abs(c) > 0:
+                coeffs[(i, j)] = complex(c)
+    top = max((abs(c) for c in coeffs.values()), default=0.0)
+    return {e: c for e, c in coeffs.items() if abs(c) >= 1e-10 * top}
+
+
+def test_from_evaluator_reads_the_coefficients_of_the_loop():
+    # same keys, values and order: det K of every builtin, det Qblock of the
+    # 2-colored ones, and a sparse polynomial in a box wider than it (zeros)
+    cases = []
+    for name in lattice.BUILTIN_NAMES:
+        dom = lattice.builtin(name, a=1.1, b=0.9)
+        cases.append((lambda z, w, dom=dom: np.linalg.det(dom.K(z, w)), lattice.leibniz_bound(dom)))
+        if dom.bipartite:
+            cases.append((lambda z, w, dom=dom: np.linalg.det(dom.Qblock(z, w)),
+                          lattice.leibniz_bound(dom, qblock=True)))
+    p = random_poly(nterms=7, span=3)
+    cases.append((lambda z, w: p(z, w), (5, 3)))
+    for fun, (bz, bw) in cases:
+        got = LaurentPoly2.from_evaluator(fun, (bz, bw))
+        assert list(got.coeffs.items()) == list(loop_read_coefficients(fun, bz, bw).items())
 
 
 @pytest.mark.parametrize("chunk", [6, 7, 20])

@@ -98,7 +98,7 @@ def loop_fiber_points(E, zeta=1.0, xi=1.0):
 
 
 def loop_sublattice_parts(dom, F):
-    """Edges, faces and m0 of sublattice_domain before reorientation."""
+    """Edges, faces and m0 of sublattice_domain (orient keeps them)."""
     reps, reduce = loop_reduce(F)
     new_edges, edge_key = [], {}
     for rho_idx, rho in enumerate(reps):
@@ -166,7 +166,7 @@ def test_fiber_points_match_loop():
 def test_sublattice_domain_matches_loop(name):
     dom = domain(name)
     for F in ([[2, 0], [0, 1]], [[2, 0], [1, 1]], [[2, 1], [0, 3]], [[1, -1], [1, 1]]):
-        out = lattice.sublattice_domain(dom, F, reorient=False)
+        out = lattice.sublattice_domain(dom, F)
         edges, faces, m0 = loop_sublattice_parts(dom, F)
         assert [tuple(e[:4]) for e in out.edges] == [e[:4] for e in edges]
         assert out.faces == faces and out.m0 == m0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torusdimer import fsc, kasteleyn, lattice
+from torusdimer import charpoly, fsc, kasteleyn, lattice
 
 
 def hexa():
@@ -12,7 +12,7 @@ def hexa():
 
 
 def test_masses_are_normalized_and_centered():
-    table = kasteleyn.winding_distribution_exact(hexa(), np.diag((3, 3)))
+    table = kasteleyn.winding_distribution_exact(hexa(), np.diag((3, 3)), M=16)
     probs = table.as_dict()
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     mean = [sum(k[i] * v for k, v in probs.items()) for i in (0, 1)]
@@ -23,31 +23,32 @@ def test_mass_multiset_invariant_under_basis_change():
     # a unimodular change of homology basis relabels winding classes
     dom = hexa()
     E = np.diag((3, 3))
-    base = sorted(kasteleyn.winding_distribution_exact(dom, E).as_dict().values())
+    base = sorted(kasteleyn.winding_distribution_exact(dom, E, M=16).as_dict().values())
     for T in (np.array([[1, 1], [0, 1]]), np.array([[0, -1], [1, 0]]),
               np.array([[2, 1], [1, 1]])):
-        other = kasteleyn.winding_distribution_exact(dom, T @ E).as_dict()
+        other = kasteleyn.winding_distribution_exact(dom, T @ E, M=16).as_dict()
         vals = sorted(other.values())
         assert np.allclose(base[-12:], vals[-12:], atol=1e-12)
 
 
 def test_law_mean_transforms_contravariantly():
-    dom = hexa()
+    cp = charpoly.build_charpoly(hexa())
     E = np.diag((3, 3))
-    mu = np.array(fsc.winding_law(dom, E).mu)
+    mu = np.array(fsc.winding_law(cp, E).mu)
     for T in (np.array([[1, 1], [0, 1]]), np.array([[1, 0], [-1, 1]])):
-        got = np.array(fsc.winding_law(dom, T @ E).mu)
+        got = np.array(fsc.winding_law(cp, T @ E).mu)
         want = np.linalg.inv(T).T @ mu
         assert np.allclose(got, want, atol=1e-9)
 
 
 def test_gaussian_model_sharpens_with_size():
     dom = hexa()
+    cp = charpoly.build_charpoly(dom)
     tvs = []
     for m in (3, 6):
         E = np.array([[m, m], [-m, m]])
-        exact = kasteleyn.winding_distribution_exact(dom, E)
-        model = fsc.winding_distribution_gaussian(dom, E)
+        exact = kasteleyn.winding_distribution_exact(dom, E, M=16)
+        model = fsc.winding_distribution_gaussian(cp, E)
         tvs.append(exact.tv_against(model))
     assert tvs[1] < tvs[0]
     assert tvs[1] < 0.1
@@ -66,8 +67,8 @@ def test_folding_window_consistency():
 def test_variance_tracks_law_sigma():
     dom = hexa()
     E = np.array([[4, 4], [-4, 4]])
-    law = fsc.winding_law(dom, E)
-    probs = kasteleyn.winding_distribution_exact(dom, E).as_dict()
+    law = fsc.winding_law(charpoly.build_charpoly(dom), E)
+    probs = kasteleyn.winding_distribution_exact(dom, E, M=16).as_dict()
     mean = np.array([sum(k[i] * v for k, v in probs.items()) for i in (0, 1)])
     cov = np.zeros((2, 2))
     for k, v in probs.items():
@@ -189,12 +190,12 @@ def test_gaussian_model_is_covariant_on_both_sides_of_the_condition_limit(m):
     # det E = 1: the law of the identity basis relabelled n -> n adj(E), for the
     # direct discrete Gaussian (m = 30) and the Lagrange-reduced one (m >= 50),
     # with reductions taking an even and an odd number of swaps
-    dom = lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2)
-    base = fsc.winding_distribution_gaussian(dom, np.eye(2, dtype=int))
+    cp = charpoly.build_charpoly(lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2))
+    base = fsc.winding_distribution_gaussian(cp, np.eye(2, dtype=int))
     for E in ([[m, m - 1], [m + 1, m]], [[m, m + 1], [m - 1, m]]):
-        cond = np.linalg.cond(fsc.winding_law(dom, E).sigma)
+        cond = np.linalg.cond(fsc.winding_law(cp, E).sigma)
         assert (cond < fsc.SIGMA_COND_LIMIT) == (m == 30)
-        got = fsc.winding_distribution_gaussian(dom, E)
+        got = fsc.winding_distribution_gaussian(cp, E)
         adj = lattice.adjugate(E)
         for n, p in base.items():
             if p > 1e-9:
