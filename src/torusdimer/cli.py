@@ -273,10 +273,10 @@ def _cmd_winding(args):
 
 
 def _cmd_fsc_curve(args):
-    curve_values = {"square-1x1": fsc.square_curve_values, "square": fsc.square_curve_values,
+    curve_values = {"square-1x1": fsc.square_curve_values,
                     "hexagonal": fsc.hexagonal_curve_values}.get(args.lattice)
     if curve_values is None:
-        raise _Usage("fsc-curve families: square (square-1x1) or hexagonal")
+        raise _Usage("fsc-curve families: square-1x1 or hexagonal")
     log_rhos = _parse_range(args.range)
     curves = curve_values(log_rhos)
     rows = [[lr, name, values[i]] for i, lr in enumerate(log_rhos) for name, values in curves]

@@ -25,9 +25,9 @@ fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
 class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so slot_sectors turns the
 four slot Pfaffians into sectors (SectorTable) and signed class sums
-(matching_sign_classes, which verify_orientation checks).  The dense
-Pfaffians serve it and the tests; build_KE and enumerate_matchings are
-test oracles only.
+(matching_sign_classes, which verify_orientation checks from eight k x k
+cell values).  Dense quotient Pfaffians (pfaffian_log of build_KE) and
+enumerate_matchings are test oracles only.
 """
 
 import cmath
@@ -52,6 +52,14 @@ SLOT_HALF_TURNS = ((0, 0), (0, 1), (1, 0), (1, 1))
 SLOTS = tuple(((-1) ** a, (-1) ** b) for a, b in SLOT_HALF_TURNS)
 SLOT_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 SECTOR_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+# Per quotient (E11, E12, E21, E22) of matching_sign_classes and per slot, the CHECK_POINTS
+# whose _cell_values multiply to Pf K_E (sign constant 1): the slot itself for E = I, and for
+# diag(2, 1) (diag(1, 2) in w) the fiber z^2 = zeta: z = +-1, or the conjugate pair z = +-i.
+CHECK_POINTS = SLOTS + ((1j, 1), (1j, -1), (1, 1j), (-1, 1j))
+CHECK_QUOTIENTS = {(1, 0, 0, 1): ((0,), (1,), (2,), (3,)),
+                   (2, 0, 0, 1): ((0, 2), (1, 3), (4,), (5,)),
+                   (1, 0, 0, 2): ((0, 1), (6,), (2, 3), (7,))}
 
 ENUM_CAP = 28
 ZERO_ULPS = 64  # a fiber value within ZERO_ULPS * k ulps of the largest evaluated is a node
@@ -81,7 +89,6 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
     it requires a 2-colored domain.
     """
     E = _as_E(E)
-    edges = instance_edges(dom, E)
     d = abs(int_det(E))
     val = np.tile([e.sign * e.weight for e in dom.edges], d)
     if twist is not None:
@@ -92,13 +99,8 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
             cmath.exp(1j * (1.0 if dom.colors[e.tail] == 0 else -1.0)
                       * (beta[0] * e.dx + beta[1] * e.dy))
             for e in dom.edges], d)
-    return _assemble_KE(dom.k * d, edges, val, zeta, xi)
-
-
-def _assemble_KE(n, edges, val, zeta, xi):
-    """The n x n K_E(zeta, xi) of an instance_edges table with edge values val."""
-    tail, head, jump = edges
-    K = np.zeros((n, n), dtype=complex)
+    tail, head, jump = instance_edges(dom, E)
+    K = np.zeros((dom.k * d,) * 2, dtype=complex)
     ph = _powers(complex(zeta), jump[:, 0]) * _powers(complex(xi), jump[:, 1])
     # forward and backward entries interleaved in edge-table order, so each
     # entry sums its contributions in a fixed order
@@ -162,10 +164,6 @@ def pfaffian_log(A):
 def pfaffian(A):
     phase, logabs = pfaffian_log(A)
     return phase * math.exp(logabs) if logabs != -math.inf else 0.0 * phase
-
-
-def instance_colors(dom, d):
-    return [dom.colors[v % dom.k] for v in range(dom.k * d)]
 
 
 def _black_white(colors):
@@ -265,13 +263,19 @@ def real_point_signs(dom, E):
     """Per slot, the sign of prod Pf K(s) over the real fiber points s (0 if one vanishes).
 
     s = ((-1)^a, (-1)^b) lies in the fiber of the slot with half-turns
-    E (a, b) mod 2; conjugate pairs give det K >= 0, so this is sign Pf K_E.
+    E (a, b) mod 2; conjugate pairs give det K >= 0 when oriented: this is sign Pf K_E.
     """
     E = _as_E(E)
-    cells = dom.K(*np.array(SLOTS, dtype=float).T)  # the four real points in one call
-    sign = [int(np.sign(pfaffian_log(cell)[0].real)) for cell in cells]
+    sign = [int(np.sign(ph.real)) for ph, _lg in _cell_values(dom, SLOTS)]
     return [math.prod(sg for p, sg in zip(SLOT_HALF_TURNS, sign) if tuple(E @ p % 2) == half)
             for half in SLOT_HALF_TURNS]
+
+
+def _cell_values(dom, points):
+    """(phase, log|.|) per point (z, w), from one dom.K call: Pf K at a real point (a slot),
+    else det K, real for an even cell (K is anti-Hermitian on the unit torus) and can be < 0."""
+    return [pfaffian_log(cell) if point in SLOTS else np.linalg.slogdet(cell)
+            for point, cell in zip(points, dom.K(*np.array(points, dtype=complex).T))]
 
 
 def _cell_det(M):
@@ -639,26 +643,24 @@ def enumerate_matchings(dom, E):
     return EnumResult(E, matchings, dom.bipartite)
 
 
-def matching_sign_classes(dom, E):
-    """{homology class mod 2: {sign}} of the matchings in the Pfaffian of K_E(1, 1).
+def matching_sign_classes(dom):
+    """{E: {homology class mod 2: sign}} of the matchings in Pf K_E(1, 1), per CHECK_QUOTIENTS.
 
     Valid for clockwise-odd faces, where each class has one sign: the signed
     class sums A = SLOT_SIGNS[0] S_MATRIX[0] slot_sectors(pf) are the sectors
     times the class signs in Pf(1, 1), and |A_c| > 1e-9 max |A| marks c present.
-    Unit weights, which keep the signs, stop extreme weights hiding a class.
+    Callers pass unit weights, which keep the signs and stop extreme weights hiding a class.
     """
-    E = _as_E(E)
-    d = abs(int_det(E))
-    edges = instance_edges(dom, E)  # one table, four slot phases
-    unit = np.tile([e.sign * 1.0 for e in dom.edges], d)
-    pf = [pfaffian_log(_assemble_KE(dom.k * d, edges, unit, zeta, xi)) for zeta, xi in SLOTS]
-    top = max(lg for _ph, lg in pf)
-    if top == -math.inf:
-        return {}
-    pf = np.array([ph.real * math.exp(lg - top) for ph, lg in pf])
-    A = SLOT_SIGNS[0] * S_MATRIX[0] * slot_sectors(pf)
-    cut = 1e-9 * np.max(np.abs(A))
-    return {c: {int(np.sign(a))} for c, a in zip(SECTOR_ORDER, A) if abs(a) > cut}
+    cells = _cell_values(dom, CHECK_POINTS)
+    table = {}
+    for E, factors in CHECK_QUOTIENTS.items():
+        pf = [(math.prod(cells[i][0] for i in f), sum(cells[i][1] for i in f)) for f in factors]
+        top = max(lg for _ph, lg in pf)
+        pf = np.array([0.0 if lg == -math.inf else ph.real * math.exp(lg - top) for ph, lg in pf])
+        A = SLOT_SIGNS[0] * S_MATRIX[0] * slot_sectors(pf)
+        cut = 1e-9 * np.max(np.abs(A))
+        table[E] = {c: int(np.sign(a)) for c, a in zip(SECTOR_ORDER, A) if abs(a) > cut}
+    return table
 
 
 # -- winding distribution via twisted Pfaffians --------------------------------

@@ -12,10 +12,10 @@ valid when every face has step-sign product -1 (step sign is +sign for a
 forward step and -sign for a backward step), the reference matching m0
 pairs positively, and the matchings of the 1x1, 2x1 and 1x2 quotients
 carry + in homology class (0, 0) and - in the other three.  Given the face
-condition a class has one sign, which the four slot Pfaffians of the
-quotient reveal (kasteleyn.matching_sign_classes), so verify_orientation
-checks all three in polynomial time, once per signed graph in a process;
-orient() produces such signs from scratch.
+condition a class has one sign, which the slot Pfaffians of the quotient
+reveal; kasteleyn.matching_sign_classes reads them off eight k x k cell
+values, so verify_orientation checks all three in O(k^3), once per signed
+graph in a process; orient() produces such signs from scratch.
 """
 
 import functools
@@ -461,9 +461,9 @@ def verify_orientation(dom):
     """Check the three sign conditions; returns an OrientationReport.
 
     The class signs come from the unit-weight slot Pfaffians of the three
-    quotients, which group matchings by class only under the face
-    condition, so they are checked only when the faces and m0 pass (else
-    the third flag is False with no class entries in offending_items).
+    quotients, read off eight k x k cell values.  They group matchings by
+    class only under the face condition, so are checked only when the faces
+    and m0 pass (else the third flag is False, with no class entries).
 
     The report depends on the signed graph alone: a matching's sign relative
     to its homology class never depends on the weights (Cimasoni-Reshetikhin).
@@ -500,12 +500,10 @@ def _signed_graph_report(key):
     if cycles_ok:
         from . import kasteleyn  # deferred; kasteleyn imports this module
 
-        for E in (np.eye(2, dtype=int), np.array([[2, 0], [0, 1]]), np.array([[1, 0], [0, 2]])):
-            for cls, signs in kasteleyn.matching_sign_classes(dom, E).items():
-                want = 1 if cls == (0, 0) else -1
-                if signs != {want}:
-                    cycles_ok = False
-                    bad.append(("class", (tuple(int(x) for x in E.ravel()), cls, tuple(signs))))
+        found = kasteleyn.matching_sign_classes(dom)
+        bad += [("class", (E, cls, (sign,))) for E, classes in found.items()
+                for cls, sign in classes.items() if sign != (1 if cls == (0, 0) else -1)]
+        cycles_ok = not bad
     return faces_ok, m0_ok, cycles_ok, tuple(bad)
 
 
@@ -609,7 +607,7 @@ def orient(dom):
     reference matching (dom.m0, else find_reference_matching's) by a
     vertex gauge, then searches the four boundary sign twists for the one
     whose homology classes carry the right signs, each candidate costing
-    the 12 slot Pfaffians of verify_orientation.  Raises
+    the eight k x k cell values of verify_orientation.  Raises
     OrientationError when no assignment passes the checks (e.g. the face
     data does not describe a planar torus embedding).
     """

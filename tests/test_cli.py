@@ -283,6 +283,7 @@ def test_ising_onsager(capsys):
         ["sectors", "--lattice", "fisher", "--E", "1,0,0,-1"],
         ["fsc-curve", "--lattice", "square-1x1", "--range", "0:1"],
         ["fsc-curve", "--lattice", "fisher"],
+        ["fsc-curve", "--lattice", "square"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

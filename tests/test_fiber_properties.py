@@ -89,8 +89,8 @@ def test_json_round_trip_keeps_the_domain_and_its_table(dom, E):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_sublattice_domain_is_oriented(data):
-    # the class check takes 12 slot Pfaffians of at most 2k vertices, so the
-    # enlargement is polynomial in its size
+    # the class check takes eight k x k cell values, so the enlargement is
+    # polynomial in its size
     dom = data.draw(domains())
     F = data.draw(quotients(max_det=64 // dom.k))
     rep = lattice.verify_orientation(lattice.sublattice_domain(dom, F))

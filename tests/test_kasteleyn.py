@@ -183,6 +183,35 @@ def test_pfaffian_sign_classes_on_builtin():
         assert ss == {1 if cls == (0, 0) else -1}
 
 
+def test_orientation_check_slots_factor_over_the_fiber():
+    # the 12 slot Pfaffians of the orientation check's quotients, as products of
+    # the eight cell values, against the dense Pfaffian of K_E at random edge
+    # signs (face-broken ones too); a conjugate pair enters by its signed det K,
+    # so the draws must include a negative one for the sign rule to be tested.
+    # The weights are 1, so every slot value is an integer: below e^-20 it is 0
+    draw = np.random.default_rng(17)
+    cells = [lattice.builtin(name) for name in lattice.BUILTIN_NAMES]
+    cells += [lattice.sublattice_domain(lattice.builtin(name), F)
+              for name in ("hexagonal", "fisher") for F in ([[2, 0], [0, 1]], [[1, 0], [1, 2]])]
+    negative = 0
+    for cell in cells:
+        for _ in range(12):
+            dom = cell.with_signs(draw.choice([-1, 1], len(cell.edges)))
+            values = kasteleyn._cell_values(dom, kasteleyn.CHECK_POINTS)
+            negative += any(ph.real < 0 for ph, _lg in values[4:])
+            for E, factors in kasteleyn.CHECK_QUOTIENTS.items():
+                for (z, w), f in zip(SLOTS, factors):
+                    phase = math.prod(values[i][0] for i in f)
+                    logabs = sum(values[i][1] for i in f)
+                    K_E = build_KE(dom, np.reshape(E, (2, 2)), z, w)
+                    want_phase, want_log = pfaffian_log(K_E)
+                    if want_log < -20 or logabs < -20:
+                        assert max(want_log, logabs) < -20
+                    else:
+                        assert abs(phase - want_phase) < 1e-12 and abs(logabs - want_log) < 1e-12
+    assert negative > 0
+
+
 @pytest.mark.parametrize("weights,E", [
     ({"a": 1.064432, "b": 1.477222, "c": 1.381871}, [[64, 0], [0, 16]]),
     ({"a": 0.839226, "b": 0.785111, "c": 0.845923}, [[32, 0], [11, 18]]),
@@ -197,7 +226,7 @@ def test_sectors_pfaffians_match_svd(weights, E, capsys):
                     "--E", ",".join(str(x) for row in E for x in row)]) == 0
     out = json.loads(capsys.readouterr().out)
     dom = lattice.builtin("hexagonal", **weights)
-    colors = kasteleyn.instance_colors(dom, lattice.int_det(E))
+    colors = dom.colors * lattice.int_det(E)
     blacks = [i for i, c in enumerate(colors) if c == 0]
     whites = [i for i, c in enumerate(colors) if c == 1]
     for (z, w), (pf, im) in zip(SLOTS, out["pf"]):

@@ -211,14 +211,24 @@ def test_large_enlargements_orient_and_keep_the_partition_function(name, F):
 
 
 def test_orientation_never_enumerates(monkeypatch, tmp_path):
+    # nor builds a quotient matrix: no build_KE, and no Pfaffian larger than the cell
     from torusdimer import charpoly, cli, kasteleyn
 
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_matchings called outside the tests")
+        raise AssertionError("a test oracle called outside the tests")
 
     monkeypatch.setattr(kasteleyn, "enumerate_matchings", refuse)
+    monkeypatch.setattr(kasteleyn, "build_KE", refuse)
     path = tmp_path / "cell.json"
     sublattice_domain(builtin("rhombi-3464"), [[2, 0], [0, 2]]).save(path)
+    pfaffian_log = kasteleyn.pfaffian_log
+
+    def cell_sized(A):
+        assert len(A) <= dom.k, "pfaffian_log of a %d-vertex quotient matrix" % len(A)
+        return pfaffian_log(A)
+
+    monkeypatch.setattr(kasteleyn, "pfaffian_log", cell_sized)
+    lattice._signed_graph_report.cache_clear()
     for name in BUILTIN_NAMES + (str(path),):
         dom = builtin(name) if name in BUILTIN_NAMES else FundamentalDomain.load(name)
         orient(dom.with_signs([1] * len(dom.edges)))
@@ -242,15 +252,15 @@ def test_mutating_a_report_leaves_the_memo_intact():
 
 def test_one_orientation_check_per_signed_lattice(monkeypatch):
     # the weights never enter the check: 25 spectral curves of one lattice at
-    # four weight sets verify its signs once, three slot-Pfaffian quotients
+    # four weight sets verify its signs once, one class table of three quotients
     from torusdimer import charpoly, kasteleyn
 
     calls = []
     real = kasteleyn.matching_sign_classes
 
-    def counted(dom, E):
-        calls.append(np.asarray(E).tolist())
-        return real(dom, E)
+    def counted(dom):
+        calls.append(dom.k)
+        return real(dom)
 
     monkeypatch.setattr(kasteleyn, "matching_sign_classes", counted)
     lattice._signed_graph_report.cache_clear()
@@ -258,7 +268,7 @@ def test_one_orientation_check_per_signed_lattice(monkeypatch):
             {"a": 0.9, "b": 1.2, "c": 1.0}, {"a": 1.1, "b": 1.1, "c": 0.7}]
     for i in range(25):
         charpoly.build_charpoly(builtin("rhombi-3464", **pool[i % 4]))
-    assert len(calls) <= 3
+    assert len(calls) <= 1
 
 
 def test_leibniz_bound_is_tight_on_the_builtins():

@@ -83,7 +83,7 @@ def qblock_winding_reference(dom, E, M=16):
     """Winding law with one det(Qblock) per fiber point and grid point."""
     E = np.asarray(E, dtype=int)
     d = abs(int(round(np.linalg.det(E))))
-    colors = kasteleyn.instance_colors(dom, d)
+    colors = dom.colors * d
     blacks = [i for i, c in enumerate(colors) if c == 0]
     whites = [i for i, c in enumerate(colors) if c == 1]
     m = len(blacks)
@@ -155,7 +155,7 @@ def test_twisted_block_determinant_is_fiber_product_of_Q(dom, E):
     # included; winding_distribution_exact relies on it with no calibration
     E = np.array(E)
     det = lattice.int_det(E)
-    colors = kasteleyn.instance_colors(dom, abs(det))
+    colors = dom.colors * abs(det)
     blacks = [i for i, c in enumerate(colors) if c == 0]
     whites = [i for i, c in enumerate(colors) if c == 1]
     adj = np.array([[E[1, 1], -E[0, 1]], [-E[1, 0], E[0, 0]]])
