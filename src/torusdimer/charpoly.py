@@ -71,16 +71,22 @@ class CharPoly:
         return root_counts(self.Q, self.nodes.nodes)
 
 
-def build_charpoly(dom):
-    """Spectral polynomial(s) of an oriented domain.
-
-    Refuses domains that fail verify_orientation (their determinants do
-    not count matchings with coherent signs).  A P that goes negative on
-    the unit torus is refused by find_nodes, on the first use of nodes.
-    """
+def require_oriented(dom):
+    """Raise CharPolyError unless dom passes verify_orientation: the
+    determinants of a domain that fails do not count its matchings with
+    coherent signs.  Memoised per signed graph, so a repeat costs microseconds."""
     rep = verify_orientation(dom)
     if not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive):
         raise CharPolyError("domain signs fail verification: %r" % (rep.offending_items,))
+
+
+def build_charpoly(dom):
+    """Spectral polynomial(s) of an oriented domain (require_oriented).
+
+    A P that goes negative on the unit torus is refused by find_nodes, on
+    the first use of nodes.
+    """
+    require_oriented(dom)
     P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), leibniz_bound(dom))
     if not P.is_real():
         raise CharPolyError("P(z, w) came out non-real")

@@ -4,8 +4,9 @@ Subcommands: partition, sectors, winding, criticality, fsc-curve, verify,
 ising.  All outputs are deterministic: JSON is emitted with sorted keys and
 floats at 15 significant digits, CSV with a header row and LF endings.
 Exit status: 0 success, 2 bad input (unknown lattice, malformed file),
-3 numerical-classification failure (failed orientation
-check, unclassifiable or out-of-class spectral curve).
+3 numerical-classification failure (unclassifiable or out-of-class
+spectral curve, or lattice signs that fail the orientation check: verify
+reports them, and partition, sectors, winding and criticality refuse them).
 """
 
 import argparse
@@ -154,17 +155,14 @@ def _complex_pair(z):
 
 def _matrix_dump(dom, E):
     """--dump-matrix block: the nonzero entries of K_E(1, 1) as triplets, row by row,
-    from the edge table with no n x n matrix.  Each entry sums its terms +-sign *
-    weight in kasteleyn.build_KE's order (edge table, forward then backward), to the bit.
+    from kasteleyn.quotient_terms with no n x n matrix: each entry sums its terms
+    in the order kasteleyn.build_KE does, so it matches build_KE to the bit.
     """
-    d = abs(lattice.int_det(E))
-    tail, head, _jump = lattice.instance_edges(dom, E)
-    val = np.tile([e.sign * e.weight for e in dom.edges], d)
-    rows = np.stack([tail, head], axis=1).ravel()
-    cols = np.stack([head, tail], axis=1).ravel()
-    keys, entry = np.unique(rows * (dom.k * d) + cols, return_inverse=True)  # row-major
-    sums = np.bincount(entry, weights=np.stack([val, -val], axis=1).ravel())
-    i, j = np.divmod(keys[sums != 0], dom.k * d)
+    n = dom.k * abs(lattice.int_det(E))
+    rows, cols, values = kasteleyn.quotient_terms(dom, E)
+    keys, entry = np.unique(rows * n + cols, return_inverse=True)  # row-major
+    sums = np.bincount(entry, weights=values)
+    i, j = np.divmod(keys[sums != 0], n)
     entries = [[a, b, v, 0.0] for a, b, v in zip(i.tolist(), j.tolist(), sums[sums != 0].tolist())]
     return {"zeta": [1.0, 0.0], "xi": [1.0, 0.0], "entries": entries}
 

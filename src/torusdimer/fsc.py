@@ -15,8 +15,8 @@ fsc1/fsc2/fsc3 correction functions, winding laws, the square-lattice
 parity table, and the Ising specialization -- is bookkeeping on top of
 that rule.
 
-predict, predict_sector_table, winding_law and winding_distribution_gaussian
-take the spectral curve (cp, E) and read its domain as cp.dom; predict_logZ
+predict, winding_law and winding_distribution_gaussian take the spectral
+curve (cp, E) and read its domain as cp.dom; predict_logZ
 (which also serves the curveless unit square) and sector_table_auto take
 (dom, E).  A singular or non-2x2 E raises kasteleyn.QuotientError.
 """
@@ -180,24 +180,6 @@ def _node_multiplicity(node):
     return 2 if node.kind == "real-root-of-Q-node" else 1
 
 
-def _predicted_table(E, cp):
-    """(sector table, per-node (ConformalData, multiplicity)) from the node data."""
-    rep = cp.nodes
-    if rep.kind == _charpoly.CLASS_NON_VANISHING:
-        raise FscError("non-vanishing spectral curve: no nodes, no universal correction")
-    det = abs(_lattice.int_det(E))
-    data = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
-    logs = np.full(4, det * cp.f0)
-    for cd, mult in data:
-        logs += _slot_logs([((cd.zeta, cd.xi),) * mult], cd.tau)[0]
-    return _kasteleyn.SectorTable(E, _kasteleyn.SLOT_SIGNS, logs.tolist(), cp.dom.k), data
-
-
-def predict_sector_table(cp, E):
-    """Asymptotic sector table of the E-quotient from the node data of cp alone."""
-    return _predicted_table(_kasteleyn._as_E(E), cp)[0]
-
-
 def predict(cp, E):
     """FscResult for the E-quotient of cp.dom: correction value, sector shares, shape data.
 
@@ -218,7 +200,11 @@ def predict(cp, E):
         value = math.log(0.5 * lead)
         return FscResult(rep.kind, value, None, None, None, None, None, None,
                          f0, det * f0 + value, [])
-    table, nodes = _predicted_table(E, cp)
+    nodes = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
+    logs = np.full(4, det * f0)
+    for cd, mult in nodes:
+        logs += _slot_logs([((cd.zeta, cd.xi),) * mult], cd.tau)[0]
+    table = _kasteleyn.SectorTable(E, _kasteleyn.SLOT_SIGNS, logs.tolist(), cp.dom.k)
     value = table.log_Z - det * f0
     per_sector = {
         rs: table.log_sector(*rs) - det * f0 for rs in _kasteleyn.SECTOR_ORDER
@@ -468,8 +454,7 @@ def square_quotient(a, b, c, d):
     else:  # an even det puts both rows mod 2 on one F2 line, here the line of (1, 0)
         mode = "vertical"
     F = _lattice.DOUBLE_MODES[mode]
-    dom = _lattice.double_domain(base, mode)
-    return dom, _lattice.lattice_coords(E, F)
+    return _lattice.sublattice_domain(base, F), _lattice.lattice_coords(E, F)
 
 
 # -- Fisher lattice / Ising specialization ----------------------------------------
@@ -492,19 +477,6 @@ def ising_weights(beta_a, beta_b, beta_c):
                                            (beta_c, "beta_c")) if pair[0] > 0)
         raise ValueError("coupling %s = %r overflows its dimer weight e^(2 beta)"
                          % (name, beta)) from None
-
-
-def ising_log_Z_from_dimers(E, beta_a, beta_b, beta_c):
-    """log of the triangular-lattice Ising partition function via dimers.
-
-    One spin per cell, couplings beta_a / beta_b / beta_c on the e1 / e2 /
-    diagonal bonds; the partition function is twice the (0,0) dimer sector
-    of the decorated lattice at weights e^{2 beta}, deflated by e^{beta}
-    per coupling bond.
-    """
-    a, b, c = ising_weights(beta_a, beta_b, beta_c)
-    table = _kasteleyn.sector_table(_lattice.builtin("fisher", a=a, b=b, c=c), E)
-    return _ising_log_Z(table, beta_a, beta_b, beta_c)
 
 
 def _ising_log_Z(table, beta_a, beta_b, beta_c):

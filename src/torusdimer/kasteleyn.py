@@ -89,25 +89,33 @@ def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
     it requires a 2-colored domain.
     """
     E = _as_E(E)
-    d = abs(int_det(E))
-    val = np.tile([e.sign * e.weight for e in dom.edges], d)
+    factor = 1.0
     if twist is not None:
         if not dom.bipartite:
             raise QuotientError("twists require a 2-colored domain")
         beta = adjugate(E) @ np.asarray(twist, dtype=float) / int_det(E)
-        val = val * np.tile([
-            cmath.exp(1j * (1.0 if dom.colors[e.tail] == 0 else -1.0)
-                      * (beta[0] * e.dx + beta[1] * e.dy))
-            for e in dom.edges], d)
+        factor = np.array([cmath.exp(1j * (1.0 if dom.colors[e.tail] == 0 else -1.0)
+                                     * (beta[0] * e.dx + beta[1] * e.dy)) for e in dom.edges])
+    rows, cols, values = quotient_terms(dom, E, factor, zeta, xi)
+    K = np.zeros((dom.k * abs(int_det(E)),) * 2, dtype=complex)
+    np.add.at(K, (rows, cols), values)
+    return K
+
+
+def quotient_terms(dom, E, factor=1.0, zeta=1.0, xi=1.0):
+    """(rows, columns, values) of the terms of K_E(zeta, xi), in the order each entry sums them.
+
+    Per row of lattice.instance_edges' edge table, the forward term at
+    (tail, head) is sign * weight * factor * zeta^j1 xi^j2 for the cell jump
+    j, and the backward term at (head, tail) follows it: minus the same over
+    the phase.  factor is 1.0 or one number per cell edge.
+    """
     tail, head, jump = instance_edges(dom, E)
-    K = np.zeros((dom.k * d,) * 2, dtype=complex)
+    val = np.tile(np.array([e.sign * e.weight for e in dom.edges]) * factor, abs(int_det(E)))
     ph = _powers(complex(zeta), jump[:, 0]) * _powers(complex(xi), jump[:, 1])
-    # forward and backward entries interleaved in edge-table order, so each
-    # entry sums its contributions in a fixed order
     rows = np.stack([tail, head], axis=1).ravel()
     cols = np.stack([head, tail], axis=1).ravel()
-    np.add.at(K, (rows, cols), np.stack([val * ph, -(val / ph)], axis=1).ravel())
-    return K
+    return rows, cols, np.stack([val * ph, -(val / ph)], axis=1).ravel()
 
 
 def _powers(base, n):
@@ -159,11 +167,6 @@ def pfaffian_log(A):
     phase *= a / abs(a)
     logabs += math.log(abs(a))
     return phase, logabs
-
-
-def pfaffian(A):
-    phase, logabs = pfaffian_log(A)
-    return phase * math.exp(logabs) if logabs != -math.inf else 0.0 * phase
 
 
 def _black_white(colors):
@@ -299,12 +302,14 @@ def sector_table(dom, E):
     from lattice.leibniz_bound (the w-bound when the variables swap).  A
     node makes its slot exactly zero: a zero real Pfaffian, or a fiber value
     within ZERO_ULPS * k ulps of the largest value evaluated (a slot's only
-    pair of points can be a node).
+    pair of points can be a node).  Signs that fail verify_orientation raise
+    charpoly.CharPolyError (charpoly.require_oriented).
     """
     E = _as_E(E)
     if dom.k % 2:
         raise QuotientError("odd cell: its quotients carry no Kasteleyn signs; "
                             "double the domain first")
+    _charpoly.require_oriented(dom)
     block, half = (dom.Qblock, 1.0) if dom.bipartite else (dom.K, 0.5)
     bound = leibniz_bound(dom, qblock=dom.bipartite)
     phi, psi = np.array(SLOT_HALF_TURNS).T
@@ -680,13 +685,14 @@ def winding_distribution_exact(dom, E, M):
     distinct phases at odd M).  The winding masses are
     read off a 2-D DFT and returned as a WindingTable, folded modulo M, so
     M must exceed the spread of the distribution; M < 1 raises
-    QuotientError.
+    QuotientError, and signs that fail verify_orientation CharPolyError.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     if M < 1:
         raise QuotientError("winding window M must be at least 1, got %d" % M)
     E = _as_E(E)
+    _charpoly.require_oriented(dom)
     pre = _block_sign(dom.colors, abs(int_det(E)))
     # slot half turns plus twist turns (p, q) / M, exact over 2M
     halves = (M * np.array(SLOT_HALF_TURNS))[:, :, None, None]

@@ -89,6 +89,8 @@ class FundamentalDomain:
                     raise DomainError("edge %d not used once per side in faces" % ei)
             if len(self.faces) != len(self.edges) - self.k:
                 raise DomainError("face count violates the torus Euler relation")
+        if not all(0 <= ei < len(self.edges) for ei in self.m0):
+            raise DomainError("m0 names an edge out of range: %r" % (self.m0,))
         covered = sorted(v for ei in self.m0 for v in (self.edges[ei].tail, self.edges[ei].head))
         if self.m0 and covered != list(range(self.k)):
             raise DomainError("m0 is not a perfect matching")
@@ -148,13 +150,19 @@ class FundamentalDomain:
 
     @classmethod
     def from_json(cls, doc):
+        """The domain of a to_json document; DomainError when it is not one."""
+        if not isinstance(doc, dict):
+            raise DomainError("a lattice document is a JSON object, not %s" % type(doc).__name__)
         colors = doc.get("colors") if doc.get("colored") else None
         try:
             vertices, edges = doc["vertices"], doc["edges"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise DomainError("lattice document is missing field %s" % exc)
-        return cls(vertices, edges, doc.get("faces", []), doc.get("m0", []),
-                   colors=colors, name=doc.get("name"), weights=doc.get("weights"))
+        try:
+            return cls(vertices, edges, doc.get("faces", []), doc.get("m0", []),
+                       colors=colors, name=doc.get("name"), weights=doc.get("weights"))
+        except TypeError as exc:  # a field of the wrong JSON type
+            raise DomainError("malformed lattice document: %s" % exc) from None
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -249,7 +257,7 @@ def builtin(name, **weights):
 
     if name == "square-1x1":
         # single-vertex square cell; carries no valid signs (odd cell) but
-        # is useful as double_domain input
+        # its enlargements by DOUBLE_MODES do (fsc.square_quotient)
         a, b = w.get("a", 1.0), w.get("b", 1.0)
         return FundamentalDomain(1, [(0, 0, 1, 0, a, 1), (0, 0, 0, 1, b, 1)],
                                  [[(0, 1), (1, 1), (0, -1), (1, -1)]], [],
@@ -508,36 +516,34 @@ def _signed_graph_report(key):
 
 
 def _solve_face_system(dom):
-    """One F2 solution of the face sign conditions, as a 0/1 vector per edge."""
+    """One F2 solution of the face sign conditions, as a 0/1 vector per edge.
+
+    Face f is the bit row with bit ei per step over edge ei and, on the
+    right-hand side (bit ne), the parity that makes its sign product -1.
+    Gauss-Jordan elimination takes pivots column by column, each the first
+    row left with that bit; the free edges get 0.
+    """
     ne = len(dom.edges)
     rows = []
     for face in dom.faces:
-        vec = [0] * (ne + 1)
+        row = 1 << ne  # require product -1
         for (ei, d) in face:
-            vec[ei] ^= 1
-            if d == -1:
-                vec[ne] ^= 1
-        vec[ne] ^= 1  # require product -1
-        rows.append(vec)
-    # Gaussian elimination over F2
+            row ^= 1 << ei | (1 << ne if d == -1 else 0)
+        rows.append(row)
     pivots = []
-    r = 0
     for col in range(ne):
-        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        rows = [row ^ rows[r] if i != r and row >> col & 1 else row for i, row in enumerate(rows)]
         pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ne]:
-            raise OrientationError("face sign conditions are inconsistent")
+    if any(row >> ne for row in rows[len(pivots):]):
+        raise OrientationError("face sign conditions are inconsistent")
     x = [0] * ne
     for i, col in enumerate(pivots):
-        x[col] = rows[i][ne]
+        x[col] = rows[i] >> ne & 1
     return x
 
 
@@ -665,38 +671,27 @@ def sublattice_domain(dom, F):
 
     new_m0 = [rho * ne + ei for rho in range(d) for ei in dom.m0]
 
-    colors = None
     if dom.colors is not None:
         colors = [dom.colors[v % dom.k] for v in range(k2)]
-    else:
-        # try to 2-color the enlarged quotient graph
+    else:  # 2-colour the enlarged graph, each component from its lowest vertex
+        adjacent = [[] for _ in range(k2)]
+        for t, h, *_rest in new_edges:
+            adjacent[t].append(h)
+            adjacent[h].append(t)
         colors = [-1] * k2
-        ok = True
         for start in range(k2):
-            if colors[start] != -1:
-                continue
-            colors[start] = 0
-            queue = [start]
-            while queue and ok:
-                u = queue.pop()
-                for (t, h, *_rest) in new_edges:
-                    if t == u or h == u:
-                        v = h if t == u else t
+            if colors[start] == -1:
+                colors[start], stack = 0, [start]
+                while stack:
+                    u = stack.pop()
+                    for v in adjacent[u]:
                         if colors[v] == -1:
                             colors[v] = 1 - colors[u]
-                            queue.append(v)
-                        elif colors[v] == colors[u]:
-                            ok = False
-                            break
-        if not ok:
-            colors = None
+                            stack.append(v)
+        if any(colors[t] == colors[h] for t, h, *_rest in new_edges):
+            colors = None  # an odd cycle
 
     return orient(FundamentalDomain(k2, new_edges, new_faces, new_m0, colors=colors,
                                     name=(dom.name or "domain") + "-x%d" % d,
                                     weights=dom.weights))
 
-
-def double_domain(dom, mode):
-    if mode not in DOUBLE_MODES:
-        raise DomainError("mode must be one of %s" % (sorted(DOUBLE_MODES),))
-    return sublattice_domain(dom, DOUBLE_MODES[mode])

@@ -90,21 +90,6 @@ def theta_product(r, s, nu, tau):
     return G * prod * 1j * q ** 0.25 * (u ** 0.5 - u ** -0.5)
 
 
-def eta(tau):
-    """Dedekind eta, q^(1/12) prod (1 - q^(2j))."""
-    tau = _check_tau(tau)
-    q2 = cmath.exp(2j * math.pi * tau)
-    out = cmath.exp(1j * math.pi * tau / 12.0)
-    term = 1.0 + 0j
-    qp = 1.0 + 0j
-    for _ in range(2_000_000):
-        qp *= q2
-        if abs(qp) < 1e-18:
-            break
-        term *= 1 - qp
-    return out * term
-
-
 def log_abs_eta(tau):
     tau = _check_tau(tau)
     out = -math.pi * tau.imag / 12.0
@@ -172,17 +157,6 @@ def log_xi(zeta, xi_, tau):
     return out if out.ndim else float(out)
 
 
-def xi(zeta, xi_, tau):
-    """The positive theta/eta ratio at unimodular arguments (zeta, xi)."""
-    lx = log_xi(zeta, xi_, tau)
-    return 0.0 if lx == -math.inf else math.exp(lx)
-
-
-def xi_rs(r, s, zeta, xi_, tau):
-    """Characteristic-shifted ratio: xi((-1)^r zeta, (-1)^s xi | tau)."""
-    return xi((-1) ** (int(r) % 2) * complex(zeta), (-1) ** (int(s) % 2) * complex(xi_), tau)
-
-
 def reduce_tau(tau):
     """Bring tau into |Re tau| <= 1/2, |tau| >= 1 by T/S moves.
 
@@ -206,22 +180,11 @@ def reduce_tau(tau):
     return tau, ops
 
 
-def transform_xi_args(r, s, zeta, xi_, ops):
-    """Push xi characteristics through the modular moves from reduce_tau.
-
-    If reduce_tau(tau) produced ops, then
-    xi_rs(r, s, zeta, xi | tau) equals xi_rs(*transform_xi_args(r, s, zeta, xi, ops) | tau_reduced).
-    zeta and xi_ are unimodular; the moved ones are returned as exp(2 pi i turns).
-    """
-    r, s, tz, tx = _move_turns(int(r) % 2, int(s) % 2, cmath.phase(complex(zeta)) / (2 * math.pi),
-                               cmath.phase(complex(xi_)) / (2 * math.pi), ops)
-    return r, s, cmath.exp(2j * math.pi * tz), cmath.exp(2j * math.pi * tx)
-
-
 def _move_turns(r, s, tz, tx, ops):
-    """transform_xi_args on the float turns tz, tx of zeta and xi.
+    """Push characteristics r, s and the float turns tz, tx of (zeta, xi) through ops.
 
-    S swaps the characteristics and sends (zeta, xi) to (conj xi, zeta); T n
+    When reduce_tau(tau) gave ops, Xi((-1)^r zeta, (-1)^s xi | tau) equals
+    the same ratio of the moved arguments at the reduced tau.  S swaps the characteristics and sends (zeta, xi) to (conj xi, zeta); T n
     sends s to s + n r and xi to zeta^n xi, with n tz mod 1 taken exactly
     as n u mod d / d on the float turns u / d of zeta, so that a power near
     1e8 loses nothing.  Numbers or equal-shape arrays, elementwise.

@@ -99,11 +99,12 @@ def test_partition_coverless_quotient(tmp_path, capsys):
     )
     path = tmp_path / "star.json"
     star.save(path)
-    code, out, _ = run_json(
-        capsys, ["partition", "--lattice", str(path), "--E", "1,0,0,1"])
-    assert code == 0
-    assert out["Z"] == 0.0
-    assert out["log_Z"] is None
+    # a cell with no faces and no m0 cannot pass the orientation check, so
+    # its Z (0.0 from unchecked signs) is refused rather than printed
+    code = cli.run(["partition", "--lattice", str(path), "--E", "1,0,0,1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("classification error: domain signs fail verification: ")
 
 
 def test_partition_dump_matrix_is_skew(capsys):
@@ -251,6 +252,14 @@ def test_verify_broken_orientation(tmp_path, capsys):
     assert code == 3
     assert out["ok"] is False
     assert out["offending_items"]
+    # every command that reads the signs refuses the file with the line that
+    # criticality prints, where partition and sectors once printed a wrong Z
+    assert cli.run(["criticality", "--lattice", str(path)]) == 3
+    refused = capsys.readouterr()
+    assert refused.err.startswith("classification error: domain signs fail verification: ")
+    for argv in (["partition"], ["sectors"], ["sectors", "--double-dimer"], ["winding"]):
+        assert cli.run(argv + ["--lattice", str(path), "--E", "2,0,0,2"]) == 3
+        assert capsys.readouterr() == ("", refused.err)
 
 
 def test_ising_onsager(capsys):
@@ -407,13 +416,32 @@ def test_overflowing_inputs_exit_2(capsys, argv, message):
     assert code == 2 and message in err
 
 
-def test_malformed_json_file_exit_2(tmp_path, capsys):
+def _hexagonal_doc(**changes):
+    doc = lattice.builtin("hexagonal").to_json()
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_MALFORMED = {
+    "no-vertices-field": '{"k": 2, "edges": [[0, 1, 0]]}',
+    "not-an-object": "[1, 2]",
+    "edges-number": _hexagonal_doc(edges=5),
+    "m0-edge-out-of-range": _hexagonal_doc(m0=[7]),
+    "faces-number": _hexagonal_doc(faces=5),
+    "colors-number": _hexagonal_doc(colors=5),
+    "weights-list": _hexagonal_doc(weights=[1, 2]),
+    "vertices-null": _hexagonal_doc(vertices=None),
+}
+
+
+@pytest.mark.parametrize("doc", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_json_file_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
-    path.write_text('{"k": 2, "edges": [[0, 1, 0]]}')
+    path.write_text(doc)
     code = cli.run(["verify", "--lattice", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_weights_rejected_for_file_domains(tmp_path, capsys):

@@ -27,7 +27,7 @@ def domains(draw):
     name = draw(st.sampled_from(lattice.BUILTIN_NAMES + ("square-1x1",)))
     mode = draw(st.sampled_from(DOUBLINGS[1:] if name == "square-1x1" else DOUBLINGS))
     dom = lattice.builtin(name, **{k: draw(st.floats(0.3, 3.0)) for k in "abc"})
-    return dom if mode is None else lattice.double_domain(dom, mode)
+    return dom if mode is None else lattice.sublattice_domain(dom, lattice.DOUBLE_MODES[mode])
 
 
 # row operations of determinant +-1: E and U @ E quotient by the same lattice

@@ -16,7 +16,6 @@ from torusdimer.fsc import (
     fsc2_sector,
     fsc3,
     ising_critical_check,
-    ising_log_Z_from_dimers,
     ising_log_Z_transfer,
     kappa,
     predict,
@@ -323,7 +322,6 @@ def hexagonal_curve():
 
 _E_ENTRY_POINTS = {
     "predict": predict,
-    "predict_sector_table": fsc.predict_sector_table,
     "winding_law": winding_law,
     "winding_distribution_gaussian": fsc.winding_distribution_gaussian,
     "predict_logZ": lambda cp, E: predict_logZ(cp.dom, E),
@@ -371,10 +369,10 @@ def test_per_sector_prediction_tracks_exact_sectors():
     cp = charpoly.build_charpoly(dom)
     E = np.array([[10, 0], [0, 10]])
     tab, _method = sector_table_auto(dom, E)
-    pred = fsc.predict_sector_table(cp, E)
+    pred = predict(cp, E)
     for r, s in kasteleyn.SECTOR_ORDER:
         a = tab.log_sector(r, s)
-        b = pred.log_sector(r, s)
+        b = pred.per_sector[(r, s)] + 100 * pred.f0  # |det E| f0 added back
         assert abs(a - b) < 2e-2
 
 
@@ -539,7 +537,10 @@ def test_ising_dimer_identity_exact():
     for m, n in ((2, 2), (2, 3), (3, 3)):
         ba, bb, bc = (rng.uniform(0.05, 0.6) for _ in range(3))
         E = np.array([[m, 0], [0, n]])
-        a = ising_log_Z_from_dimers(E, ba, bb, bc)
+        # the ising command's path: the fisher sector table at weights e^(2 beta)
+        weights = dict(zip("abc", fsc.ising_weights(ba, bb, bc)))
+        a = fsc._ising_log_Z(kasteleyn.sector_table(lattice.builtin("fisher", **weights), E),
+                             ba, bb, bc)
         b = ising_log_Z_transfer(m, n, ba, bb, bc)
         assert abs(a - b) < 1e-10
 

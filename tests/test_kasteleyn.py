@@ -13,7 +13,6 @@ from torusdimer.kasteleyn import (
     double_product,
     enumerate_matchings,
     fiber_points,
-    pfaffian,
     pfaffian_log,
     sector_table,
 )
@@ -28,11 +27,17 @@ def random_skew(n, complex_entries=False):
     return A - A.T
 
 
+def pf_value(A):
+    """Pf A from pfaffian_log's (phase, log|Pf|)."""
+    phase, logmag = pfaffian_log(A)
+    return phase * math.exp(logmag)
+
+
 def test_pfaffian_squares_to_determinant():
     for n in (2, 4, 6, 8, 10, 12):
         for _ in range(5):
             A = random_skew(n, complex_entries=bool(n % 4))
-            pf = pfaffian(A)
+            pf = pf_value(A)
             det = np.linalg.det(A)
             assert abs(pf * pf - det) <= 1e-8 * max(1.0, abs(det))
 
@@ -40,19 +45,20 @@ def test_pfaffian_squares_to_determinant():
 def test_pfaffian_small_closed_forms():
     a = 3.7
     A = np.array([[0.0, a], [-a, 0.0]])
-    assert pfaffian(A) == pytest.approx(a)
+    assert pf_value(A) == pytest.approx(a)
     # pf of a 4x4 skew matrix: a12 a34 - a13 a24 + a14 a23
     B = random_skew(4)
     want = B[0, 1] * B[2, 3] - B[0, 2] * B[1, 3] + B[0, 3] * B[1, 2]
-    assert pfaffian(B) == pytest.approx(want)
+    assert pf_value(B) == pytest.approx(want)
 
 
 def test_pfaffian_log_consistency():
     for _ in range(10):
         A = random_skew(8, complex_entries=True)
         phase, logmag = pfaffian_log(A)
-        pf = pfaffian(A)
-        assert abs(phase * math.exp(logmag) - pf) <= 1e-8 * max(1.0, abs(pf))
+        sign, logdet = np.linalg.slogdet(A)  # det = Pf^2
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert abs(2 * logmag - logdet) < 1e-10 and abs(phase * phase - sign) < 1e-10
 
 
 def test_pfaffian_of_singular_matrix_is_zero():
@@ -60,7 +66,6 @@ def test_pfaffian_of_singular_matrix_is_zero():
     A = np.outer(v, np.roll(v, 1)) - np.outer(np.roll(v, 1), v)  # rank 2
     phase, logmag = pfaffian_log(A)
     assert phase == 0j and logmag == -math.inf
-    assert pfaffian(A) == 0.0
 
 
 def test_pfaffian_noise_floor_near_exact_zero():
@@ -252,6 +257,20 @@ def test_odd_cell_quotients_are_refused():
     # an odd cell carries no Kasteleyn signs; its doubling does
     with pytest.raises(kasteleyn.QuotientError, match="odd cell"):
         sector_table(lattice.builtin("square-1x1"), [[2, 0], [0, 2]])
+
+
+def test_unverified_signs_are_refused():
+    # with one sign flipped, the 2 x 2 quotient's Pfaffians give 12 where 24
+    # matchings exist; both exact tables refuse the signs as build_charpoly does
+    dom = lattice.builtin("square-bip")
+    signs = [e.sign for e in dom.edges]
+    signs[0] = -signs[0]
+    broken = dom.with_signs(signs)
+    assert enumerate_matchings(dom, [[2, 0], [0, 2]]).count == 24
+    with pytest.raises(charpoly.CharPolyError, match="domain signs fail verification"):
+        sector_table(broken, [[2, 0], [0, 2]])
+    with pytest.raises(charpoly.CharPolyError, match="domain signs fail verification"):
+        kasteleyn.winding_distribution_exact(broken, [[2, 0], [0, 2]], M=4)
 
 
 def test_double_product_array_phases_equal_scalar_calls():

@@ -9,7 +9,6 @@ from torusdimer.lattice import (
     DomainError,
     FundamentalDomain,
     builtin,
-    double_domain,
     hnf_residues,
     orient,
     permutation_sign,
@@ -156,11 +155,49 @@ def test_double_domain_partition_functions_match(mode):
 
     dom = builtin("square-bip", a=1.0, b=1.0)
     F = np.array(lattice.DOUBLE_MODES[mode])
-    big = double_domain(dom, mode)
+    big = sublattice_domain(dom, F)
     E = np.array([[2, 0], [1, 2]])
     zs = kasteleyn.sector_table(big, E).log_Z
     zd = kasteleyn.sector_table(dom, E @ F).log_Z
     assert abs(zs - zd) <= 1e-9
+
+
+_ENLARGEMENTS = ([[1, 0], [0, 1]], [[2, 0], [0, 1]], [[1, 0], [0, 2]], [[2, 0], [1, 1]],
+                 [[1, 1], [0, 2]], [[2, 0], [0, 2]], [[3, 0], [0, 1]], [[1, 0], [0, 3]],
+                 [[2, 1], [0, 2]], [[1, 0], [1, 2]])
+# the square cells are 2-colourable when every row of F keeps the parity of
+# x + y (square-2x1: an even y step; square-1x2: an even x step); fisher and
+# rhombi-3464 have triangular faces
+_COLOURED = {("square-2x1", 2), ("square-2x1", 5), ("square-2x1", 9),
+             ("square-1x2", 1), ("square-1x2", 5), ("square-1x2", 8)}
+
+
+def _has_odd_cycle(dom):
+    """True when a closed walk of odd length exists: in the bipartite double
+    cover, vertex v with even parity then reaches v with odd parity."""
+    n = dom.k
+    reach = np.eye(2 * n, dtype=np.int64)
+    for e in dom.edges:
+        for p in (0, 1):
+            a, b = e.tail + p * n, e.head + (1 - p) * n
+            reach[a, b] = reach[b, a] = 1
+    for _ in range((2 * n).bit_length()):  # walks of every length up to 2n
+        reach = np.minimum(reach @ reach, 1)
+    return any(reach[v, v + n] for v in range(n))
+
+
+@pytest.mark.parametrize("name", ["square-2x1", "square-1x2", "fisher", "rhombi-3464"])
+def test_enlargements_of_uncoloured_cells_are_coloured_when_bipartite(name):
+    coloured = []
+    for i, F in enumerate(_ENLARGEMENTS):
+        big = sublattice_domain(builtin(name), F)
+        if big.colors is None:
+            assert _has_odd_cycle(big), F
+            continue
+        coloured.append((name, i))
+        assert not _has_odd_cycle(big) and big.colors[0] == 0
+        assert all(big.colors[e.tail] != big.colors[e.head] for e in big.edges), F
+    assert set(coloured) == {c for c in _COLOURED if c[0] == name}
 
 
 def test_bipartite_flags():

@@ -45,7 +45,6 @@ def test_eta_against_mpmath():
         tau = random_tau(rng)
         q2 = cmath.exp(2j * math.pi * tau)
         ref = cmath.exp(1j * math.pi * tau / 12) * complex(mp.qp(mp.mpc(q2.real, q2.imag)))
-        assert abs(sf.eta(tau) - ref) < 1e-12
         assert abs(sf.log_abs_eta(tau) - math.log(abs(ref))) < 1e-12
 
 
@@ -83,18 +82,26 @@ def test_theta_quasi_periodicity():
             assert abs(lhs2 - fac * base) <= 1e-10 * max(1.0, abs(fac * base))
 
 
+def xi_rs(r, s, zeta, xi_, tau):
+    """Xi^{rs}(zeta, xi | tau) = Xi((-1)^r zeta, (-1)^s xi | tau), from log_xi."""
+    return math.exp(sf.log_xi((-1) ** r * complex(zeta), (-1) ** s * complex(xi_), tau))
+
+
 def test_half_period_shifts():
     # Xi((-1)^r zeta, (-1)^s xi) = Xi^{rs}(zeta, xi): sign flips of the arguments
-    # move between the four characteristics.
+    # move between the four characteristics, so with zeta = -exp(2 pi i phi)
+    # and xi = -exp(2 pi i psi) the ratio is |theta_rs(phi tau - psi) exp(pi i
+    # tau phi^2)| / |eta|, summed at tau itself
     rng = random.Random(105)
     for _ in range(60):
         tau = random_tau(rng)
-        zeta = cmath.exp(2j * math.pi * rng.random())
-        xi_ = cmath.exp(2j * math.pi * rng.random())
+        phi, psi = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        zeta, xi_ = -cmath.exp(2j * math.pi * phi), -cmath.exp(2j * math.pi * psi)
         for r, s in CHARS:
-            a = sf.xi((-1) ** r * zeta, (-1) ** s * xi_, tau)
-            b = sf.xi_rs(r, s, zeta, xi_, tau)
-            assert abs(a - b) <= 1e-10 * max(1.0, a)
+            theta = sf.theta(r, s, phi * tau - psi, tau) * cmath.exp(1j * math.pi * tau * phi ** 2)
+            want = math.log(abs(theta)) - sf.log_abs_eta(tau)
+            got = sf.log_xi((-1) ** r * zeta, (-1) ** s * xi_, tau)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def gaussian_sum_abs2(r, s, phi, psi, tau, rad=24):
@@ -116,13 +123,13 @@ def test_gaussian_sum_lemma():
         zeta = -cmath.exp(2j * math.pi * phi)
         xi_ = -cmath.exp(2j * math.pi * psi)
         for r, s in CHARS:
-            lhs = sf.xi_rs(r, s, zeta, xi_, tau) ** 2
+            lhs = xi_rs(r, s, zeta, xi_, tau) ** 2
             rhs = gaussian_sum_abs2(r, s, phi, psi, tau)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def xi0(r, s, tau):
-    return sf.xi_rs(r, s, -1.0, -1.0, tau)
+    return xi_rs(r, s, -1.0, -1.0, tau)
 
 
 def test_cross_products_tau_rescaling():
@@ -161,10 +168,10 @@ def test_modular_relations():
         zeta = cmath.exp(2j * math.pi * rng.random())
         xi_ = cmath.exp(2j * math.pi * rng.random())
         for r, s in CHARS:
-            base = sf.xi_rs(r, s, zeta, xi_, tau)
-            t = sf.xi_rs(r, (r + s) % 2, zeta, zeta * xi_, tau + 1)
-            u = sf.xi_rs(s, r, xi_.conjugate(), zeta, -1 / tau)
-            v = sf.xi_rs(s, r, xi_, zeta, 1 / tau.conjugate())
+            base = xi_rs(r, s, zeta, xi_, tau)
+            t = xi_rs(r, (r + s) % 2, zeta, zeta * xi_, tau + 1)
+            u = xi_rs(s, r, xi_.conjugate(), zeta, -1 / tau)
+            v = xi_rs(s, r, xi_, zeta, 1 / tau.conjugate())
             assert abs(base - t) <= 1e-10 * max(1.0, base)
             assert abs(base - u) <= 1e-10 * max(1.0, base)
             assert abs(base - v) <= 1e-10 * max(1.0, base)
@@ -181,10 +188,11 @@ def test_reduce_tau_fundamental_domain():
         zeta = cmath.exp(2j * math.pi * rng.random())
         xi_ = cmath.exp(2j * math.pi * rng.random())
         r, s = rng.choice(CHARS)
-        r2, s2, z2, x2 = sf.transform_xi_args(r, s, zeta, xi_, ops)
-        a = sf.xi_rs(r, s, zeta, xi_, red if tau.imag < sf.TAU_IM_FLOOR else tau)
+        r2, s2, tz, tx = sf._move_turns(r, s, cmath.phase(zeta) / (2 * math.pi),
+                                        cmath.phase(xi_) / (2 * math.pi), ops)
+        a = xi_rs(r, s, zeta, xi_, red if tau.imag < sf.TAU_IM_FLOOR else tau)
         if tau.imag >= sf.TAU_IM_FLOOR:
-            b = sf.xi_rs(r2, s2, z2, x2, red)
+            b = xi_rs(r2, s2, cmath.exp(2j * math.pi * tz), cmath.exp(2j * math.pi * tx), red)
             assert abs(a - b) <= 1e-9 * max(1.0, a)
 
 
@@ -268,21 +276,21 @@ def test_discrete_gaussian_matches_the_cell_by_cell_table():
         assert all(got[e] == want[e] for e in want)
 
 
-def test_transform_xi_args_T_power_in_closed_form():
+def test_move_turns_T_power_in_closed_form():
     # ('T', n) acts as n single steps s -> r + s, xi -> zeta xi, for either sign of n
     rng = random.Random(7)
     for n in (-7, -2, -1, 1, 3, 8):
-        zeta = cmath.exp(2j * math.pi * rng.random())
-        xi_ = cmath.exp(2j * math.pi * rng.random())
+        tz, tx = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
         for r, s in CHARS:
             step = [("T", 1 if n > 0 else -1)] * abs(n)
-            r1, s1, z1, x1 = sf.transform_xi_args(r, s, zeta, xi_, [("T", n)])
-            r2, s2, z2, x2 = sf.transform_xi_args(r, s, zeta, xi_, step)
+            r1, s1, z1, x1 = sf._move_turns(r, s, tz, tx, [("T", n)])
+            r2, s2, z2, x2 = sf._move_turns(r, s, tz, tx, step)
             assert (r1, s1) == (r2, s2) and z1 == z2
-            assert abs(x1 - x2) < 1e-13
-    # a power near 1e8 costs one step, not 1e8
-    _, s, _, x = sf.transform_xi_args(1, 0, -1, 1j, [("T", 10**8 + 1)])
-    assert s == 1 and abs(x + 1j) < 1e-12
+            assert abs((x1 - x2 + 0.5) % 1.0 - 0.5) < 1e-13
+    # a power near 1e8 costs one step, not 1e8, and loses no digits: zeta = -1
+    # and xi = i give xi zeta^(1e8 + 1) = -i
+    _, s, _, x = sf._move_turns(1, 0, 0.5, 0.25, [("T", 10**8 + 1)])
+    assert s == 1 and x % 1.0 == 0.75
 
 
 def test_log_xi_matches_theta_over_eta_off_the_fundamental_domain():
