@@ -1,8 +1,9 @@
 """Characteristic (spectral) polynomials of oriented domains.
 
 P(z, w) = det K(z, w) is recovered as an exact Laurent polynomial from
-point evaluations; for 2-colored domains Q(z, w) = det of the
-black/white block satisfies P(z, w) = Q(z, w) Q(1/z, 1/w).  On the unit
+point evaluations.  A 2-colored domain interpolates only Q(z, w) = det
+of the black/white block, sets P = Q(z, w) Q(1/z, 1/w) and checks the
+zeros off the real points on det Qblock itself (_polish).  On the unit
 torus P is real and nonnegative, and its zeros ("nodes") control the
 finite-size behaviour of the quotient partition functions.
 
@@ -23,7 +24,7 @@ from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .laurent import LaurentPoly2
+from .laurent import DegreeBoundError, LaurentPoly2
 from .lattice import leibniz_bound, verify_orientation
 
 NodeReport = namedtuple("NodeReport", ["location", "arguments", "hessian", "D", "tau", "kind"])
@@ -76,17 +77,24 @@ def require_oriented(dom):
     determinants of a domain that fails do not count its matchings with
     coherent signs.  Memoised per signed graph, so a repeat costs microseconds."""
     rep = verify_orientation(dom)
-    if not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive):
+    if not rep.ok:
         raise CharPolyError("domain signs fail verification: %r" % (rep.offending_items,))
 
 
 def build_charpoly(dom):
     """Spectral polynomial(s) of an oriented domain (require_oriented).
 
-    A P that goes negative on the unit torus is refused by find_nodes, on
-    the first use of nodes.
+    A 2-colored domain interpolates only Q and sets P = Q(z, w) Q(1/z, 1/w).
+    A P negative on the unit torus is refused by find_nodes, at the first use of nodes.
     """
     require_oriented(dom)
+    if dom.bipartite:
+        Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)),
+                                        leibniz_bound(dom, qblock=True))
+        P = (Q * Q.reciprocal_vars()).real_part()
+        if not np.isfinite(list(P.coeffs.values())).all():
+            raise DegreeBoundError("P(z, w) = Q(z, w) Q(1/z, 1/w) overflows double precision")
+        return CharPoly(dom, P, Q)
     P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), leibniz_bound(dom))
     if not P.is_real():
         raise CharPolyError("P(z, w) came out non-real")
@@ -95,14 +103,7 @@ def build_charpoly(dom):
     scale = max(abs(c) for c in P.coeffs.values())
     if any(abs(c) > 1e-9 * scale for c in diff.coeffs.values()):
         raise CharPolyError("P(z, w) != P(1/z, 1/w)")
-    Q = None
-    if dom.bipartite:
-        Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)),
-                                        leibniz_bound(dom, qblock=True))
-        z, w = np.exp(2j * math.pi * np.random.default_rng(11).random((8, 2))).T
-        if np.any(np.abs(np.abs(Q(z, w)) ** 2 - P(z, w).real) > 1e-8 * max(scale, 1.0)):
-            raise CharPolyError("P != |Q|^2 on the unit torus")
-    return CharPoly(dom, P, Q)
+    return CharPoly(dom, P)
 
 
 # -- free energy and Ronkin function --------------------------------------------
@@ -451,6 +452,23 @@ def _torus_zeros(P):
     return found
 
 
+def _polish(dom, table, r, s):
+    """The half-turn points (r, s), 1-D arrays, moved by batched Newton onto zeros of
+    dom's det Qblock, whose Jacobian i pi (Az, Aw) is read from table, Q's _jet_table.
+    A singular Jacobian, or a step still above 1e-12 half turn at the 4th, raises CharPolyError."""
+    for _ in range(4):
+        f = np.linalg.det(dom.Qblock(np.exp(1j * math.pi * r), np.exp(1j * math.pi * s)))
+        jet = _torus_jets(table, r, s)
+        den = math.pi * (jet[:, 1, 0].conj() * jet[:, 0, 1]).imag
+        if not den.all():
+            raise CharPolyError("singular Jacobian of det Qblock at a node")
+        dr, ds = -(jet[:, 0, 1].conj() * f).real / den, (jet[:, 1, 0].conj() * f).real / den
+        r, s, step = r + dr, s + ds, max(np.abs(dr).max(), np.abs(ds).max())
+        if step <= 1e-12:
+            return r, s
+    raise CharPolyError("Newton on det Qblock still moves a node by %g half turn" % step)
+
+
 def find_nodes(cp):
     """Locate and classify the zeros of P on the unit torus.
 
@@ -458,29 +476,27 @@ def find_nodes(cp):
     single-real-node, two-real-nodes, distinct-conjugate-nodes,
     real-root-of-Q.  Zeros of a non-colored domain away from the real
     points fall outside the supported classification and are flagged.
-    The node forms come from one _torus_jets call on P's box and, for a
+    _polish checks the other zeros of a 2-colored domain on det Qblock.  The
+    node forms come from one _torus_jets call on P's box and, for a
     2-colored domain, one on Q's box, at all zeros together.
     """
-    points = []
-    for (r, s) in sorted(_torus_zeros(cp.P)):
-        real_pt = abs(r - round(r)) < 1e-8 and abs(s - round(s)) < 1e-8
-        if real_pt:
-            r, s = float(round(r)), float(round(s))
-            r, s = _wrap_half_turns(r) if r else 0.0, _wrap_half_turns(s) if s else 0.0
-        z0, w0 = cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s)
-        if real_pt:
-            z0, w0 = complex(round(z0.real)), complex(round(w0.real))
-        points.append((r, s, z0, w0, real_pt))
-    r = np.array([p[0] for p in points])
-    s = np.array([p[1] for p in points])
-    p_jet = _torus_jets(_jet_table(cp.P), r, s)
+    r, s = np.array(sorted(_torus_zeros(cp.P)), dtype=float).reshape(-1, 2).T
+    real = (np.abs(r - np.round(r)) < 1e-8) & (np.abs(s - np.round(s)) < 1e-8)
+    r[real], s[real] = np.round(r[real]) % 2, np.round(s[real]) % 2
     if cp.Q is not None:
-        qscale = max(abs(c) for c in cp.Q.coeffs.values())
-        q_jet = _torus_jets(_jet_table(cp.Q), r, s)
+        q_table, qscale = _jet_table(cp.Q), max(abs(c) for c in cp.Q.coeffs.values())
+        if not real.all():
+            r[~real], s[~real] = _polish(cp.dom, q_table, r[~real], s[~real])
+        q_jet = _torus_jets(q_table, r, s)
+    p_jet = _torus_jets(_jet_table(cp.P), r, s)
 
     nodes = []
     outside = False
-    for k, (r, s, z0, w0, real_pt) in enumerate(points):
+    for k, (r, s, real_pt) in enumerate(zip(r.tolist(), s.tolist(), real.tolist())):
+        r, s = _wrap_half_turns(r), _wrap_half_turns(s)
+        z0, w0 = cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s)
+        if real_pt:
+            z0, w0 = complex(round(z0.real)), complex(round(w0.real))
         if real_pt and cp.Q is not None and abs(q_jet[k, 0, 0]) < 1e-8 * qscale:
             H = _q_hessian(q_jet[k], qscale)
             kind = "real-root-of-Q-node"

@@ -288,17 +288,15 @@ def _cmd_fsc_curve(args):
 def _cmd_verify(args):
     dom = _load_domain(args)
     report = lattice.verify_orientation(dom)
-    ok = (report.faces_clockwise_odd and report.m0_sign_positive
-          and report.alternating_cycles_positive)
     out = {
         "faces_clockwise_odd": bool(report.faces_clockwise_odd),
         "m0_sign_positive": bool(report.m0_sign_positive),
         "alternating_cycles_positive": bool(report.alternating_cycles_positive),
         "offending_items": [str(x) for x in report.offending_items],
-        "ok": bool(ok),
+        "ok": bool(report.ok),
     }
     _emit_json(out)
-    return 0 if ok else 3
+    return 0 if report.ok else 3
 
 
 def _cmd_ising(args):

@@ -323,6 +323,9 @@ def winding_law(cp, E):
     adj = _lattice.adjugate(E)  # its transpose det(E) (E^T)^-1 is the jump
     mu = (1.0 / math.pi) * np.array([x * argz + y * argw, -u * argz - v * argw])
     mu = mu - adj.T @ ell
+    # printed keys turn on floor(mu) (discrete_gaussian's box) and on ties at half
+    # integers (the exact window's centre): snap a node's rounding noise away
+    mu = np.where(np.abs(2 * mu - np.round(2 * mu)) <= 2e-9, np.round(2 * mu) / 2, mu)
     # E^-T H E^-1 |det E| / sqrt(det H), with E^-1 = adj(E) / det E
     det = abs(_lattice.int_det(E))
     sigma = adj.T @ node.hessian @ adj / (det * node.D)

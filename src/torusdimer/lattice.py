@@ -27,10 +27,12 @@ import numpy as np
 
 Edge = namedtuple("Edge", ["tail", "head", "dx", "dy", "weight", "sign"])
 
-OrientationReport = namedtuple(
-    "OrientationReport",
-    ["faces_clockwise_odd", "m0_sign_positive", "alternating_cycles_positive", "offending_items"],
-)
+
+class OrientationReport(namedtuple("OrientationReport", [
+        "faces_clockwise_odd", "m0_sign_positive", "alternating_cycles_positive",
+        "offending_items"])):
+    ok = property(lambda rep: rep.faces_clockwise_odd and rep.m0_sign_positive
+                  and rep.alternating_cycles_positive, doc="All three sign conditions hold.")
 
 
 class DomainError(ValueError):
@@ -41,14 +43,21 @@ class OrientationError(ValueError):
     pass
 
 
+def _int(x):
+    """int(x); DomainError unless x has an integer value (2.0 has; 2.9, "2" and inf have not)."""
+    if isinstance(x, (int, np.integer)) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise DomainError("lattice field %r is not an integer" % (x,))
+
+
 class FundamentalDomain:
     def __init__(self, k, edges, faces, m0, colors=None, name=None, weights=None):
-        self.k = int(k)
-        self.edges = [Edge(int(t), int(h), int(dx), int(dy), float(w), int(s))
+        self.k = _int(k)
+        self.edges = [Edge(_int(t), _int(h), _int(dx), _int(dy), float(w), _int(s))
                       for (t, h, dx, dy, w, s) in edges]
-        self.faces = [[(int(e), int(d)) for (e, d) in f] for f in faces]
-        self.m0 = [int(e) for e in m0]
-        self.colors = None if colors is None else [int(c) for c in colors]
+        self.faces = [[(_int(e), _int(d)) for (e, d) in f] for f in faces]
+        self.m0 = [_int(e) for e in m0]
+        self.colors = None if colors is None else [_int(c) for c in colors]
         self.name = name
         self.weights = dict(weights) if weights else {}
         self.validate()
@@ -621,8 +630,7 @@ def orient(dom):
         raise OrientationError("odd cell: no perfect matchings, cannot orient")
     m0 = dom.m0 if dom.m0 else find_reference_matching(dom)
     for cand in _twist_candidates(dom, m0):
-        rep = verify_orientation(cand)
-        if rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive:
+        if verify_orientation(cand).ok:
             return cand
     raise OrientationError("no admissible sign assignment found")
 

@@ -54,6 +54,22 @@ def test_bipartite_factorisation():
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
+def test_a_two_colored_build_interpolates_only_Q(monkeypatch):
+    calls = []
+    original = LaurentPoly2.from_evaluator
+
+    def counting(fun, bound):
+        calls.append(bound)
+        return original(fun, bound)
+
+    monkeypatch.setattr(LaurentPoly2, "from_evaluator", staticmethod(counting))
+    for dom in (lattice.builtin("hexagonal", a=1.2, b=0.9),
+                lattice.sublattice_domain(lattice.builtin("square-bip"), [[2, 0], [1, 2]])):
+        calls.clear()
+        build_charpoly(dom)
+        assert calls == [lattice.leibniz_bound(dom, qblock=True)]
+
+
 def test_build_rejects_broken_signs():
     dom = lattice.builtin("fisher")
     signs = [e.sign for e in dom.edges]

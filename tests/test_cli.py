@@ -431,6 +431,10 @@ _MALFORMED = {
     "colors-number": _hexagonal_doc(colors=5),
     "weights-list": _hexagonal_doc(weights=[1, 2]),
     "vertices-null": _hexagonal_doc(vertices=None),
+    # int() would truncate these to the unit hexagonal cell, Z = 9 on E = 2,0,0,2
+    "vertices-fraction": _hexagonal_doc(vertices=2.9),
+    "dx-fraction": _hexagonal_doc(edges=[[0, 1, 0, 0, 1.0, 1], [0, 1, 1.5, 0, 1.0, -1],
+                                         [0, 1, 0, 1, 1.0, -1]]),
 }
 
 

@@ -95,6 +95,14 @@ def test_malformed_documents():
     with pytest.raises(DomainError):
         # sign must be +-1
         FundamentalDomain(2, [(0, 1, 0, 0, 1.0, 2)], [], [])
+    edges = [(e.tail, e.head, e.dx, e.dy, e.weight, e.sign) for e in builtin("hexagonal").edges]
+    for bad in (2.9, "2", float("inf")):
+        with pytest.raises(DomainError, match="is not an integer"):
+            FundamentalDomain(bad, edges, [], [0])
+    with pytest.raises(DomainError, match="1.5 is not an integer"):
+        FundamentalDomain(2, [edges[0], edges[1][:2] + (1.5,) + edges[1][3:]], [], [0])
+    # an integer value of another type is that integer
+    assert type(FundamentalDomain(2.0, edges, [], [np.int64(0)]).k) is int
 
 
 @pytest.mark.parametrize("face", [[(0, 1), (1, -1)], [(0, 1), (2, -1)], [(1, 1), (2, -1)]])
@@ -113,9 +121,11 @@ def test_with_signs_and_broken_orientation():
     broken = dom.with_signs(signs)
     rep = verify_orientation(broken)
     assert not (rep.faces_clockwise_odd and rep.m0_sign_positive and rep.alternating_cycles_positive)
+    assert not rep.ok
     repaired = orient(broken)
     rep2 = verify_orientation(repaired)
     assert rep2.faces_clockwise_odd and rep2.m0_sign_positive and rep2.alternating_cycles_positive
+    assert rep2.ok
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -11,6 +11,7 @@ sublattice_domain(dom, F) are the images of dom's zeros under
 import cmath
 import json
 import math
+import warnings
 from functools import cache
 
 import numpy as np
@@ -230,12 +231,12 @@ def test_a_negative_P_is_refused_by_the_node_search():
 
 
 def test_an_unresolved_cell_is_refused_not_called_non_vanishing():
-    # P reaches 2.9e18 but is 3.4e8 at the node images (+-0.5, +-0.5), within
-    # the 1e-10 of its largest coefficients that P is known to
-    dom = lattice.sublattice_domain(lattice.builtin("square-bip", a=1.0677, b=0.9172),
-                                    [[1, -1], [0, 31]])
+    # P = 2 + 1e-9 - cos(pi r) - cos(pi s) has its minimum 1e-9 at (0, 0): above
+    # 1e-10 of its grid maximum 4, so not a zero, yet within the 1.8e-9 (1e-10 of
+    # its largest coefficient per box entry) that an interpolated P is known to
+    P = LaurentPoly2({(0, 0): 2.0 + 1e-9, (1, 0): -0.5, (-1, 0): -0.5, (0, 1): -0.5, (0, -1): -0.5})
     with pytest.raises(CharPolyError, match="within its coefficient error"):
-        build_charpoly(dom).nodes
+        charpoly.find_nodes(charpoly.CharPoly(lattice.builtin("fisher"), P))
 
 
 @st.composite
@@ -300,14 +301,67 @@ def test_covering_identity(cover):
     assert abs(f0 - det * base.f0) < 1e-11 * det * max(1.0, abs(base.f0))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="P of a 19 x 1 cell varies by less than its recovery error "
-                   "(1e-10 of its largest coefficient) along the long side")
+def images(nodes, F):
+    """The half-turn images of the nodes' arguments on the F-enlarged cell."""
+    return [(charpoly._wrap_half_turns(F[0][0] * r + F[0][1] * s),
+             charpoly._wrap_half_turns(F[1][0] * r + F[1][1] * s))
+            for r, s in (n.arguments for n in nodes)]
+
+
 def test_a_thin_cell_keeps_its_node_positions():
     dom = lattice.builtin("hexagonal", a=1.14, b=1.38, c=1.18)
     base = build_charpoly(dom).nodes.nodes
     got = build_charpoly(lattice.sublattice_domain(dom, [[19, 0], [0, 1]])).nodes.nodes
-    images = [(charpoly._wrap_half_turns(19 * n.arguments[0]), n.arguments[1]) for n in base]
-    assert len(got) == len(images)
-    for a in images:
-        assert min(_dist(a, n.arguments) for n in got) < 1e-6
+    want = images(base, [[19, 0], [0, 1]])
+    assert len(got) == len(want)
+    for a in want:
+        assert min(_dist(a, n.arguments) for n in got) < 1e-12
+
+
+def test_a_sheared_31_cell_is_covered_by_its_base():
+    # P reaches 2.9e18 here but only 3.4e8 at the node images, less than the 1e-10
+    # of its largest coefficients that an interpolation of P itself would keep
+    base = build_charpoly(lattice.builtin("square-bip", a=1.0677, b=0.9172))
+    cp = build_charpoly(lattice.sublattice_domain(base.dom, [[1, -1], [0, 31]]))
+    assert cp.nodes.kind == CLASS_CONJUGATE
+    for n in cp.nodes.nodes:
+        assert max(abs(abs(x) - 0.5) for x in n.arguments) < 1e-12
+    assert abs(cp.f0 - 31 * base.f0) < 1e-11 * 31
+
+
+@pytest.mark.parametrize("F", [[[1, -1], [0, 41]], [[48, 0], [0, 1]]])
+def test_long_cells_put_their_nodes_on_the_images(F):
+    base = build_charpoly(lattice.builtin("square-bip", a=1.0677, b=0.9172))
+    got = build_charpoly(lattice.sublattice_domain(base.dom, F)).nodes
+    assert got.kind == CLASS_CONJUGATE
+    for a in images(base.nodes.nodes, F):
+        assert min(_dist(a, n.arguments) for n in got.nodes) < 1e-12
+
+
+def test_a_misplaced_node_is_polished_back(monkeypatch):
+    # the search's zeros moved by 1e-5 half turn, and by a whole turn in r
+    cp = build_charpoly(lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2))
+    want = sorted(n.arguments for n in cp.nodes.nodes)
+    search = charpoly._torus_zeros
+    monkeypatch.setattr(charpoly, "_torus_zeros",
+                        lambda P: [(r + 2 + 1e-5, s - 1e-5) for r, s in search(P)])
+    got = sorted(n.arguments for n in charpoly.find_nodes(cp).nodes)
+    assert max(_dist(a, b) for a, b in zip(want, got)) < 1e-12
+    assert all(type(x) is float and -1 < x <= 1 for a in got for x in a)
+
+
+def test_a_thin_cell_past_the_interpolation_is_refused_by_the_polish():
+    dom = lattice.builtin("hexagonal", a=1.14, b=1.38, c=1.18)
+    cp = build_charpoly(lattice.sublattice_domain(dom, [[30, 0], [0, 1]]))
+    with pytest.raises(CharPolyError, match="Newton on det Qblock"):
+        cp.nodes
+
+
+def test_a_singular_jacobian_is_refused_without_a_warning():
+    # a constant Q has no gradient, so Newton on det Qblock has no step
+    dom = lattice.builtin("hexagonal")
+    cp = charpoly.CharPoly(dom, build_charpoly(dom).P, LaurentPoly2({(0, 0): 1.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CharPolyError, match="singular Jacobian"):
+            charpoly.find_nodes(cp)

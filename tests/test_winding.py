@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import json
 import math
 
 import numpy as np
@@ -229,3 +231,35 @@ def test_one_slice_winding_count_per_winding_command(monkeypatch, capsys):
                     "--E", "6,0,1,6", "--window", "4"]) == 0
     capsys.readouterr()
     assert calls == [2]
+
+
+@pytest.mark.parametrize("shift", [-1e-15, 1e-15])
+def test_printed_windings_do_not_turn_on_the_rounding_of_a_node(monkeypatch, capsys, shift):
+    # square-bip's node has z-argument 0, found as a few 1e-20, so a coordinate of
+    # mu sits on an integer: where discrete_gaussian's box starts, and (at a half
+    # integer) where the exact window's centre ties.  A move of the node by
+    # +-1e-15 half turn must not change which cells the command prints
+    from torusdimer import cli
+
+    argv = ["winding", "--lattice", "square-bip", "--weights", "a=1.2,b=0.9", "--E", "6,0,1,6"]
+
+    def printed_keys():
+        assert cli.run(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        return sorted(out["model"]), sorted(out["exact"])
+
+    want = printed_keys()
+    build = charpoly.build_charpoly
+
+    def moved(dom):
+        cp = build(dom)
+        nodes = []
+        for n in cp.nodes.nodes:
+            r = n.arguments[0] + shift
+            nodes.append(n._replace(arguments=(r, n.arguments[1]),
+                                    location=(cmath.exp(1j * math.pi * r), n.location[1])))
+        cp.nodes = cp.nodes._replace(nodes=nodes)
+        return cp
+
+    monkeypatch.setattr(charpoly, "build_charpoly", moved)
+    assert printed_keys() == want
