@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Subcommands: partition, sectors, winding, criticality, fsc-curve, verify,
-ising.  All outputs are deterministic: JSON is emitted with sorted keys and
-floats at 15 significant digits, CSV with a header row and LF endings.
-Exit status: 0 success, 2 bad input (unknown lattice, malformed file),
+ising.  All outputs are deterministic.  JSON has its keys sorted and its
+floats written by %.15g (-0.0 as 0), with null for a value that is not
+finite; a map of finite floats under str keys that need no escape and hold
+no % is written by one format call.  CSV has a header row and LF endings.
+winding builds no exact window of more than 2^21 cells
+(kasteleyn.WINDOW_CELL_LIMIT) and no discrete-Gaussian box of more than
+2^23 (specialfn.GAUSSIAN_CELL_LIMIT).
+Exit status: 0 success, 2 bad input (unknown lattice, malformed file, a
+winding window or discrete-Gaussian box past its limit),
 3 numerical-classification failure (unclassifiable or out-of-class
 spectral curve, or lattice signs that fail the orientation check: verify
 reports them, and partition, sectors, winding and criticality refuse them).
@@ -12,6 +18,7 @@ reports them, and partition, sectors, winding and criticality refuse them).
 import argparse
 import functools
 import math
+import operator
 import os
 import sys
 
@@ -35,6 +42,7 @@ def _fmt_str(text):
 # recurse into _to_json
 _LEAVES = {float: _fmt_float, int: str, str: _fmt_str, bool: lambda b: "true" if b else "false",
            type(None): lambda _none: "null"}
+_KEY = operator.itemgetter(0)
 
 
 def _to_json(obj):
@@ -49,7 +57,19 @@ def _to_json(obj):
         return _fmt_float(obj)
     leaves = _LEAVES.get
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
+        items = sorted(obj.items(), key=_KEY)
+        for _, v in items:
+            if type(v) is not float:
+                break
+        else:
+            # all floats: a finite sum shows them all finite (one that overflows
+            # takes the per-entry path, which writes the same bytes)
+            keys = [k for k, _ in items]
+            if keys and math.isfinite(sum(obj.values())) and all(type(k) is str for k in keys):
+                joined = "".join(keys)
+                if '"' not in joined and "\\" not in joined and "%" not in joined:
+                    return (('{"' + '":%.15g,"'.join(keys) + '":%.15g}')
+                            % tuple([v + 0.0 for _, v in items]))
         return "{%s}" % ",".join(["%s:%s" % (_fmt_str(str(k)), leaves(type(v), _to_json)(v))
                                   for k, v in items])
     if isinstance(obj, (list, tuple)):
@@ -263,8 +283,8 @@ def _cmd_winding(args):
         "ell": [int(law.ell[0]), int(law.ell[1])],
         "tv_distance": float(tv),
         "window": int(args.window),
-        "model": {"%d,%d" % k: float(v) for k, v in model.items()},
-        "exact": {"%d,%d" % k: float(v) for k, v in exact_masses.items()},
+        "model": {"%d,%d" % k: v for k, v in model.items()},
+        "exact": {"%d,%d" % k: v for k, v in exact_masses.items()},
     }
     _emit_json(out)
     return 0

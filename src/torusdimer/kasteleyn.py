@@ -31,6 +31,7 @@ enumerate_matchings are test oracles only.
 """
 
 import cmath
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -63,6 +64,9 @@ CHECK_QUOTIENTS = {(1, 0, 0, 1): ((0,), (1,), (2,), (3,)),
 
 ENUM_CAP = 28
 ZERO_ULPS = 64  # a fiber value within ZERO_ULPS * k ulps of the largest evaluated is a node
+# cells of the M x M exact winding window (M <= 1448): the winding command on
+# hexagonal 6x6 peaks at 507 MB of RSS at M = 1024, growing as M^2
+WINDOW_CELL_LIMIT = 2 ** 21
 
 
 class QuotientError(ValueError):
@@ -684,13 +688,17 @@ def winding_distribution_exact(dom, E, M):
     M^2 phases, and the slice product computes each of them once (4 M^2
     distinct phases at odd M).  The winding masses are
     read off a 2-D DFT and returned as a WindingTable, folded modulo M, so
-    M must exceed the spread of the distribution; M < 1 raises
-    QuotientError, and signs that fail verify_orientation CharPolyError.
+    M must exceed the spread of the distribution; M < 1 and M^2 above
+    WINDOW_CELL_LIMIT (M > 1448) raise QuotientError, and signs that fail
+    verify_orientation CharPolyError.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
     if M < 1:
         raise QuotientError("winding window M must be at least 1, got %d" % M)
+    if M * M > WINDOW_CELL_LIMIT:
+        raise QuotientError("winding window M = %d needs %d cells, more than the %d a window "
+                            "may hold" % (M, M * M, WINDOW_CELL_LIMIT))
     E = _as_E(E)
     _charpoly.require_oriented(dom)
     pre = _block_sign(dom.colors, abs(int_det(E)))
@@ -733,7 +741,8 @@ class WindingTable:
 
     def tv_against(self, masses):
         """Total variation against a {winding: mass} law folded mod M."""
-        windings = np.array(list(masses), dtype=np.int64).reshape(-1, 2) % self.M
+        windings = np.fromiter(itertools.chain.from_iterable(masses), np.int64,
+                               2 * len(masses)).reshape(-1, 2) % self.M
         folded = np.zeros((self.M, self.M))
         # adds in the dict's order, as a loop over its items would
         np.add.at(folded, (windings[:, 0], windings[:, 1]), np.fromiter(masses.values(), float))

@@ -26,6 +26,10 @@ TAU_IM_FLOOR = 1e-3
 _TRUNC = 1e-16
 _XI_WINDOW = np.arange(-5, 6)  # the terms j that log_xi sums
 _GAUSSIAN_TAIL = 1e-12  # discrete_gaussian leaves out less than this share of the mass
+# cells of discrete_gaussian's box, 64 MiB per int64 grid: the unit hexagonal
+# quotient diag(1, 4750) grows its box to 4826809 cells (winding peaks at
+# 345 MB of RSS), and diag(1, 4900) would grow it to 11202409
+GAUSSIAN_CELL_LIMIT = 2 ** 23
 
 
 def _check_tau(tau):
@@ -213,7 +217,8 @@ def discrete_gaussian(mu, sigma):
 
     Returns a dict {(n1, n2): probability} normalized over all of Z^2: the
     truncation radius is grown until the neglected tail is below
-    _GAUSSIAN_TAIL of the total, and cells below 1e-300 are left out.
+    _GAUSSIAN_TAIL of the total, and cells below 1e-300 are left out.  A box
+    of more than GAUSSIAN_CELL_LIMIT cells raises ValueError before it is built.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -224,6 +229,9 @@ def discrete_gaussian(mu, sigma):
     rad = math.sqrt(2 * (-math.log(_GAUSSIAN_TAIL) + 40.0) / (math.pi * np.min(evals))) + 2.0
     for _ in range(60):
         r = int(math.ceil(rad))
+        if (2 * r + 1) ** 2 > GAUSSIAN_CELL_LIMIT:
+            raise ValueError("the discrete Gaussian needs %d cells, more than the %d its box "
+                             "may hold" % ((2 * r + 1) ** 2, GAUSSIAN_CELL_LIMIT))
         n1 = np.arange(math.floor(mu[0]) - r, math.floor(mu[0]) + r + 1)
         n2 = np.arange(math.floor(mu[1]) - r, math.floor(mu[1]) + r + 1)
         g1, g2 = np.meshgrid(n1, n2, indexing="ij")

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from torusdimer import cli, fsc, kasteleyn, lattice
+from torusdimer import charpoly, cli, fsc, kasteleyn, lattice
 
 
 def run_json(capsys, argv):
@@ -354,6 +355,31 @@ def test_nonpositive_winding_window_exits_2(capsys, window):
     assert captured.err.startswith("error:") and "window" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--E", "4,0,0,4", "--window", "100000"],
+     "window M = 100000 needs 10000000000 cells, more than the 2097152"),
+    (["--E", "6,0,0,6", "--window", "1449"], "window M = 1449 needs 2099601 cells, more than the 2097152"),
+    (["--weights", "a=1.1,b=0.9,c=1.2", "--E", "134217729,0,134217727,2"],
+     "discrete Gaussian needs 10043847961 cells, more than the 8388608"),
+    (["--E", "1,0,0,4900"], "discrete Gaussian needs 11202409 cells, more than the 8388608"),
+])
+def test_oversized_winding_tables_exit_2(capsys, argv, message):
+    # more than 2^21 cells in the exact window or 2^23 in the Gaussian model's
+    # box: refused before any array of that size is built
+    code, err = _one_line_error(capsys, ["winding", "--lattice", "hexagonal"] + argv)
+    assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--E", "1,0,0,3000"],  # a thin quotient: a 3059001-cell Gaussian box, 35 KB printed
+    ["--weights", "a=1.1,b=0.9,c=1.2", "--E", "45,44,46,45"],  # det 1, reduced basis
+])
+def test_winding_tables_within_their_limits_print(capsys, argv):
+    code, out, _raw = run_json(capsys, ["winding", "--lattice", "hexagonal"] + argv)
+    assert code == 0
+    assert abs(sum(out["model"].values()) - 1) < 1e-9 and abs(sum(out["exact"].values()) - 1) < 1e-9
+
+
 @pytest.mark.parametrize("name, weights", [("hexagonal", "d=2"), ("hexagonal", "a=1.2,d=2"),
                                            ("square-bip", "c=2"), ("square-1x1", "A=2")])
 def test_unknown_weight_names_exit_2(capsys, name, weights):
@@ -610,20 +636,63 @@ def reference_to_json(obj):
 def test_to_json_matches_its_reference_byte_for_byte():
     import collections
 
-    import numpy as np
-
     Pair = collections.namedtuple("Pair", "x y")
     leaves = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -2.5e300, 1 / 3, 7, -12, 0,
               True, False, None, 'a "quoted" \\ key', np.float64(-0.0), np.float64(2.0) / 3]
     doc = {"leaves": leaves, "nested": {"b": [leaves, (1.5, [math.inf, {"x": -0.0}])],
                                         "a": {"%d,%d" % (i, -i): i / 7 for i in range(-9, 9)}},
            "pair": Pair(-0.0, [math.nan]), "ints": {3: "three", -1: [True]}, "": [], "e": {}}
-    docs = [doc, leaves, [doc, [doc]], math.nan, -0.0, True, None, "s", 5, Pair(1, 2.0)]
+    # maps of finite floats under plain str keys take one format call; the rest,
+    # and the maps that hold them, are written entry by entry
+    floats = {"z": -0.0, "a": 5e-324, "m": 1e-300, "-1,2": 1 / 3, "": 2.5e300, "b": 1e15}
+    maps = [floats, {}, {"one": -0.0}, {"x": 1.5, "n": math.nan}, {"x": math.inf, "y": 1.0},
+            {"x": 1.0, "y": -math.inf}, {"big": 1e308, "bigger": 1.7e308},
+            {'a"b': 1.0, "c": 2.0}, {"a\\b": 1.0}, {"50%": 0.5, "%s": 1.0, "%%": 2.0},
+            {"x": np.float64(0.25), "y": 0.5}, {"x": np.float64(-0.0)}, {"x": 1.0, "i": 2},
+            {"x": 1.0, "t": True}, {"x": 1.0, "none": None}, {3: 1.0, -1: 2.0},
+            {"x": 1.0, "list": [floats]}, {"outer": floats, "inner": {"x": {"y": 1e-300}}}]
+    docs = [doc, leaves, [doc, [doc]], math.nan, -0.0, True, None, "s", 5, Pair(1, 2.0),
+            maps, [maps, (floats,)]] + maps
     for obj in docs:
         assert cli._to_json(obj) == reference_to_json(obj)
     for bad in (np.int64(3), [object()], {"k": {1, 2}}):
         with pytest.raises(TypeError):
             cli._to_json(bad)
+
+
+@pytest.mark.parametrize("weights, E, window", [
+    ({}, [[6, 0], [0, 6]], 16),
+    ({}, [[6, 0], [0, 6]], 200),
+    ({"a": 1.1, "b": 0.9, "c": 1.2}, [[100000000, 99999999], [100000001, 100000000]], 16),
+])
+def test_winding_stdout_matches_its_reference_byte_for_byte(capsys, weights, E, window):
+    # the output map rebuilt with float() on every value and written by
+    # reference_to_json; the TV folds the model through np.array of its keys
+    dom = lattice.builtin("hexagonal", **weights)
+    cp = charpoly.build_charpoly(dom)
+    law = fsc.winding_law(cp, E)
+    model = fsc.winding_distribution_gaussian(cp, E)
+    exact = kasteleyn.winding_distribution_exact(dom, E, M=window)
+    windings = np.array(list(model), dtype=np.int64).reshape(-1, 2) % window
+    folded = np.zeros((window, window))
+    np.add.at(folded, (windings[:, 0], windings[:, 1]), np.fromiter(model.values(), float))
+    want = {
+        "mu": [float(law.mu[0]), float(law.mu[1])],
+        "sigma": [[float(x) for x in row] for row in law.sigma],
+        "color_swapped": bool(law.color_swapped),
+        "ell": [int(law.ell[0]), int(law.ell[1])],
+        "tv_distance": 0.5 * float(np.abs(exact.probs - folded).sum()),
+        "window": window,
+        "model": {"%d,%d" % k: float(v) for k, v in model.items()},
+        "exact": {"%d,%d" % k: float(v)
+                  for k, v in exact.as_dict(center=max(model, key=model.get)).items()},
+    }
+    argv = ["winding", "--lattice", "hexagonal", "--E", ",".join(str(x) for row in E for x in row),
+            "--window", str(window)]
+    if weights:
+        argv += ["--weights", ",".join("%s=%s" % kv for kv in weights.items())]
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == reference_to_json(want) + "\n"
 
 
 def test_cli_import_loads_no_test_or_heavy_modules():
