@@ -18,7 +18,8 @@ that rule.
 predict, winding_law and winding_distribution_gaussian take the spectral
 curve (cp, E) and read its domain as cp.dom; predict_logZ
 (which also serves the curveless unit square) and sector_table_auto take
-(dom, E).  A singular or non-2x2 E raises kasteleyn.QuotientError.
+(dom, E).  A singular or non-2x2 E, or one past the range of
+kasteleyn._as_E, raises kasteleyn.QuotientError.
 """
 
 import cmath

@@ -8,7 +8,10 @@ Z^2 / Z^2 E in lexicographic order.
 A Fourier transform over the residues block-diagonalises K_E(zeta, xi) into
 the k x k cell matrices K(z, w) at the |det E| fiber points of (zeta, xi),
 so |Pf K_E| is the product of |det Q| (2-colored cells) or of sqrt(P) over
-the fiber, and its sign is that of the real points' Pfaffians.  In the
+the fiber, and its sign is that of the real points' Pfaffians
+(real_point_signs, the one sign rule of the sector tables).  A thin
+quotient whose four sectors all fall under their rounding bound keeps
+log Z from the slot sum (SectorTable).  In the
 Hermite form [[p, q], [0, r]] of E the fiber is r circles w^r = xi', on
 each of which z^p = C runs over p points; the product over one circle is
 lead^p prod (rho^p - C) over the roots rho of the z-slice.  _slice_product
@@ -67,6 +70,12 @@ ZERO_ULPS = 64  # a fiber value within ZERO_ULPS * k ulps of the largest evaluat
 # cells of the M x M exact winding window (M <= 1448): the winding command on
 # hexagonal 6x6 peaks at 507 MB of RSS at M = 1024, growing as M^2
 WINDOW_CELL_LIMIT = 2 ** 21
+# the largest E that _as_E accepts: see there
+ENTRY_LIMIT = 2 ** 62
+DET_LIMIT = 2 ** 51
+# a slice product of |det E| = r p fiber values carries up to about eps |det E| turns of
+# rounding in its phase (measured on the hexagonal 4 x 4 unit cell): see _phase_tolerance
+PHASE_ULPS = 16
 
 
 class QuotientError(ValueError):
@@ -74,12 +83,30 @@ class QuotientError(ValueError):
 
 
 def _as_E(E):
-    E = np.asarray(E, dtype=int)
-    if E.shape != (2, 2):
-        raise QuotientError("E must be an integer 2x2 matrix")
-    if int_det(E) == 0:
+    """E as an int64 2 x 2 array, refused with QuotientError unless nonsingular and in range.
+
+    The range is what the int64 turn arithmetic of _slice_product holds:
+    every |entry| below ENTRY_LIMIT = 2^62, so that the adjugate and the
+    unimodular U of hermite_form (entries at most twice E's) fit, and
+    |det E| at most DET_LIMIT = 2^51.  |det E| = p r bounds p, r and
+    q < r of the Hermite form, so q j over a block of at most
+    laurent.SAMPLE_CHUNK = 2^12 outer indices j stays below 2^63.  The
+    entries are read as Python ints before any array of them is built (an
+    int64 array is returned as it is).
+    """
+    try:
+        (a, b), (c, d) = ([int(x) for x in row]
+                          for row in (E.tolist() if isinstance(E, np.ndarray) else E))
+    except (TypeError, ValueError) as exc:
+        raise QuotientError("E must be an integer 2x2 matrix") from exc
+    det = a * d - b * c
+    if det == 0:
         raise QuotientError("E must be nonsingular")
-    return E
+    if not (-DET_LIMIT <= det <= DET_LIMIT and -ENTRY_LIMIT < min(a, b, c, d)
+            and max(a, b, c, d) < ENTRY_LIMIT):
+        raise QuotientError("E must have entries below 2^62 in magnitude and |det E| at most "
+                            "2^51, got det %d" % det)
+    return E if isinstance(E, np.ndarray) and E.dtype == np.int64 else np.array([[a, b], [c, d]])
 
 
 def build_KE(dom, E, zeta=1.0, xi=1.0, twist=None):
@@ -136,36 +163,42 @@ def pfaffian_log(A):
     """(phase, log|pf|) of a complex skew-symmetric matrix, by Parlett-Reid.
 
     Pivots on the largest subdiagonal entry of the working column; the
-    running product is kept in log form to avoid overflow.
+    running product is kept in log form to avoid overflow.  The matrix is
+    reduced as lists of Python complex numbers: its callers pass k x k
+    cells (dense quotient matrices are test oracles only), where numpy's
+    cost per call would outweigh the arithmetic.
     """
-    A = np.array(A, dtype=complex)
-    n = A.shape[0]
+    A = np.asarray(A, dtype=complex).tolist()
+    n = len(A)
     if n == 0:
         return 1.0 + 0j, 0.0
     if n % 2:
         return 0j, -math.inf
-    scale = float(np.max(np.abs(A)))
+    scale = max(abs(x) for row in A for x in row)
     floor = scale * n * 1e-15  # below this a pivot is rounding noise
     if scale == 0.0:
         return 0j, -math.inf
     phase = 1.0 + 0j
     logabs = 0.0
     for k in range(0, n - 2, 2):
-        col = np.abs(A[k + 1:, k])
-        piv = int(np.argmax(col)) + k + 1
+        col = [abs(row[k]) for row in A[k + 1:]]
+        piv = col.index(max(col)) + k + 1
         if col[piv - k - 1] <= floor:
             return 0j, -math.inf
         if piv != k + 1:
-            A[[k + 1, piv], :] = A[[piv, k + 1], :]
-            A[:, [k + 1, piv]] = A[:, [piv, k + 1]]
+            A[k + 1], A[piv] = A[piv], A[k + 1]
+            for row in A:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
             phase = -phase
-        a = -A[k + 1, k]
+        a = -A[k + 1][k]
         phase *= a / abs(a)
         logabs += math.log(abs(a))
-        mu = A[k + 2:, k] / A[k + 1, k]
-        A[k + 2:, k + 2:] += np.outer(mu, A[k + 2:, k + 1])
-        A[k + 2:, k + 2:] -= np.outer(A[k + 2:, k + 1], mu)
-    a = A[n - 2, n - 1]
+        mu = [row[k] / A[k + 1][k] for row in A[k + 2:]]
+        v = [row[k + 1] for row in A[k + 2:]]
+        for row, mu_i, v_i in zip(A[k + 2:], mu, v):
+            row[k + 2:] = [x + mu_i * v_j - v_i * mu_j
+                           for x, mu_j, v_j in zip(row[k + 2:], mu, v)]
+    a = A[n - 2][n - 1]
     if abs(a) <= floor:
         return 0j, -math.inf
     phase *= a / abs(a)
@@ -226,7 +259,11 @@ class SectorTable:
     max(1, |logscale|), and a sector, a quarter of a signed sum of the four,
     is known to noise * sum |pf_scaled| / 4.  A sector at or below that bound
     is exactly 0.0 (log_sector -inf): none is ever negative, and Z_scaled is
-    the sum of the sectors.
+    the sum of the sectors.  When every sector falls under it while a slot
+    is nonzero (noise >= 1/4, so |logscale| of order 10^13: a thin quotient
+    such as hexagonal diag(2^46, 2)), Z_scaled is the slot sum
+    sum(SLOT_SIGNS * pf_scaled) / 2 instead (0.0 if that is not positive):
+    its log is off by O(1) at most, about 1e-14 of log Z.
     """
 
     def __init__(self, E, pf_signs, pf_logs, k):
@@ -242,6 +279,8 @@ class SectorTable:
         cut = 0.25 * noise * sum(map(abs, self.pf_scaled.tolist()))
         self.sectors_scaled = np.where(sectors > cut, sectors, 0.0)
         self.Z_scaled = float(self.sectors_scaled.sum())
+        if self.Z_scaled == 0.0 and self.pf_scaled.any():
+            self.Z_scaled = max(0.0, 0.5 * float(SLOT_SIGNS @ self.pf_scaled))
 
     @property
     def log_Z(self):
@@ -271,11 +310,15 @@ def real_point_signs(dom, E):
 
     s = ((-1)^a, (-1)^b) lies in the fiber of the slot with half-turns
     E (a, b) mod 2; conjugate pairs give det K >= 0 when oriented: this is sign Pf K_E.
+    The slots of the four points are one integer product of E with
+    SLOT_HALF_TURNS (binary order, so half-turns (a, b) are slot 2a + b).
+    This is the one sign rule of sector_table and fsc.predict, on every domain.
     """
     E = _as_E(E)
-    sign = [int(np.sign(ph.real)) for ph, _lg in _cell_values(dom, SLOTS)]
-    return [math.prod(sg for p, sg in zip(SLOT_HALF_TURNS, sign) if tuple(E @ p % 2) == half)
-            for half in SLOT_HALF_TURNS]
+    signs = [int(np.sign(ph.real)) for ph, _lg in _cell_values(dom, SLOTS)]
+    half = (E % 2) @ np.array(SLOT_HALF_TURNS).T % 2
+    slot_of = (2 * half[0] + half[1]).tolist()
+    return [math.prod(sg for sg, at in zip(signs, slot_of) if at == slot) for slot in range(4)]
 
 
 def _cell_values(dom, points):
@@ -307,7 +350,8 @@ def sector_table(dom, E):
     node makes its slot exactly zero: a zero real Pfaffian, or a fiber value
     within ZERO_ULPS * k ulps of the largest value evaluated (a slot's only
     pair of points can be a node).  Signs that fail verify_orientation raise
-    charpoly.CharPolyError (charpoly.require_oriented).
+    charpoly.CharPolyError (charpoly.require_oriented).  See SectorTable for
+    log_Z when every sector is under its rounding bound.
     """
     E = _as_E(E)
     if dom.k % 2:
@@ -467,8 +511,9 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
         coeffs[size == 0.0] = np.arange(n_in) == b  # no roots to find in a vanishing slice
         rows = level_of.reshape(-1, 1) * len(j) + np.arange(len(j))  # (phases, len(j))
         low = np.minimum(low, size[rows].min(axis=1))
+        qj = (q * start % r + q * np.arange(len(j))) % r  # q j mod r, within int64 (_as_E)
         block_log, block_turns, (phase_of, value) = _circle_products(
-            coeffs, b, p, (c_turn - (q * j % r) / r) % 1.0, rows)
+            coeffs, b, p, (c_turn - qj / r) % 1.0, rows)
         logabs += block_log
         turns += block_turns
         np.minimum.at(low, phase_of, value)
@@ -507,7 +552,7 @@ def _circle_products(coeffs, b, p, c_turn, rows):
     # outside, the signs, and the power of C (in turns, added per phase)
     row_log = p * (np.log(np.abs(lead)) + np.where(big, log_abs, 0.0).sum(axis=1))
     row_turn = (p * (np.angle(lead) + np.where(big, arg, 0.0).sum(axis=1)) / (2 * math.pi)
-                + ((p + 1) * lo + p * n + inside) / 2) % 1.0
+                + ((p + 1.0) * lo + float(p) * n + inside) / 2) % 1.0
     row_c = lo + inside
 
     C = _cis(2 * math.pi * c_turn)[..., None]
@@ -674,6 +719,25 @@ def matching_sign_classes(dom):
 
 # -- winding distribution via twisted Pfaffians --------------------------------
 
+def _phase_tolerance(E):
+    """How far a slice product's unit phase may be from its exact value on the E-quotient.
+
+    The product takes p-th powers on each of its r circles, so rounding of
+    order eps in an angle grows to about eps r p = eps |det E| turns.  As a
+    distance on the unit circle: up to 6.3 eps |det E| measured on the
+    hexagonal 4 x 4 unit cell (2^10 to 2^46 cells), 0.3 eps |det E| on the
+    liquid hexagonal a=1.2, b=0.9 quotients [[n, 7], [0, n - 9]].  The
+    tolerance is PHASE_ULPS eps |det E|, and no less than 1e-8.  From
+    |det E| = 2^47 on it would be 1/2 or more, and a phase so blurred no
+    longer tells a real slot's sign: QuotientError.
+    """
+    tol = max(1e-8, PHASE_ULPS * sys.float_info.epsilon * abs(int_det(E)))
+    if tol >= 0.5:
+        raise QuotientError("slice product phases do not resolve signs at |det E| = %d "
+                            "(2^47 or more)" % abs(int_det(E)))
+    return tol
+
+
 def winding_distribution_exact(dom, E, M):
     """Exact law of the winding of m (+) m0 on the E-quotient, mod M.
 
@@ -689,8 +753,9 @@ def winding_distribution_exact(dom, E, M):
     distinct phases at odd M).  The winding masses are
     read off a 2-D DFT and returned as a WindingTable, folded modulo M, so
     M must exceed the spread of the distribution; M < 1 and M^2 above
-    WINDOW_CELL_LIMIT (M > 1448) raise QuotientError, and signs that fail
-    verify_orientation CharPolyError.
+    WINDOW_CELL_LIMIT (M > 1448) raise QuotientError, as does |det E| past
+    what _phase_tolerance resolves, and signs that fail verify_orientation
+    CharPolyError.
     """
     if not dom.bipartite:
         raise QuotientError("winding statistics need a 2-colored domain")
@@ -700,6 +765,7 @@ def winding_distribution_exact(dom, E, M):
         raise QuotientError("winding window M = %d needs %d cells, more than the %d a window "
                             "may hold" % (M, M * M, WINDOW_CELL_LIMIT))
     E = _as_E(E)
+    tol = _phase_tolerance(E)
     _charpoly.require_oriented(dom)
     pre = _block_sign(dom.colors, abs(int_det(E)))
     # slot half turns plus twist turns (p, q) / M, exact over 2M
@@ -710,9 +776,11 @@ def winding_distribution_exact(dom, E, M):
                                           halves[:, 0] + twist[:, None],
                                           halves[:, 1] + twist[None, :], 2 * M, 0.0)
     signs = (0.5 * SLOT_SIGNS)[:, None, None]  # Z = sum(c) / 2
-    Zg = np.sum(signs * pre * grid_phase * np.exp(grid_log - np.max(grid_log)), axis=0)
+    terms = signs * pre * grid_phase * np.exp(grid_log - np.max(grid_log))
+    Zg = np.sum(terms, axis=0)
     Z0 = Zg[0, 0]
-    if not (abs(Z0.imag) < 1e-8 * abs(Z0) and Z0.real > 0):
+    # each real slot's phase is within tol of +-1
+    if not (abs(Z0.imag) <= tol * np.abs(terms[:, 0, 0]).sum() and Z0.real > 0):
         raise QuotientError("twisted partition function failed its reality check")
     hist = np.fft.fft2(Zg).real / (M * M) / Z0.real
     if hist.min() < -1e-7 or abs(hist.sum() - 1.0) > 1e-7:

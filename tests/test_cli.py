@@ -704,3 +704,50 @@ def test_cli_import_loads_no_test_or_heavy_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("name, E", [("hexagonal", "70368744177664,0,0,2"),
+                                     ("fisher", "70368744177664,0,0,2"),
+                                     ("square-bip", "140737488355328,0,0,2")])
+def test_thin_quotients_print_their_log_Z(capsys, name, E):
+    # 2^46 or 2^47 by 2: every sector is under its rounding bound, and log Z
+    # comes from the slot sum; Z itself overflows and prints null
+    code, out, _raw = run_json(capsys, ["partition", "--lattice", name, "--E", E])
+    assert code == 0 and out["Z"] is None
+    want = math.log(2) / 2 if name == "hexagonal" else math.log(2)
+    assert abs(out["log_Z"] / out["det_E"] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("E", ["9223372036854775808,0,0,1", "9223372036854775807,0,0,1",
+                               "2251799813685249,0,0,1", "4611686018427387904,4611686018427387903,1,1"])
+def test_E_out_of_range_exits_2(capsys, E):
+    code, err = _one_line_error(capsys, ["partition", "--lattice", "hexagonal", "--E", E])
+    assert code == 2 and "2^51" in err
+
+
+def test_E_at_the_det_limit_prints(capsys):
+    code, out, _raw = run_json(capsys, ["partition", "--lattice", "hexagonal",
+                                        "--E", "2251799813685248,0,0,1"])
+    assert code == 0 and out["det_E"] == 2 ** 51 and out["log_Z"] > 0
+
+
+def test_winding_reality_check_scales_with_the_quotient(capsys):
+    # 4e8 fiber points whose slot phases carry 2.5e-8 of rounding: a fixed
+    # 1e-8 reality check refused this table
+    code, out, _raw = run_json(capsys, ["winding", "--lattice", "hexagonal", "--weights",
+                                        "a=1.2,b=0.9", "--E", "20000,7,0,19991", "--window", "8"])
+    # a window of 8 folds a wide law: negative rounding is clipped, so the sum
+    # is 1 to the 1e-7 of winding_distribution_exact's own check
+    assert code == 0 and abs(sum(out["exact"].values()) - 1) < 1e-7
+
+
+def test_winding_past_the_phase_range_exits_2(capsys):
+    # det 2^49: the slice product's phases no longer tell a slot's sign, while
+    # a sector table of that size takes exact real-point signs
+    code, err = _one_line_error(capsys, ["winding", "--lattice", "hexagonal", "--E",
+                                         "33554432,0,0,16777216", "--window", "8"])
+    assert code == 2 and "2^47" in err
+    code, out, _raw = run_json(capsys, ["partition", "--lattice", "hexagonal", "--E",
+                                        "281474976710656,0,0,2"])
+    assert code == 0 and out["det_E"] == 2 ** 49
+    assert abs(out["log_Z"] / out["det_E"] - math.log(2) / 2) <= 1e-12
