@@ -1,11 +1,12 @@
 """Characteristic (spectral) polynomials of oriented domains.
 
 P(z, w) = det K(z, w) is recovered as an exact Laurent polynomial from
-point evaluations.  A 2-colored domain interpolates only Q(z, w) = det
-of the black/white block, sets P = Q(z, w) Q(1/z, 1/w) and checks the
-zeros off the real points on det Qblock itself (_polish).  On the unit
-torus P is real and nonnegative, and its zeros ("nodes") control the
-finite-size behaviour of the quotient partition functions.
+point evaluations of dom.cell_det, the cell determinant that the slice
+product multiplies.  On a 2-colored domain that is Q(z, w), det of the
+black/white block: P = Q(z, w) Q(1/z, 1/w), and the zeros off the real
+points are checked on cell_det itself (_polish).  On the unit torus P is
+real and nonnegative, and its zeros ("nodes") control the finite-size
+behaviour of the quotient partition functions.
 
 One zero search (_torus_zeros) finds the nodes and the cuts of every Jensen
 quadrature.  It works on arrays at the curve's own degree: the 256 x 256
@@ -84,18 +85,16 @@ def require_oriented(dom):
 def build_charpoly(dom):
     """Spectral polynomial(s) of an oriented domain (require_oriented).
 
-    A 2-colored domain interpolates only Q and sets P = Q(z, w) Q(1/z, 1/w).
-    A P negative on the unit torus is refused by find_nodes, at the first use of nodes.
+    One interpolation of dom.cell_det: Q on a 2-colored domain, then P = Q(z, w) Q(1/z, 1/w),
+    else P.  A P negative on the unit torus is refused by find_nodes at the first use of nodes.
     """
     require_oriented(dom)
+    P = LaurentPoly2.from_evaluator(dom.cell_det, leibniz_bound(dom))
     if dom.bipartite:
-        Q = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.Qblock(z, w)),
-                                        leibniz_bound(dom, qblock=True))
-        P = (Q * Q.reciprocal_vars()).real_part()
+        Q, P = P, (P * P.reciprocal_vars()).real_part()
         if not np.isfinite(list(P.coeffs.values())).all():
             raise DegreeBoundError("P(z, w) = Q(z, w) Q(1/z, 1/w) overflows double precision")
         return CharPoly(dom, P, Q)
-    P = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(dom.K(z, w)), leibniz_bound(dom))
     if not P.is_real():
         raise CharPolyError("P(z, w) came out non-real")
     P = P.real_part()
@@ -297,11 +296,13 @@ def _newton(table, r, s, tol):
     otherwise it takes the closed-form step of the 2 x 2 half-turn Hessian
     (_torus_jets).  A singular Hessian, a step longer than 0.25 half turn
     in either coordinate, or 80 steps without stopping ends a seed
-    unconverged at its last point.
+    unconverged at its last point, unless its 80th step was at most 1e-12
+    half turn: the gradient's rounding can sit above a tol near its floor
+    (square-bip a=1, b=1.25 enlarged by [[0, 2], [2, 1]]).
     """
     r, s = np.array(r, dtype=float), np.array(s, dtype=float)
     ok = np.zeros(len(r), dtype=bool)
-    live = np.arange(len(r))
+    live, moved = np.arange(len(r)), np.zeros(len(r))
     for _ in range(80):
         if not len(live):
             break
@@ -317,7 +318,8 @@ def _newton(table, r, s, tol):
         step = ~done & (det != 0.0) & (np.abs(dr) <= 0.25) & (np.abs(ds) <= 0.25)
         r[live[step]] -= dr[step]
         s[live[step]] -= ds[step]
-        live = live[step]
+        live, moved = live[step], np.maximum(np.abs(dr), np.abs(ds))[step]
+    ok[live[moved <= 1e-12]] = True
     return r, s, ok
 
 
@@ -454,10 +456,11 @@ def _torus_zeros(P):
 
 def _polish(dom, table, r, s):
     """The half-turn points (r, s), 1-D arrays, moved by batched Newton onto zeros of
-    dom's det Qblock, whose Jacobian i pi (Az, Aw) is read from table, Q's _jet_table.
+    dom.cell_det (det Qblock), the determinant the curve interpolates and the slice product
+    multiplies; its Jacobian i pi (Az, Aw) is read from table, Q's _jet_table.
     A singular Jacobian, or a step still above 1e-12 half turn at the 4th, raises CharPolyError."""
     for _ in range(4):
-        f = np.linalg.det(dom.Qblock(np.exp(1j * math.pi * r), np.exp(1j * math.pi * s)))
+        f = dom.cell_det(np.exp(1j * math.pi * r), np.exp(1j * math.pi * s))
         jet = _torus_jets(table, r, s)
         den = math.pi * (jet[:, 1, 0].conj() * jet[:, 0, 1]).imag
         if not den.all():
@@ -476,7 +479,7 @@ def find_nodes(cp):
     single-real-node, two-real-nodes, distinct-conjugate-nodes,
     real-root-of-Q.  Zeros of a non-colored domain away from the real
     points fall outside the supported classification and are flagged.
-    _polish checks the other zeros of a 2-colored domain on det Qblock.  The
+    _polish checks the other zeros of a 2-colored domain on dom.cell_det.  The
     node forms come from one _torus_jets call on P's box and, for a
     2-colored domain, one on Q's box, at all zeros together.
     """

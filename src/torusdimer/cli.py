@@ -135,12 +135,25 @@ def _parse_range(text):
         raise _Usage("--range expects lo:hi:count")
     if count < 1:
         raise _Usage("--range count must be >= 1")
+    if count > fsc.CURVE_POINT_LIMIT:  # before the list is built
+        raise _Usage("--range count %d is more than the %d points a sweep may hold"
+                     % (count, fsc.CURVE_POINT_LIMIT))
     if not math.isfinite(hi - lo):  # also refuses an infinite or nan bound
         raise _Usage("--range %s:%s: the bounds and their difference must be finite"
                      % (lo_text, hi_text))
     if count == 1:
         return [lo]
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+
+
+def _parse_sizes(text):
+    try:
+        sizes = tuple(int(s) for s in text.split(","))
+        if min(sizes) >= 1:
+            return sizes
+    except ValueError:
+        pass
+    raise _Usage("--sizes expects comma-separated integers of at least 1, got %r" % text)
 
 
 def _load_domain(args):
@@ -320,9 +333,8 @@ def _cmd_verify(args):
 
 
 def _cmd_ising(args):
-    sizes = tuple(int(s) for s in args.sizes.split(","))
     rep = fsc.ising_critical_check(args.beta_a, args.beta_b, args.beta_c,
-                                   sizes=sizes)
+                                   sizes=_parse_sizes(args.sizes))
     out = {
         "kappa": {"kappa_0": rep.kappa[0], "kappa_a": rep.kappa[1],
                   "kappa_b": rep.kappa[2], "kappa_c": rep.kappa[3]},

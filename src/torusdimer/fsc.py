@@ -49,6 +49,16 @@ class FscError(ValueError):
     pass
 
 
+# A correction sweep takes log_xi in blocks of CURVE_BLOCK taus and holds at
+# most CURVE_POINT_LIMIT points.  Measured through the CLI (Python 3.11, numpy
+# 2.x, x86-64 Linux), the seven square-1x1 curves at the limit of 10^5 points
+# peak at 274 MB of RSS as CSV and 428 MB as JSON (hexagonal: 176 and 264 MB);
+# 2 x 10^5 points reach 496 and 815 MB.  One log_xi call over 10^5 square-1x1
+# points takes 1.29 GB, and over 3 x 10^6 hexagonal ones more than 3 GB.
+CURVE_BLOCK = 4096
+CURVE_POINT_LIMIT = 100000
+
+
 class CurveRangeError(ValueError):
     """A correction curve asked at a log aspect where it leaves double precision."""
 
@@ -409,19 +419,26 @@ def square_fsc(a, b, c, d):
 
 
 def _curve_values(curves, logrho):
-    """[(name, values)] of curves at tau = i exp(logrho), from one log_xi call.
+    """[(name, values)] of curves at tau = i exp(logrho), one log_xi call per
+    CURVE_BLOCK taus (an entry's value does not depend on the others of its call).
 
-    A number logrho gives a float per curve, a sequence a list.  A logrho
-    that is not finite, or a tau or value that overflows, raises
-    CurveRangeError.
+    A number logrho gives a float per curve, a sequence a list.  More than
+    CURVE_POINT_LIMIT points, a logrho that is not finite, or a tau or value
+    that overflows, raises CurveRangeError.
     """
     lrs = np.ravel(logrho).tolist()
+    if len(lrs) > CURVE_POINT_LIMIT:
+        raise CurveRangeError("%d log rho points, more than the %d a sweep may hold"
+                              % (len(lrs), CURVE_POINT_LIMIT))
     names, phases = zip(*curves)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            tau = np.array([1j * math.exp(lr) for lr in lrs]).reshape(np.shape(logrho))
-            ok = np.isfinite(tau).all() and (tau.imag > 0).all()
-            values = _corrections(phases, tau) if ok else None
+            tau = np.array([1j * math.exp(lr) for lr in lrs])
+            values = None
+            if np.isfinite(tau).all() and (tau.imag > 0).all():
+                blocks = [_corrections(phases, tau[i:i + CURVE_BLOCK])
+                          for i in range(0, max(len(tau), 1), CURVE_BLOCK)]
+                values = np.concatenate(blocks).reshape(np.shape(logrho) + (len(names),))
     except (OverflowError, FloatingPointError):
         values = None
     if values is None or not np.isfinite(values).all():
@@ -511,8 +528,12 @@ def ising_critical_check(beta_a, beta_b, beta_c, sizes):
     sits at a sign point whose quotient phases are (+-1, +-1) -- verifies
     the exact doubled-sector pattern Z = 2 Z^{rs} on the m x m tori in
     `sizes`, alongside the Ising partition function computed through the
-    dimer correspondence.
+    dimer correspondence.  A size that is not an integer of at least 1
+    raises ValueError.
     """
+    bad = [m for m in sizes if not (m >= 1 and m == int(m))]
+    if bad:
+        raise ValueError("torus sizes must be integers of at least 1, got %r" % (bad[0],))
     a, b, c = ising_weights(beta_a, beta_b, beta_c)
     kap = kappa(a, b, c)
     scale = max(abs(k) for k in kap)

@@ -22,8 +22,8 @@ slots), winding_distribution_exact (slots times twists) and double_product
 (complex phases) each take one slice product over an array of phases,
 given as exact turns, and computes each distinct phase once (at even M
 the four slots of the winding table share their M^2 twisted phases).
-The first two evaluate the cell determinant (det of the black/white
-block Qblock on a 2-colored domain), double_product a LaurentPoly2.
+The first two multiply dom.cell_det, the one cell determinant that the
+curve interpolates and the node polish solves, double_product a LaurentPoly2.
 fiber_points lists the fiber itself for the tests.
 With clockwise-odd faces a matching's sign depends only on the homology
 class mod 2 of m (+) m0 (Cimasoni-Reshetikhin), so slot_sectors turns the
@@ -328,25 +328,16 @@ def _cell_values(dom, points):
             for point, cell in zip(points, dom.K(*np.array(points, dtype=complex).T))]
 
 
-def _cell_det(M):
-    """det of a stack of small matrices, in closed form up to 2 x 2."""
-    if M.shape[-1] == 1:
-        return M[..., 0, 0]
-    if M.shape[-1] == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return np.linalg.det(M)
-
-
 def sector_table(dom, E):
     """Exact Pfaffian/sector table of the E-quotient from one slice product.
 
     Per slot, Pf K_E has the sign of real_point_signs, and log|Pf K_E| is
-    the sum of log|det Q| over the fiber on a 2-colored domain (Q the
-    black/white block of K), else half the sum of log P = log|det K|.  The
-    four slots share one _slice_product of that cell determinant (a slot -1
-    is an exact half turn), whose evaluator sees the 2r outer values of the
-    four slots times 2b + 1 inner points, b the z-bound of that determinant
-    from lattice.leibniz_bound (the w-bound when the variables swap).  A
+    the sum of log|dom.cell_det| over the fiber: det Q on a 2-colored domain,
+    else half of log P = log|det K|.  The four slots share one _slice_product
+    of that determinant, the one the curve interpolates and the node polish
+    solves (a slot -1 is an exact half turn); its evaluator sees the 2r
+    outer values of the four slots times 2b + 1 inner points, b the z-bound
+    of lattice.leibniz_bound (the w-bound when the variables swap).  A
     node makes its slot exactly zero: a zero real Pfaffian, or a fiber value
     within ZERO_ULPS * k ulps of the largest value evaluated (a slot's only
     pair of points can be a node).  Signs that fail verify_orientation raise
@@ -358,12 +349,10 @@ def sector_table(dom, E):
         raise QuotientError("odd cell: its quotients carry no Kasteleyn signs; "
                             "double the domain first")
     _charpoly.require_oriented(dom)
-    block, half = (dom.Qblock, 1.0) if dom.bipartite else (dom.K, 0.5)
-    bound = leibniz_bound(dom, qblock=dom.bipartite)
+    half = 1.0 if dom.bipartite else 0.5
     phi, psi = np.array(SLOT_HALF_TURNS).T
     zero_rel = ZERO_ULPS * dom.k * np.finfo(float).eps
-    _, logs = _slice_product(lambda z, w: _cell_det(block(z, w)), bound, E, phi, psi, 2,
-                             zero_rel)
+    _, logs = _slice_product(dom.cell_det, leibniz_bound(dom), E, phi, psi, 2, zero_rel)
     signs = real_point_signs(dom, E)
     return SectorTable(E, signs, [half * lg if sign else -math.inf
                                   for sign, lg in zip(signs, logs)], dom.k)
@@ -744,7 +733,7 @@ def winding_distribution_exact(dom, E, M):
     Computes the twisted partition function Z(theta) on the M x M Fourier
     grid.  A twist theta = 2 pi (p, q) / M multiplies the slot phases by
     exp(i theta), and the black/white block of the twisted K_E has
-    determinant prod_{fiber} det Qblock(z, w), so each (slot, p, q) is the
+    determinant prod_{fiber} dom.cell_det(z, w), so each (slot, p, q) is the
     ordering sign times one product of that cell determinant, as in
     sector_table, all taken in one slice product in exact turns over 2M:
     its evaluator sees at most 2M r outer values.  A slot -1 is a half
@@ -771,8 +760,7 @@ def winding_distribution_exact(dom, E, M):
     # slot half turns plus twist turns (p, q) / M, exact over 2M
     halves = (M * np.array(SLOT_HALF_TURNS))[:, :, None, None]
     twist = 2 * np.arange(M)
-    grid_phase, grid_log = _slice_product(lambda z, w: _cell_det(dom.Qblock(z, w)),
-                                          leibniz_bound(dom, qblock=True), E,
+    grid_phase, grid_log = _slice_product(dom.cell_det, leibniz_bound(dom), E,
                                           halves[:, 0] + twist[:, None],
                                           halves[:, 1] + twist[None, :], 2 * M, 0.0)
     signs = (0.5 * SLOT_SIGNS)[:, None, None]  # Z = sum(c) / 2

@@ -15,7 +15,9 @@ carry + in homology class (0, 0) and - in the other three.  Given the face
 condition a class has one sign, which the slot Pfaffians of the quotient
 reveal; kasteleyn.matching_sign_classes reads them off eight k x k cell
 values, so verify_orientation checks all three in O(k^3), once per signed
-graph in a process; orient() produces such signs from scratch.
+graph in a process; orient() produces such signs from scratch.  cell_det
+(det Qblock if 2-colored, else det K) is the one determinant the spectral
+curve interpolates, the slice product multiplies and the node polish solves.
 """
 
 import functools
@@ -131,6 +133,16 @@ class FundamentalDomain:
         if not self.bipartite:
             raise DomainError("Qblock needs a 2-colored domain")
         return self.K(z, w)[..., self.blacks(), :][..., self.whites()]
+
+    def cell_det(self, z, w):
+        """det Qblock on a 2-colored domain, else det K, batched like K; closed forms
+        up to 2 x 2 (numpy's det of a 1 x 1 matrix can miss its entry by an ulp)."""
+        M = self.Qblock(z, w) if self.bipartite else self.K(z, w)
+        if M.shape[-1] == 1:
+            return M[..., 0, 0]
+        if M.shape[-1] == 2:
+            return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+        return np.linalg.det(M)
 
     def with_signs(self, signs):
         return FundamentalDomain(
@@ -402,9 +414,9 @@ def instance_edges(dom, E):
     return tail.ravel(), head.ravel(), jump.reshape(-1, 2)
 
 
-def leibniz_bound(dom, qblock=False):
-    """(bz, bw): the exponents of det K(z, w) (of det Qblock when qblock) lie in
-    [-bz, bz] x [-bw, bw].
+def leibniz_bound(dom):
+    """(bz, bw), with the exponents of dom.cell_det(z, w) in [-bz, bz] x [-bw, bw]: the one
+    determinant that the curve interpolates, the slice product multiplies and the polish solves.
 
     Each Leibniz term takes one entry per row and one per column, so per
     axis its exponent is at most upper = min(sum over rows of the row's
@@ -414,7 +426,7 @@ def leibniz_bound(dom, qblock=False):
     them like verify_orientation's report.
     """
     edges = tuple([(e.tail, e.head, e.dx, e.dy) for e in dom.edges])
-    return _edge_leibniz_bound(edges, tuple(dom.colors) if qblock else None)
+    return _edge_leibniz_bound(edges, None if dom.colors is None else tuple(dom.colors))
 
 
 @functools.lru_cache(maxsize=256)

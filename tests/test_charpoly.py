@@ -55,6 +55,8 @@ def test_bipartite_factorisation():
 
 
 def test_a_two_colored_build_interpolates_only_Q(monkeypatch):
+    # one interpolation of dom.cell_det, within leibniz_bound: Q on a
+    # 2-colored domain, P on a non-colored one
     calls = []
     original = LaurentPoly2.from_evaluator
 
@@ -64,10 +66,11 @@ def test_a_two_colored_build_interpolates_only_Q(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly2, "from_evaluator", staticmethod(counting))
     for dom in (lattice.builtin("hexagonal", a=1.2, b=0.9),
-                lattice.sublattice_domain(lattice.builtin("square-bip"), [[2, 0], [1, 2]])):
+                lattice.sublattice_domain(lattice.builtin("square-bip"), [[2, 0], [1, 2]]),
+                lattice.builtin("fisher", a=1.1, b=0.9, c=1.2)):
         calls.clear()
         build_charpoly(dom)
-        assert calls == [lattice.leibniz_bound(dom, qblock=True)]
+        assert calls == [lattice.leibniz_bound(dom)]
 
 
 def test_build_rejects_broken_signs():

@@ -335,6 +335,53 @@ def test_curve_values_raise_a_named_error_past_double_precision():
             fsc.hexagonal_curve_values(logrho)
 
 
+def test_curve_values_in_blocks_keep_their_bits(monkeypatch):
+    # log_xi entries do not depend on each other, so blocks of 7 taus give the
+    # bits of one call over all 50; an empty sweep is one empty block
+    lrs = [-3 + 6 * k / 49 for k in range(50)]
+    families = (fsc.square_curve_values, fsc.hexagonal_curve_values)
+    whole = [curve_values(lrs) for curve_values in families]
+    monkeypatch.setattr(fsc, "CURVE_BLOCK", 7)
+    assert [curve_values(lrs) for curve_values in families] == whole
+    assert all(values == [] for curve_values in families for _name, values in curve_values([]))
+
+
+def test_curve_sweeps_past_the_point_limit_are_refused(monkeypatch, capsys):
+    monkeypatch.setattr(fsc, "CURVE_POINT_LIMIT", 5)
+    assert len(fsc.square_curve_values([0.0] * 5)[0][1]) == 5
+    with pytest.raises(fsc.CurveRangeError, match="more than the 5"):
+        fsc.hexagonal_curve_values([0.0] * 6)
+    assert cli.run(["fsc-curve", "--lattice", "hexagonal", "--range=0:1:5"]) == 0
+    capsys.readouterr()
+    for family in ("square-1x1", "hexagonal"):
+        code, err = _one_line_error(capsys, ["fsc-curve", "--lattice", family, "--range=0:1:6"])
+        assert code == 2 and "--range count 6 is more than the 5 points" in err
+
+
+def test_the_curve_point_limit_is_checked_before_the_range_is_built():
+    # 10^5 points still print (CI runs that sweep); one more is refused by
+    # _parse_range from its count alone
+    assert fsc.CURVE_POINT_LIMIT == 100000
+    with pytest.raises(cli._Usage, match="100001"):
+        cli._parse_range("-1:1:100001")
+    assert len(cli._parse_range("-1:1:100000")) == 100000
+
+
+@pytest.mark.parametrize("sizes", ["-2,2", "0", "2,x", "2.5", ""])
+def test_ising_sizes_below_1_or_not_integers_exit_2(capsys, sizes):
+    # -2,2 once printed log_Z_ising for a size of -2, and 0 failed on a matrix
+    # the user never passed ("E must be nonsingular")
+    code, err = _one_line_error(capsys, ["ising", "--beta-a", "0.3", "--beta-b", "0.3",
+                                         "--sizes=" + sizes])
+    assert code == 2 and "--sizes" in err
+
+
+@pytest.mark.parametrize("sizes", [(-2, 2), (0,), (2, 1.5)])
+def test_ising_check_refuses_sizes_below_1(sizes):
+    with pytest.raises(ValueError, match="at least 1"):
+        fsc.ising_critical_check(0.3, 0.3, 0.0, sizes=sizes)
+
+
 @pytest.mark.parametrize("argv", [["winding", "--lattice", "hexagonal", "--E", "4,0,0,4"],
                                   ["criticality", "--lattice", "hexagonal"],
                                   ["verify", "--lattice", "hexagonal"]])

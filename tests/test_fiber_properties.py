@@ -166,17 +166,16 @@ def test_sectors_are_nonnegative(dom, E):
     assert sectors.min() >= -1e-12 * sectors.max()
 
 
-def interpolation_box_fits(dom, qblock):
-    """The exponents of det K (det Qblock) lie within leibniz_bound.
+def interpolation_box_fits(dom):
+    """The exponents of dom.cell_det lie within leibniz_bound.
 
     The interpolation grid is two wider per axis than the bound, so an
     exponent past the grid fails from_evaluator's off-grid check, and one
     between the bound and the grid shows as a recovered coefficient."""
     from torusdimer.laurent import LaurentPoly2
 
-    block = dom.Qblock if qblock else dom.K
-    bz, bw = lattice.leibniz_bound(dom, qblock=qblock)
-    poly = LaurentPoly2.from_evaluator(lambda z, w: np.linalg.det(block(z, w)), (bz + 2, bw + 2))
+    bz, bw = lattice.leibniz_bound(dom)
+    poly = LaurentPoly2.from_evaluator(dom.cell_det, (bz + 2, bw + 2))
     zlo, zhi, wlo, whi = poly.degree_box()
     return -bz <= zlo and zhi <= bz and -bw <= wlo and whi <= bw
 
@@ -198,13 +197,8 @@ def test_leibniz_bound_contains_the_builtin_degree_box(name):
     flipped = reversed_edges(dom)
     assert np.allclose(flipped.K(0.3 + 0.2j, 1.1j), dom.K(0.3 + 0.2j, 1.1j), rtol=1e-14, atol=0)
     for cell in (dom, flipped):
-        assert interpolation_box_fits(cell, False)
-        if cell.bipartite:
-            assert interpolation_box_fits(cell, True)
+        assert interpolation_box_fits(cell)
     assert lattice.leibniz_bound(flipped) == lattice.leibniz_bound(dom)
-    if dom.bipartite:
-        assert (lattice.leibniz_bound(flipped, qblock=True)
-                == lattice.leibniz_bound(dom, qblock=True))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -212,9 +206,7 @@ def test_leibniz_bound_contains_the_builtin_degree_box(name):
 def test_leibniz_bound_contains_the_enlarged_degree_box(data):
     dom = data.draw(domains())
     big = lattice.sublattice_domain(dom, data.draw(quotients(max_det=64 // dom.k)))
-    assert interpolation_box_fits(big, False)
-    if big.bipartite:
-        assert interpolation_box_fits(big, True)
+    assert interpolation_box_fits(big)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

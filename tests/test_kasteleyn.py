@@ -342,7 +342,7 @@ def test_one_slice_product_per_table(monkeypatch):
 def test_one_slice_product_per_winding_law(monkeypatch):
     seen = _record_slice_work(monkeypatch)
     dom = lattice.builtin("hexagonal")
-    b = max(lattice.leibniz_bound(dom, qblock=True))
+    b = max(lattice.leibniz_bound(dom))
     for M in (16, 15):
         before = dict(seen)
         kasteleyn.winding_distribution_exact(dom, [[7, 2], [-3, 5]], M=M)

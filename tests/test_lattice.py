@@ -319,11 +319,10 @@ def test_one_orientation_check_per_signed_lattice(monkeypatch):
 
 
 def test_leibniz_bound_is_tight_on_the_builtins():
-    want = {"square-2x1": (1, 2), "square-1x2": (2, 1), "square-bip": (1, 2),
+    # det Qblock on the 2-colored square-bip and hexagonal, det K on the rest
+    want = {"square-2x1": (1, 2), "square-1x2": (2, 1), "square-bip": (1, 1),
             "hexagonal": (1, 1), "fisher": (1, 1), "rhombi-3464": (3, 3)}
     for name in BUILTIN_NAMES:
         assert lattice.leibniz_bound(builtin(name)) == want[name]
-    assert lattice.leibniz_bound(builtin("square-bip"), qblock=True) == (1, 1)
-    assert lattice.leibniz_bound(builtin("hexagonal"), qblock=True) == (1, 1)
     big = sublattice_domain(builtin("rhombi-3464"), np.diag([4, 4]))
     assert lattice.leibniz_bound(big) == (12, 12)

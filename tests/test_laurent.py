@@ -108,15 +108,16 @@ def loop_read_coefficients(fun, bz, bw):
 
 
 def test_from_evaluator_reads_the_coefficients_of_the_loop():
-    # same keys, values and order: det K of every builtin, det Qblock of the
-    # 2-colored ones, and a sparse polynomial in a box wider than it (zeros)
+    # same keys, values and order: the cell determinant of every builtin, det K
+    # of the 2-colored ones (= +-Q(z, w) Q(1/z, 1/w), in twice the cell bound),
+    # and a sparse polynomial in a box wider than it (zeros)
     cases = []
     for name in lattice.BUILTIN_NAMES:
         dom = lattice.builtin(name, a=1.1, b=0.9)
-        cases.append((lambda z, w, dom=dom: np.linalg.det(dom.K(z, w)), lattice.leibniz_bound(dom)))
+        bz, bw = lattice.leibniz_bound(dom)
+        cases.append((dom.cell_det, (bz, bw)))
         if dom.bipartite:
-            cases.append((lambda z, w, dom=dom: np.linalg.det(dom.Qblock(z, w)),
-                          lattice.leibniz_bound(dom, qblock=True)))
+            cases.append((lambda z, w, dom=dom: np.linalg.det(dom.K(z, w)), (2 * bz, 2 * bw)))
     p = random_poly(nterms=7, span=3)
     cases.append((lambda z, w: p(z, w), (5, 3)))
     for fun, (bz, bw) in cases:
@@ -179,19 +180,17 @@ def test_one_block_size_bounds_both_samplers(monkeypatch):
     assert len(sizes) > 2 and max(sizes) <= 12
     sizes.clear()
     hexagonal = lattice.builtin("hexagonal", a=1.1, b=0.9)
-    det = recording(lambda z, w: kasteleyn._cell_det(hexagonal.Qblock(z, w)))
+    det = recording(hexagonal.cell_det)
     phi, psi = np.array(kasteleyn.SLOT_HALF_TURNS).T  # the four slots of a sector table
-    kasteleyn._slice_product(det, lattice.leibniz_bound(hexagonal, qblock=True),
+    kasteleyn._slice_product(det, lattice.leibniz_bound(hexagonal),
                              [[9, 0], [0, 9]], phi, psi, 2, 0.0)
     assert len(sizes) > 2 and max(sizes) <= 12
 
 
 def test_every_builtin_is_sampled_in_one_block():
     for name in lattice.BUILTIN_NAMES:
-        dom = lattice.builtin(name)
-        for qblock in (False, True) if dom.bipartite else (False,):
-            bz, bw = lattice.leibniz_bound(dom, qblock=qblock)
-            assert (2 * bz + 1) * (2 * bw + 1) <= laurent.SAMPLE_CHUNK
+        bz, bw = lattice.leibniz_bound(lattice.builtin(name))
+        assert (2 * bz + 1) * (2 * bw + 1) <= laurent.SAMPLE_CHUNK
 
 
 def test_arithmetic():

@@ -281,10 +281,10 @@ def test_covering_identity(cover):
     assume(all(_dist(a, b) > 1e-6 for k, a in enumerate(images) for b in images[:k]))
     cell = lattice.sublattice_domain(dom, F)
     bz, bw = lattice.leibniz_bound(cell)
-    # build_charpoly samples K at (2bz + 1)(2bw + 1) points, in blocks of
-    # laurent.SAMPLE_CHUNK, and the bound is loose on sheared cells: 5 GB of
-    # k x k matrices in all for hexagonal [[26, 0], [7, 1]], so such cells
-    # are skipped for their time
+    # build_charpoly samples dom.cell_det at (2bz + 1)(2bw + 1) points, each
+    # from a k x k K, in blocks of laurent.SAMPLE_CHUNK, and the bound is loose
+    # on sheared cells: 1.5 GB of k x k matrices in all for hexagonal
+    # [[26, 0], [7, 1]], so such cells are skipped for their time
     assume((2 * bz + 1) * (2 * bw + 1) * cell.k**2 * 16 <= 2e8)
     big = build_charpoly(cell)
     det = abs(int(round(np.linalg.det(F))))
@@ -306,6 +306,35 @@ def images(nodes, F):
     return [(charpoly._wrap_half_turns(F[0][0] * r + F[0][1] * s),
              charpoly._wrap_half_turns(F[1][0] * r + F[1][1] * s))
             for r, s in (n.arguments for n in nodes)]
+
+
+@pytest.mark.parametrize("weights, F", [({"a": 1.0, "b": 1.25}, [[0, 2], [2, 1]]),
+                                        ({"a": 1.38, "b": 1.38}, [[-3, -3], [-3, -2]])])
+def test_nodes_where_the_gradient_rounds_above_tol_are_found(weights, F):
+    # both images sit on grid points, where Newton's gradient rounds to about
+    # 6e-13 against a tol of 1e-12: seeds there once hovered for 80 steps and
+    # the search raised "Newton did not converge near the low point"
+    dom = lattice.builtin("square-bip", **weights)
+    got = build_charpoly(lattice.sublattice_domain(dom, F)).nodes
+    assert got.kind == CLASS_CONJUGATE and len(got.nodes) == 2
+    for a in images(build_charpoly(dom).nodes.nodes, F):
+        assert min(_dist(a, n.arguments) for n in got.nodes) < 1e-12
+
+
+@pytest.mark.xfail(raises=CharPolyError, strict=True,
+                   reason="two node images 2.6e-3 half turn apart, inside the 5e-3 dedup "
+                          "radius of _torus_zeros, are read as one real node")
+def test_a_node_pair_closer_than_the_dedup_radius_is_resolved():
+    # near-isotropic hexagonal nodes sit near (1/3, -1/3), which F maps to
+    # 9e-4 from the real point (1, 1): P there is under the zero tolerance,
+    # so the search reports (1, 1) with a degenerate Hessian (CharPolyError)
+    dom = lattice.builtin("hexagonal", a=0.915965594177219, b=0.9144625462820543,
+                          c=0.9144625462820543)
+    F = [[0, 3], [3, 6]]
+    got = build_charpoly(lattice.sublattice_domain(dom, F)).nodes
+    assert got.kind == CLASS_CONJUGATE and len(got.nodes) == 2
+    for a in images(build_charpoly(dom).nodes.nodes, F):
+        assert min(_dist(a, n.arguments) for n in got.nodes) < 1e-5
 
 
 def test_a_thin_cell_keeps_its_node_positions():

@@ -25,9 +25,8 @@ CHUNK = 20000  # fiber points per oracle evaluation
 
 
 def cell_det(dom, z, w):
-    """det Q (2-colored) or det K at each point, in chunks."""
-    block = dom.Qblock if dom.bipartite else dom.K
-    return np.concatenate([kasteleyn._cell_det(block(z[i:i + CHUNK], w[i:i + CHUNK]))
+    """dom.cell_det (det Q if 2-colored, else det K) at each point, in chunks."""
+    return np.concatenate([dom.cell_det(z[i:i + CHUNK], w[i:i + CHUNK])
                            for i in range(0, len(z), CHUNK)])
 
 

@@ -51,8 +51,7 @@ def product_read_signs(dom, E):
     E = kasteleyn._as_E(E)
     phi, psi = np.array(kasteleyn.SLOT_HALF_TURNS).T
     phase, logs = kasteleyn._slice_product(
-        lambda z, w: kasteleyn._cell_det(dom.Qblock(z, w)),
-        kasteleyn.leibniz_bound(dom, qblock=True), E, phi, psi, 2,
+        dom.cell_det, kasteleyn.leibniz_bound(dom), E, phi, psi, 2,
         kasteleyn.ZERO_ULPS * dom.k * np.finfo(float).eps)
     phase = kasteleyn._block_sign(dom.colors, abs(kasteleyn.int_det(E))) * phase
     signs = [0 if v == 0 else -1 if v.real < 0 else 1 for v in phase.tolist()]
