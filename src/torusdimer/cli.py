@@ -7,9 +7,10 @@ finite; a map of finite floats under str keys that need no escape and hold
 no % is written by one format call.  CSV has a header row and LF endings.
 winding builds no exact window of more than 2^21 cells
 (kasteleyn.WINDOW_CELL_LIMIT) and no discrete-Gaussian box of more than
-2^23 (specialfn.GAUSSIAN_CELL_LIMIT).
+2^23 (specialfn.GAUSSIAN_CELL_LIMIT), and --dump-matrix no table of more
+than 2.5 x 10^6 terms (kasteleyn.TERM_LIMIT).
 Exit status: 0 success, 2 bad input (unknown lattice, malformed file, a
-winding window or discrete-Gaussian box past its limit),
+winding window, discrete-Gaussian box or matrix dump past its limit),
 3 numerical-classification failure (unclassifiable or out-of-class
 spectral curve, or lattice signs that fail the orientation check: verify
 reports them, and partition, sectors, winding and criticality refuse them).
@@ -304,12 +305,10 @@ def _cmd_winding(args):
 
 
 def _cmd_fsc_curve(args):
-    curve_values = {"square-1x1": fsc.square_curve_values,
-                    "hexagonal": fsc.hexagonal_curve_values}.get(args.lattice)
-    if curve_values is None:
+    if args.lattice not in fsc.CURVE_FAMILIES:
         raise _Usage("fsc-curve families: square-1x1 or hexagonal")
     log_rhos = _parse_range(args.range)
-    curves = curve_values(log_rhos)
+    curves = fsc.curve_values(args.lattice, log_rhos)
     rows = [[lr, name, values[i]] for i, lr in enumerate(log_rhos) for name, values in curves]
     if args.format == "json":
         _emit_json([{"log_rho": r[0], "class": r[1], "fsc": r[2]} for r in rows])

@@ -35,11 +35,7 @@ from .specialfn import log_xi, g_tau, log_abs_eta, discrete_gaussian
 
 LOG2 = math.log(2.0)
 
-FscResult = namedtuple(
-    "FscResult",
-    ["kind", "value", "per_sector", "tau", "zeta", "xi", "r", "s", "f0",
-     "log_Z", "nodes"],
-)
+FscResult = namedtuple("FscResult", ["kind", "value", "per_sector", "tau", "f0", "log_Z"])
 
 WindingLaw = namedtuple("WindingLaw", ["mu", "sigma", "color_swapped", "ell"])
 SIGMA_COND_LIMIT = 1e8  # beyond it the Gaussian model is taken in a reduced basis
@@ -103,32 +99,14 @@ def _correction(product, tau):
     return value if value.ndim else float(value)
 
 
-def _sector_share(product, r, s, tau):
-    """log of the (r, s) sector of kasteleyn.slot_sectors at one product's slot
-    values, signed by kasteleyn.SLOT_SIGNS (-inf when not positive)."""
-    pf = _kasteleyn.SLOT_SIGNS * np.exp(_slot_logs([product], tau)[0])
-    share = float(_kasteleyn.slot_sectors(pf)[_kasteleyn.SECTOR_ORDER.index((r % 2, s % 2))])
-    return math.log(share) if share > 0 else -math.inf
-
-
 def fsc1(tau):
     """log of (1/2) sum over sign pairs of Xi(z, w | tau); tau a number or an array."""
     return _correction(((1, 1),), tau)
 
 
-def fsc1_sector(a, b, tau):
-    """log of the (a, b) sector share of fsc1 (can be -inf)."""
-    return _sector_share(((1, 1),), a, b, tau)
-
-
 def fsc2(zeta, xi_, tau):
     """log of (1/2) sum over sign pairs of Xi(z zeta, w xi | tau)^2; tau a number or an array."""
     return _correction(((zeta, xi_), (zeta, xi_)), tau)
-
-
-def fsc2_sector(r, s, zeta, xi_, tau):
-    """log of the (r, s) sector share of fsc2 (can be -inf)."""
-    return _sector_share(((zeta, xi_), (zeta, xi_)), r, s, tau)
 
 
 def fsc2_gaussian(r, s, tau):
@@ -192,12 +170,16 @@ def _node_multiplicity(node):
 
 
 def predict(cp, E):
-    """FscResult for the E-quotient of cp.dom: correction value, sector shares, shape data.
+    """FscResult for the E-quotient of cp.dom: the predicted correction value
+    = log Z - |det E| f0, its sector shares per_sector (the sectors of the
+    predicted slot values, less |det E| f0), tau of the first node, f0 and
+    log_Z = |det E| f0 + value.
 
     On a non-vanishing (gaseous) curve every |Pf| is exp(|det E| f0) up to
     exponentially small terms, so the value is log of half the sum of
     kasteleyn.SLOT_SIGNS times the exact slot signs
-    (kasteleyn.real_point_signs of cp.dom), with no sector refinement.
+    (kasteleyn.real_point_signs of cp.dom), with no sector refinement
+    (per_sector and tau None).
     """
     E = _kasteleyn._as_E(E)
     rep = cp.nodes
@@ -209,28 +191,14 @@ def predict(cp, E):
         if lead <= 0:
             raise FscError("gaseous slot signs %r cancel: no leading term" % (signs,))
         value = math.log(0.5 * lead)
-        return FscResult(rep.kind, value, None, None, None, None, None, None,
-                         f0, det * f0 + value, [])
-    nodes = [(conformal_data(E, n), _node_multiplicity(n)) for n in rep.nodes]
+        return FscResult(rep.kind, value, None, None, f0, det * f0 + value)
+    data = [conformal_data(E, n) for n in rep.nodes]
     logs = np.full(4, det * f0)
-    for cd, mult in nodes:
-        logs += _slot_logs([((cd.zeta, cd.xi),) * mult], cd.tau)[0]
-    table = _kasteleyn.SectorTable(E, _kasteleyn.SLOT_SIGNS, logs.tolist(), cp.dom.k)
-    value = table.log_Z - det * f0
-    per_sector = {
-        rs: table.log_sector(*rs) - det * f0 for rs in _kasteleyn.SECTOR_ORDER
-    }
-    cd0 = nodes[0][0]
-    if rep.kind == _charpoly.CLASS_TWO_REAL:
-        # the effective phase is the product over the two real nodes
-        zeta = cd0.zeta * nodes[1][0].zeta
-        xi_ = cd0.xi * nodes[1][0].xi
-        r = _charpoly._wrap_half_turns(cd0.r + nodes[1][0].r)
-        s = _charpoly._wrap_half_turns(cd0.s + nodes[1][0].s)
-    else:
-        zeta, xi_, r, s = cd0.zeta, cd0.xi, cd0.r, cd0.s
-    return FscResult(rep.kind, value, per_sector, cd0.tau, zeta, xi_, r, s,
-                     f0, table.log_Z, nodes)
+    for cd, node in zip(data, rep.nodes):
+        logs += _slot_logs([((cd.zeta, cd.xi),) * _node_multiplicity(node)], cd.tau)[0]
+    table = _kasteleyn.SectorTable(_kasteleyn.SLOT_SIGNS, logs.tolist(), cp.dom.k)
+    per_sector = {rs: table.log_sector(*rs) - det * f0 for rs in _kasteleyn.SECTOR_ORDER}
+    return FscResult(rep.kind, table.log_Z - det * f0, per_sector, data[0].tau, f0, table.log_Z)
 
 
 SQUARE_F0 = 0.9159655941772190 / math.pi  # Catalan / pi, per site
@@ -418,9 +386,14 @@ def square_fsc(a, b, c, d):
     return _correction(dict(SQUARE_CURVES)[curve], tau)
 
 
-def _curve_values(curves, logrho):
-    """[(name, values)] of curves at tau = i exp(logrho), one log_xi call per
-    CURVE_BLOCK taus (an entry's value does not depend on the others of its call).
+# the correction curves that fsc-curve sweeps, per family
+CURVE_FAMILIES = {"square-1x1": SQUARE_CURVES, "hexagonal": HEXAGONAL_CURVES}
+
+
+def curve_values(family, logrho):
+    """[(name, values)] of the CURVE_FAMILIES[family] curves at tau = i exp(logrho),
+    one log_xi call per CURVE_BLOCK taus (an entry's value does not depend on
+    the others of its call).
 
     A number logrho gives a float per curve, a sequence a list.  More than
     CURVE_POINT_LIMIT points, a logrho that is not finite, or a tau or value
@@ -430,7 +403,7 @@ def _curve_values(curves, logrho):
     if len(lrs) > CURVE_POINT_LIMIT:
         raise CurveRangeError("%d log rho points, more than the %d a sweep may hold"
                               % (len(lrs), CURVE_POINT_LIMIT))
-    names, phases = zip(*curves)
+    names, phases = zip(*CURVE_FAMILIES[family])
     try:
         with np.errstate(over="raise", invalid="raise"):
             tau = np.array([1j * math.exp(lr) for lr in lrs])
@@ -445,16 +418,6 @@ def _curve_values(curves, logrho):
         raise CurveRangeError("the correction curves leave double precision for log rho "
                               "from %g to %g" % (lrs[0], lrs[-1]))
     return list(zip(names, np.moveaxis(values, -1, 0).tolist()))
-
-
-def square_curve_values(logrho):
-    """The seven parity-class correction curves at tau = i exp(logrho)."""
-    return _curve_values(SQUARE_CURVES, logrho)
-
-
-def hexagonal_curve_values(logrho):
-    """fsc2 at the four hexagonal phase classes at tau = i exp(logrho)."""
-    return _curve_values(HEXAGONAL_CURVES, logrho)
 
 
 def square_quotient(a, b, c, d):
@@ -490,19 +453,25 @@ def kappa(a, b, c):
 
 
 def ising_weights(beta_a, beta_b, beta_c):
-    """The dimer weights e^(2 beta) of the couplings; ValueError when one overflows."""
+    """The dimer weights e^(2 beta) of the couplings; ValueError when one
+    overflows or underflows to 0."""
+    couplings = ((beta_a, "beta_a"), (beta_b, "beta_b"), (beta_c, "beta_c"))
     try:
-        return math.exp(2 * beta_a), math.exp(2 * beta_b), math.exp(2 * beta_c)
+        weights = tuple(math.exp(2 * beta) for beta, _name in couplings)
     except OverflowError:  # the largest coupling overflows first (a NaN never does)
-        beta, name = max(pair for pair in ((beta_a, "beta_a"), (beta_b, "beta_b"),
-                                           (beta_c, "beta_c")) if pair[0] > 0)
+        beta, name = max(pair for pair in couplings if pair[0] > 0)
         raise ValueError("coupling %s = %r overflows its dimer weight e^(2 beta)"
                          % (name, beta)) from None
+    if 0.0 in weights:  # the smallest coupling underflows first
+        beta, name = min(pair for pair in couplings if pair[0] < 0)
+        raise ValueError("coupling %s = %r underflows its dimer weight e^(2 beta) to 0"
+                         % (name, beta))
+    return weights
 
 
-def _ising_log_Z(table, beta_a, beta_b, beta_c):
-    """log Ising Z from the decorated lattice's sector table at weights e^{2 beta}."""
-    det = abs(_lattice.int_det(table.E))
+def _ising_log_Z(table, det, beta_a, beta_b, beta_c):
+    """log Ising Z from the decorated lattice's sector table at weights e^{2 beta}
+    on a torus of det cells."""
     return LOG2 + table.log_sector(0, 0) - det * (beta_a + beta_b + beta_c)
 
 
@@ -551,7 +520,7 @@ def ising_critical_check(beta_a, beta_b, beta_c, sizes):
     for m in sizes:
         E = np.array([[m, 0], [0, m]], dtype=int)
         table = _kasteleyn.sector_table(dom, E)
-        logz[m] = _ising_log_Z(table, beta_a, beta_b, beta_c)
+        logz[m] = _ising_log_Z(table, m * m, beta_a, beta_b, beta_c)
         if node_loc is None:
             continue
         rE, sE = (E @ node_half % 2).tolist()  # the half turns of the node's phases

@@ -70,6 +70,11 @@ ZERO_ULPS = 64  # a fiber value within ZERO_ULPS * k ulps of the largest evaluat
 # cells of the M x M exact winding window (M <= 1448): the winding command on
 # hexagonal 6x6 peaks at 507 MB of RSS at M = 1024, growing as M^2
 WINDOW_CELL_LIMIT = 2 ** 21
+# terms of a quotient_terms table, two per edge instance: a --dump-matrix run peaks
+# at about 300 bytes of RSS per term (Python 3.11, numpy 2.4, x86-64 Linux), 792-795 MB
+# just under the limit (hexagonal 645 x 645, fisher 372 x 372, rhombi-3464 322 x 322)
+# and 946 MB at 3 x 10^6 terms
+TERM_LIMIT = 2500000
 # the largest E that _as_E accepts: see there
 ENTRY_LIMIT = 2 ** 62
 DET_LIMIT = 2 ** 51
@@ -139,10 +144,16 @@ def quotient_terms(dom, E, factor=1.0, zeta=1.0, xi=1.0):
     Per row of lattice.instance_edges' edge table, the forward term at
     (tail, head) is sign * weight * factor * zeta^j1 xi^j2 for the cell jump
     j, and the backward term at (head, tail) follows it: minus the same over
-    the phase.  factor is 1.0 or one number per cell edge.
+    the phase.  factor is 1.0 or one number per cell edge.  More than
+    TERM_LIMIT terms raise QuotientError before any array is built.
     """
+    d = abs(int_det(E))
+    terms = 2 * d * len(dom.edges)
+    if terms > TERM_LIMIT:
+        raise QuotientError("K_E has %d terms, more than the %d a term table may hold"
+                            % (terms, TERM_LIMIT))
     tail, head, jump = instance_edges(dom, E)
-    val = np.tile(np.array([e.sign * e.weight for e in dom.edges]) * factor, abs(int_det(E)))
+    val = np.tile(np.array([e.sign * e.weight for e in dom.edges]) * factor, d)
     ph = _powers(complex(zeta), jump[:, 0]) * _powers(complex(xi), jump[:, 1])
     rows = np.stack([tail, head], axis=1).ravel()
     cols = np.stack([head, tail], axis=1).ravel()
@@ -266,8 +277,7 @@ class SectorTable:
     its log is off by O(1) at most, about 1e-14 of log Z.
     """
 
-    def __init__(self, E, pf_signs, pf_logs, k):
-        self.E = np.asarray(E, dtype=int)
+    def __init__(self, pf_signs, pf_logs, k):
         finite = [x for x in pf_logs if x != -math.inf]
         # all four Pfaffians vanish on a coverless quotient
         self.logscale = max(finite) if finite else 0.0
@@ -354,8 +364,8 @@ def sector_table(dom, E):
     zero_rel = ZERO_ULPS * dom.k * np.finfo(float).eps
     _, logs = _slice_product(dom.cell_det, leibniz_bound(dom), E, phi, psi, 2, zero_rel)
     signs = real_point_signs(dom, E)
-    return SectorTable(E, signs, [half * lg if sign else -math.inf
-                                  for sign, lg in zip(signs, logs)], dom.k)
+    return SectorTable(signs, [half * lg if sign else -math.inf
+                               for sign, lg in zip(signs, logs)], dom.k)
 
 
 # -- fiber products -----------------------------------------------------------
@@ -405,11 +415,6 @@ def fiber_points(E, zeta=1.0, xi=1.0):
     return base[:, 0] * shift_z[..., None], base[:, 1] * shift_w[..., None]
 
 
-def _degree_bound(poly):
-    """(max |i|, max |j|) over the exponents of a LaurentPoly2."""
-    return tuple(max((abs(e[axis]) for e in poly.coeffs), default=0) for axis in (0, 1))
-
-
 def double_product(poly, E, zeta=1.0, xi=1.0, zero_tol=0.0):
     """log of prod_{fiber} poly(z, w) as (phase, log magnitude), per boundary phase.
 
@@ -418,14 +423,9 @@ def double_product(poly, E, zeta=1.0, xi=1.0, zero_tol=0.0):
     numbers for scalars); see _slice_product.  A fiber value with |poly| <=
     zero_tol * (largest |poly| evaluated) makes its product zero.
     """
-    return _slice_product(poly, _degree_bound(poly), E, *_phase_turns(zeta, xi), zero_tol)
-
-
-def _cis(angle):
-    """exp(i angle) of a real array, by cos and sin (numpy's complex exp is slower)."""
-    out = np.empty(np.shape(angle), dtype=complex)
-    out.real, out.imag = np.cos(angle), np.sin(angle)
-    return out
+    zlo, zhi, wlo, whi = poly.degree_box()
+    return _slice_product(poly, (max(-zlo, zhi), max(-wlo, whi)), E, *_phase_turns(zeta, xi),
+                          zero_tol)
 
 
 def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
@@ -482,13 +482,13 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
     c_turn = np.asarray((r * zeta_t - q * xi_t) % (r * den) / (r * den), dtype=float)[:, None]
 
     n_in = 2 * b + 1
-    inner = _cis(2 * math.pi * np.arange(n_in) / n_in)
+    inner = np.exp(1j * (2 * math.pi * np.arange(n_in) / n_in))
     logabs, turns = np.zeros(len(level_of)), np.zeros(len(level_of))
     low, top = np.full(len(level_of), np.inf), 0.0  # smallest fiber value per phase, largest seen
     step = max(1, _laurent.SAMPLE_CHUNK // (len(levels) * n_in))
     for start in range(0, r, step):
         j = np.arange(start, min(start + step, r))
-        outer = _cis(2 * math.pi * ((w_turn + j) / r)).ravel()
+        outer = np.exp(1j * (2 * math.pi * ((w_turn + j) / r))).ravel()
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.asarray(evaluate(outer[:, None], inner[None, :]) if swap
                               else evaluate(inner[:, None], outer[None, :]).T, dtype=complex)
@@ -507,7 +507,7 @@ def _slice_product(evaluate, bound, E, phi, psi, den, zero_rel):
         turns += block_turns
         np.minimum.at(low, phase_of, value)
     dead = low <= zero_rel * top
-    phase = np.where(dead, 0j, _cis(2 * math.pi * (turns % 1.0)))[copy_of].reshape(shape)
+    phase = np.where(dead, 0j, np.exp(1j * (2 * math.pi * (turns % 1.0))))[copy_of].reshape(shape)
     logabs = np.where(dead, -math.inf, logabs)[copy_of].reshape(shape)
     return (complex(phase), float(logabs)) if not shape else (phase, logabs)
 
@@ -534,7 +534,7 @@ def _circle_products(coeffs, b, p, c_turn, rows):
     log_abs, arg = np.log(np.abs(roots)), np.angle(roots)
     outside = log_abs > 0.0
     power = np.where(outside, -p, p)
-    rho_p = np.exp(power * log_abs) * _cis(power * arg)  # rho^-p outside, rho^p inside
+    rho_p = np.exp(power * log_abs) * np.exp(1j * (power * arg))  # rho^-p outside, rho^p inside
     big = has & outside
     inside = np.count_nonzero(has & ~outside, axis=1)
     # per slice, every factor but the 1 - x: lead^p, the rho^p of the roots
@@ -544,7 +544,7 @@ def _circle_products(coeffs, b, p, c_turn, rows):
                 + ((p + 1.0) * lo + float(p) * n + inside) / 2) % 1.0
     row_c = lo + inside
 
-    C = _cis(2 * math.pi * c_turn)[..., None]
+    C = np.exp(1j * (2 * math.pi * c_turn))[..., None]
     one_minus = rho_p[rows]
     one_minus *= np.where(outside[rows], C, C.conj())  # C rho^-p, or rho^p / C
     np.subtract(1.0, one_minus, out=one_minus)
@@ -559,7 +559,7 @@ def _circle_products(coeffs, b, p, c_turn, rows):
     g, i, m = np.nonzero(has_g & (size < 0.5))
     ct, row = c_turn[g, i], rows[g, i]
     near = np.round(p * np.angle(roots[row, m]) / (2 * math.pi) - ct)
-    z = _cis(2 * math.pi * (ct + near) / p)
+    z = np.exp(1j * (2 * math.pi * (ct + near) / p))
     value = np.abs((poly[row] * z[:, None] ** np.arange(deg + 1)).sum(axis=1))
     return logabs, turns, (g, value)
 

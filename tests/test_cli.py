@@ -147,6 +147,31 @@ def test_dump_matrix_triplets_match_the_entry_loop(monkeypatch):
         assert cli._to_json(cli._matrix_dump(dom, E)["entries"]) == cli._to_json(loop)
 
 
+def test_quotient_terms_past_the_term_limit_are_refused_before_any_array(monkeypatch):
+    # the hexagonal 45 x 45 dump has 2 * 2025 * 3 = 12150 terms
+    dom, E = lattice.builtin("hexagonal"), [[45, 0], [0, 45]]
+    monkeypatch.setattr(kasteleyn, "TERM_LIMIT", 12150)
+    assert len(kasteleyn.quotient_terms(dom, E)[0]) == 12150
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the edge table was built")
+
+    monkeypatch.setattr(kasteleyn, "TERM_LIMIT", 12149)
+    monkeypatch.setattr(kasteleyn, "instance_edges", refuse)
+    with pytest.raises(kasteleyn.QuotientError, match="12150 terms, more than the 12149"):
+        kasteleyn.quotient_terms(dom, E)
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--lattice", "hexagonal", "--E", "100000,0,0,100000", "--dump-matrix"],
+    ["sectors", "--lattice", "fisher", "--E", "30000,0,0,30000", "--dump-matrix"],
+])
+def test_oversized_matrix_dumps_exit_2(capsys, argv):
+    # these asked hnf_residues for 74.5 and 6.7 GiB and ended in a MemoryError traceback
+    code, err = _one_line_error(capsys, argv)
+    assert code == 2 and "more than the 2500000 a term table may hold" in err
+
+
 def test_partition_large_quotient_magnitude_path(capsys):
     code, out, _ = run_json(
         capsys,
@@ -329,28 +354,28 @@ def test_fsc_curve_range_wider_than_doubles_names_its_bounds(capsys, lo, hi):
 
 
 def test_curve_values_raise_a_named_error_past_double_precision():
-    assert math.isfinite(fsc.square_curve_values(700)[0][1])
+    assert math.isfinite(fsc.curve_values("square-1x1", 700)[0][1])
     for logrho in (709, [0.0, 710.0], -709, -800, float("nan"), float("inf")):
         with pytest.raises(fsc.CurveRangeError):
-            fsc.hexagonal_curve_values(logrho)
+            fsc.curve_values("hexagonal", logrho)
 
 
 def test_curve_values_in_blocks_keep_their_bits(monkeypatch):
     # log_xi entries do not depend on each other, so blocks of 7 taus give the
     # bits of one call over all 50; an empty sweep is one empty block
     lrs = [-3 + 6 * k / 49 for k in range(50)]
-    families = (fsc.square_curve_values, fsc.hexagonal_curve_values)
-    whole = [curve_values(lrs) for curve_values in families]
+    whole = [fsc.curve_values(family, lrs) for family in fsc.CURVE_FAMILIES]
     monkeypatch.setattr(fsc, "CURVE_BLOCK", 7)
-    assert [curve_values(lrs) for curve_values in families] == whole
-    assert all(values == [] for curve_values in families for _name, values in curve_values([]))
+    assert [fsc.curve_values(family, lrs) for family in fsc.CURVE_FAMILIES] == whole
+    assert all(values == [] for family in fsc.CURVE_FAMILIES
+               for _name, values in fsc.curve_values(family, []))
 
 
 def test_curve_sweeps_past_the_point_limit_are_refused(monkeypatch, capsys):
     monkeypatch.setattr(fsc, "CURVE_POINT_LIMIT", 5)
-    assert len(fsc.square_curve_values([0.0] * 5)[0][1]) == 5
+    assert len(fsc.curve_values("square-1x1", [0.0] * 5)[0][1]) == 5
     with pytest.raises(fsc.CurveRangeError, match="more than the 5"):
-        fsc.hexagonal_curve_values([0.0] * 6)
+        fsc.curve_values("hexagonal", [0.0] * 6)
     assert cli.run(["fsc-curve", "--lattice", "hexagonal", "--range=0:1:5"]) == 0
     capsys.readouterr()
     for family in ("square-1x1", "hexagonal"):
@@ -487,6 +512,18 @@ def test_non_finite_weight_in_a_lattice_file_exits_2(tmp_path, capsys):
 def test_overflowing_inputs_exit_2(capsys, argv, message):
     code, err = _one_line_error(capsys, argv)
     assert code == 2 and message in err
+
+
+@pytest.mark.parametrize("betas, coupling", [
+    (["--beta-a", "0.3", "--beta-b", "0.3", "--beta-c", "-400"], "beta_c = -400.0"),
+    (["--beta-a", "-400", "--beta-b", "-500", "--beta-c", "0.3"], "beta_b = -500.0"),
+])
+def test_underflowing_couplings_exit_2(capsys, betas, coupling):
+    # a weight e^(2 beta) that underflows to 0 once failed as "weights must be
+    # finite and positive, got 0.0", a weight the user never gave
+    code, err = _one_line_error(capsys, ["ising"] + betas + ["--sizes", "2"])
+    assert code == 2 and "coupling %s underflows its dimer weight" % coupling in err
+    assert "got 0.0" not in err
 
 
 def _hexagonal_doc(**changes):

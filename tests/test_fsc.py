@@ -10,10 +10,8 @@ from torusdimer.fsc import (
     FscError,
     conformal_data,
     fsc1,
-    fsc1_sector,
     fsc2,
     fsc2_gaussian,
-    fsc2_sector,
     fsc3,
     ising_critical_check,
     ising_log_Z_transfer,
@@ -21,7 +19,6 @@ from torusdimer.fsc import (
     predict,
     predict_logZ,
     sector_table_auto,
-    square_curve_values,
     square_fsc,
     square_quotient,
     winding_law,
@@ -102,34 +99,19 @@ def test_fsc3_rejects_generic_phases():
 
 
 def test_sector_decompositions_sum_up():
-    rng = random.Random(23)
-    for _ in range(25):
-        tau = random_tau(rng)
-        total = sum(math.exp(fsc1_sector(a, b, tau)) for a in (0, 1) for b in (0, 1))
-        assert abs(math.log(total) - fsc1(tau)) < 1e-10
-        zeta = cmath.exp(2j * math.pi * rng.random())
-        xi_ = cmath.exp(2j * math.pi * rng.random())
-        total2 = sum(math.exp(fsc2_sector(r, s, zeta, xi_, tau)) for r in (0, 1) for s in (0, 1))
-        assert abs(math.log(total2) - fsc2(zeta, xi_, tau)) < 1e-10
-
-
-def test_sector_shares_are_the_sector_table_split_label_by_label():
-    # fsc1_sector and fsc2_sector split the slot values as SectorTable does,
-    # with the slot signs (-1, 1, 1, 1) of a critical curve
-    from torusdimer.specialfn import log_xi
-    rng = random.Random(29)
-    for _ in range(25):
-        tau = random_tau(rng)
-        zeta = cmath.exp(2j * math.pi * rng.random())
-        xi_ = cmath.exp(2j * math.pi * rng.random())
-        for power, (z0, w0), share in (
-                (1, (1, 1), lambda r, s: fsc1_sector(r, s, tau)),
-                (2, (zeta, xi_), lambda r, s: fsc2_sector(r, s, zeta, xi_, tau))):
-            logs = [power * log_xi(z * z0, w * w0, tau) for z, w in kasteleyn.SLOTS]
-            table = kasteleyn.SectorTable(np.eye(2, dtype=int), [-1, 1, 1, 1], logs, 2)
-            for r, s in kasteleyn.SECTOR_ORDER:
-                got, want = share(r, s), table.log_sector(r, s)
-                assert abs(math.exp(got) - math.exp(want)) <= 1e-12 * math.exp(table.log_Z), (r, s)
+    # the sector split that production uses: per_sector's shares make up the value
+    for dom, shapes in (
+            (critical_fisher(), ([[8, 0], [0, 8]], [[11, 0], [3, 13]], [[6, 2], [0, 9]])),
+            (lattice.builtin("hexagonal"), ([[4, 4], [-4, 4]], [[5, 5], [-3, 3]],
+                                            [[40, 3], [0, 37]])),
+            (lattice.builtin("square-2x1"), ([[8, 0], [0, 16]], [[31, 3], [0, 30]],
+                                             [[7, 1], [0, 9]]))):
+        cp = charpoly.build_charpoly(dom)
+        for E in shapes:
+            pred = predict(cp, E)
+            assert pred.kind != "non-vanishing"
+            total = math.fsum(math.exp(v) for v in pred.per_sector.values())
+            assert abs(math.log(total) - pred.value) < 1e-12, (dom.name, E)
 
 
 def random_sl2(rng):
@@ -498,7 +480,7 @@ def test_predict_logZ_square_converges():
 
 
 def test_square_curve_values_at_zero():
-    vals = square_curve_values(0.0)
+    vals = fsc.curve_values("square-1x1", 0.0)
     assert len(vals) == 7
     got = dict(vals)
     assert abs(got["fsc2(1,1)"] - SEVEN_AT_I["fsc2(1,1)"]) < 1e-12
@@ -540,7 +522,7 @@ def test_ising_dimer_identity_exact():
         # the ising command's path: the fisher sector table at weights e^(2 beta)
         weights = dict(zip("abc", fsc.ising_weights(ba, bb, bc)))
         a = fsc._ising_log_Z(kasteleyn.sector_table(lattice.builtin("fisher", **weights), E),
-                             ba, bb, bc)
+                             m * n, ba, bb, bc)
         b = ising_log_Z_transfer(m, n, ba, bb, bc)
         assert abs(a - b) < 1e-10
 
@@ -648,7 +630,8 @@ def test_fsc_functions_take_tau_arrays():
         for k in np.ndindex(taus.shape):
             one = fun(complex(taus[k]))
             assert isinstance(one, float) and got[k] == one == reference_curves(complex(taus[k]))[f]
-    values = square_curve_values([0.0, -0.8])
-    assert [name for name, _ in values] == [name for name, _ in square_curve_values(0.0)]
-    for (name, pair), (_, one) in zip(values, square_curve_values(0.0)):
+    values = fsc.curve_values("square-1x1", [0.0, -0.8])
+    at_zero = fsc.curve_values("square-1x1", 0.0)
+    assert [name for name, _ in values] == [name for name, _ in at_zero]
+    for (name, pair), (_, one) in zip(values, at_zero):
         assert isinstance(one, float) and pair[0] == one

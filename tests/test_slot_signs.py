@@ -143,13 +143,13 @@ def test_thin_hexagonal_quotients_keep_log_Z(e):
 def test_sector_table_log_Z_falls_back_to_the_slot_sum():
     # four slots of log 1e14 that agree to O(1): the sectors are all noise
     logs = [1e14, 1e14 + 0.5, 1e14 - 0.5, 1e14]
-    table = kasteleyn.SectorTable(np.eye(2, dtype=int), [-1, 1, 1, 1], logs, 2)
+    table = kasteleyn.SectorTable([-1, 1, 1, 1], logs, 2)
     assert not table.sectors_scaled.any()
     want = 0.5 * sum(math.exp(lg - 1e14 - 0.5) for lg in logs)
     assert table.Z_scaled == pytest.approx(want, rel=1e-15)
     assert table.log_Z == pytest.approx(1e14 + 0.5 + math.log(want), rel=1e-15)
     # a coverless quotient still has Z = 0
-    empty = kasteleyn.SectorTable(np.eye(2, dtype=int), [0] * 4, [-math.inf] * 4, 2)
+    empty = kasteleyn.SectorTable([0] * 4, [-math.inf] * 4, 2)
     assert empty.Z_scaled == 0.0 and empty.log_Z == -math.inf
 
 
