@@ -256,14 +256,21 @@ def _jet_table(poly):
 
     i and j are the exponent ranges of the box, and row (i, j) of the
     (entries, 9) matrix M holds c_ij i^a j^b in column 3a + b, for a, b in
-    0..2.
+    0..2.  Made once per polynomial, on first use, and kept on it read only:
+    _torus_zeros, find_nodes, _polish and order_conjugate_pair all read the
+    one table.
     """
-    mat, zmin, wmin = poly._dense()
-    i = np.arange(zmin, zmin + mat.shape[0])
-    j = np.arange(wmin, wmin + mat.shape[1])
-    a = np.arange(3)
-    M = mat[:, :, None, None] * (i[:, None] ** a)[:, None, :, None] * (j[:, None] ** a)[:, None]
-    return 1j * math.pi * i, 1j * math.pi * j, M.reshape(-1, 9)
+    if poly._jets is None:
+        mat, zmin, wmin = poly._dense()
+        i = np.arange(zmin, zmin + mat.shape[0])
+        j = np.arange(wmin, wmin + mat.shape[1])
+        a = np.arange(3)
+        M = mat[:, :, None, None] * (i[:, None] ** a)[:, None, :, None] * (j[:, None] ** a)[:, None]
+        table = 1j * math.pi * i, 1j * math.pi * j, M.reshape(-1, 9)
+        for t in table:
+            t.flags.writeable = False
+        poly._jets = table
+    return poly._jets
 
 
 def _torus_jets(table, r, s):
@@ -513,9 +520,10 @@ def find_nodes(cp):
             H = _p_hessian(p_jet[k])
             kind = "conjugate-pair-member"
             outside = True
-        if np.linalg.det(H) <= 0 or H[1, 1] <= 0:
+        det = np.linalg.det(H)
+        if det <= 0 or H[1, 1] <= 0:
             raise CharPolyError("degenerate node Hessian at (%g, %g)" % (r, s))
-        D = math.sqrt(np.linalg.det(H))
+        D = math.sqrt(det)
         nodes.append(NodeReport((z0, w0), (r, s), H, D, tau_of_hessian(H), kind))
 
     kinds = [n.kind for n in nodes]

@@ -453,12 +453,15 @@ def kappa(a, b, c):
 
 
 def ising_weights(beta_a, beta_b, beta_c):
-    """The dimer weights e^(2 beta) of the couplings; ValueError when one
-    overflows or underflows to 0."""
+    """The dimer weights e^(2 beta) of the couplings; ValueError when one is
+    not finite, or its weight overflows or underflows to 0."""
     couplings = ((beta_a, "beta_a"), (beta_b, "beta_b"), (beta_c, "beta_c"))
+    for beta, name in couplings:
+        if not math.isfinite(beta):
+            raise ValueError("coupling %s = %r is not finite" % (name, beta))
     try:
         weights = tuple(math.exp(2 * beta) for beta, _name in couplings)
-    except OverflowError:  # the largest coupling overflows first (a NaN never does)
+    except OverflowError:  # the largest coupling overflows first
         beta, name = max(pair for pair in couplings if pair[0] > 0)
         raise ValueError("coupling %s = %r overflows its dimer weight e^(2 beta)"
                          % (name, beta)) from None

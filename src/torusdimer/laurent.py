@@ -10,7 +10,15 @@ and 0-d arrays give a complex, other arrays an ndarray.
 The dense coefficient box (_dense) is also where one-variable slices come
 from: charpoly._slices takes the w- or z-coefficients at a whole array of
 points in one matrix product, and charpoly._stacked_roots their roots.
+
+Nothing writes coeffs after __init__, so a polynomial builds its degree
+box, its dense box and charpoly._jet_table's jet table once each, on first
+use, and keeps them read-only for its life.  A polynomial made from
+another one (by arithmetic, reciprocal_vars, real_part, ...) is a new
+object and builds its own.
 """
+
+from functools import cache
 
 import numpy as np
 
@@ -21,10 +29,24 @@ class DegreeBoundError(ValueError):
     """The evaluator does not agree with any Laurent polynomial in the box."""
 
 
+@cache
+def _check_points():
+    """(z, w): from_evaluator's 6 off-grid check points at irrational angles,
+    made on first use (read only), so that importing the package loads no
+    numpy.random."""
+    t = np.random.default_rng(20240817).random((6, 2))
+    out = (np.exp(2j * np.pi * (t[:, 0] + np.sqrt(2) / 10)),
+           np.exp(2j * np.pi * (t[:, 1] + np.sqrt(3) / 10)))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 class LaurentPoly2:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_degrees", "_box", "_jets")
 
     def __init__(self, coeffs=None):
+        self._degrees = self._box = self._jets = None  # made on first use
         self.coeffs = {}
         if coeffs:
             for (i, j), c in coeffs.items():
@@ -39,27 +61,29 @@ class LaurentPoly2:
         """Recover a Laurent polynomial from point evaluations.
 
         `bound` is (bz, bw): exponents are assumed to lie in [-bz, bz] x
-        [-bw, bw].  Samples the evaluator, which must accept tensor grids
-        of numpy arrays, on the roots-of-unity grid of size (2bz+1) x
-        (2bw+1), in blocks of rows of at most SAMPLE_CHUNK points (a row
-        longer than that is split too), reads coefficients off a 2-D DFT,
-        prunes entries below 1e-10 times the largest, and then checks the
-        result against the evaluator at a few off-grid points in one more
-        call.  A residual above 1e-8 (relative to the sampled scale) raises
-        DegreeBoundError, which normally means `bound` was too small; so
-        does a sample that is not finite, such as an overflowed det.
+        [-bw, bw].  Samples the evaluator, which must accept paired 1-D
+        numpy arrays, on the roots-of-unity grid of size (2bz+1) x (2bw+1)
+        followed by 6 off-grid check points, in blocks of at most
+        SAMPLE_CHUNK points: a grid that fits one block with its check
+        points costs one call.  Reads coefficients off a 2-D DFT of the
+        grid, prunes entries below 1e-10 times the largest, and then checks
+        the result against the check-point samples.  A residual above 1e-8
+        (relative to the sampled scale) raises DegreeBoundError, which
+        normally means `bound` was too small; so does a sample that is not
+        finite, such as an overflowed det.
         """
         bz, bw = map(int, bound)
         n1, n2 = 2 * bz + 1, 2 * bw + 1
         za = np.exp(2j * np.pi * np.arange(n1) / n1)
         wb = np.exp(2j * np.pi * np.arange(n2) / n2)
-        rows, cols = max(1, SAMPLE_CHUNK // n2), min(n2, SAMPLE_CHUNK)
-        samples = np.empty((n1, n2), dtype=complex)
+        zc, wc = _check_points()
+        z = np.concatenate([np.repeat(za, n2), zc])
+        w = np.concatenate([np.tile(wb, n1), wc])
+        values = np.empty(len(z), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, n1, rows):
-                for j in range(0, n2, cols):
-                    samples[i:i + rows, j:j + cols] = fun(za[i:i + rows, None],
-                                                          wb[None, j:j + cols])
+            for k in range(0, len(z), SAMPLE_CHUNK):
+                values[k:k + SAMPLE_CHUNK] = fun(z[k:k + SAMPLE_CHUNK], w[k:k + SAMPLE_CHUNK])
+        samples, checks = values[:-len(zc)].reshape(n1, n2), values[-len(zc):]
         if not np.isfinite(samples).all():
             raise DegreeBoundError("a sample of the evaluator overflows double precision")
         # c[i,j] = (1/N) sum_ab f(z_a, w_b) z_a^-i w_b^-j  -- a forward FFT.
@@ -69,12 +93,7 @@ class LaurentPoly2:
         size = np.abs(table)
         i, j = np.nonzero((size > 0) & (size >= 1e-10 * size.max()))
         poly = cls(dict(zip(zip((i - bz).tolist(), (j - bw).tolist()), table[i, j].tolist())))
-        # off-grid check at irrational angles
-        rng = np.random.default_rng(20240817)
-        t = rng.random((6, 2))
-        z = np.exp(2j * np.pi * (t[:, 0] + np.sqrt(2) / 10))
-        w = np.exp(2j * np.pi * (t[:, 1] + np.sqrt(3) / 10))
-        if np.any(np.abs(poly(z, w) - fun(z, w)) > 1e-8 * scale):
+        if np.any(np.abs(poly(zc, wc) - checks) > 1e-8 * scale):
             raise DegreeBoundError(
                 "evaluator disagrees with degree-(%d,%d) reconstruction" % (bz, bw)
             )
@@ -83,11 +102,12 @@ class LaurentPoly2:
     # -- basic queries -----------------------------------------------------
 
     def degree_box(self):
-        if not self.coeffs:
-            return (0, 0, 0, 0)
-        zi = [e[0] for e in self.coeffs]
-        wj = [e[1] for e in self.coeffs]
-        return (min(zi), max(zi), min(wj), max(wj))
+        """(zmin, zmax, wmin, wmax) of the exponents; (0, 0, 0, 0) when there are none."""
+        if self._degrees is None:
+            zi = [e[0] for e in self.coeffs] or [0]
+            wj = [e[1] for e in self.coeffs] or [0]
+            self._degrees = (min(zi), max(zi), min(wj), max(wj))
+        return self._degrees
 
     def is_real(self):
         """True when every imaginary part is at most 1e-9 of the largest coefficient."""
@@ -108,11 +128,15 @@ class LaurentPoly2:
     # -- evaluation --------------------------------------------------------
 
     def _dense(self):
-        zmin, zmax, wmin, wmax = self.degree_box()
-        mat = np.zeros((zmax - zmin + 1, wmax - wmin + 1), dtype=complex)
-        for (i, j), c in self.coeffs.items():
-            mat[i - zmin, j - wmin] = c
-        return mat, zmin, wmin
+        """(C, zmin, wmin): the dense coefficient box C[i - zmin, j - wmin] = c_ij (read only)."""
+        if self._box is None:
+            zmin, zmax, wmin, wmax = self.degree_box()
+            mat = np.zeros((zmax - zmin + 1, wmax - wmin + 1), dtype=complex)
+            for (i, j), c in self.coeffs.items():
+                mat[i - zmin, j - wmin] = c
+            mat.flags.writeable = False
+            self._box = mat, zmin, wmin
+        return self._box
 
     def __call__(self, z, w):
         z = np.asarray(z, dtype=complex)

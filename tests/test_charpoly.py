@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torusdimer import charpoly, lattice
+from torusdimer import charpoly, cli, lattice
 from torusdimer.charpoly import (
     CLASS_CONJUGATE,
     CLASS_NON_VANISHING,
@@ -71,6 +71,40 @@ def test_a_two_colored_build_interpolates_only_Q(monkeypatch):
         calls.clear()
         build_charpoly(dom)
         assert calls == [lattice.leibniz_bound(dom)]
+
+
+@pytest.mark.parametrize("name, weights", [("hexagonal", "a=1.1,b=0.9,c=1.2"),
+                                           ("rhombi-3464", "a=0.9,b=1.2,c=1")])
+def test_a_criticality_run_builds_each_array_once(monkeypatch, capsys, name, weights):
+    # however often a polynomial's dense box and jet table are read, it hands
+    # out one object of each; each interpolation calls its evaluator once
+    boxes, tables, calls = {}, {}, []
+    dense, jet_table = LaurentPoly2._dense, charpoly._jet_table
+    from_evaluator = LaurentPoly2.from_evaluator.__func__
+
+    def record(seen, poly, obj):  # keeps poly alive, so its id is not reused
+        seen.setdefault(id(poly), (poly, []))[1].append(obj)
+        return obj
+
+    def counted(cls, fun, bound):
+        calls.append(0)
+
+        def fun_counted(z, w):
+            calls[-1] += 1
+            return fun(z, w)
+
+        return from_evaluator(cls, fun_counted, bound)
+
+    monkeypatch.setattr(LaurentPoly2, "_dense", lambda poly: record(boxes, poly, dense(poly)))
+    monkeypatch.setattr(charpoly, "_jet_table", lambda poly: record(tables, poly, jet_table(poly)))
+    monkeypatch.setattr(LaurentPoly2, "from_evaluator", classmethod(counted))
+    assert cli.run(["criticality", "--lattice", name, "--weights", weights]) == 0
+    assert capsys.readouterr().out
+    assert calls == [1]
+    for seen in (boxes, tables):
+        reads = [objs for _poly, objs in seen.values()]
+        assert all(obj is objs[0] for objs in reads for obj in objs)
+        assert sum(map(len, reads)) > len(reads)  # some polynomial's is read again
 
 
 def test_build_rejects_broken_signs():

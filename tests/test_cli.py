@@ -526,6 +526,19 @@ def test_underflowing_couplings_exit_2(capsys, betas, coupling):
     assert "got 0.0" not in err
 
 
+@pytest.mark.parametrize("betas, coupling", [
+    (["--beta-a", "inf", "--beta-b", "0.3"], "beta_a = inf"),
+    (["--beta-a", "nan", "--beta-b", "0.3"], "beta_a = nan"),
+    (["--beta-a", "0.3", "--beta-b", "0.3", "--beta-c=-inf"], "beta_c = -inf"),
+])
+def test_non_finite_couplings_exit_2(capsys, betas, coupling):
+    # inf and nan once failed as "weights must be finite and positive, got
+    # inf", a weight the user never gave, and -inf as an underflow
+    code, err = _one_line_error(capsys, ["ising"] + betas + ["--sizes", "2"])
+    assert code == 2 and "coupling %s is not finite" % coupling in err
+    assert "weight" not in err
+
+
 def _hexagonal_doc(**changes):
     doc = lattice.builtin("hexagonal").to_json()
     doc.update(changes)

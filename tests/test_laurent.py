@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from torusdimer import kasteleyn, laurent, lattice
+from torusdimer import charpoly, kasteleyn, laurent, lattice
 from torusdimer.laurent import LaurentPoly2, DegreeBoundError
 
 rng = np.random.default_rng(20240818)
@@ -127,27 +127,24 @@ def test_from_evaluator_reads_the_coefficients_of_the_loop():
 
 @pytest.mark.parametrize("chunk", [6, 7, 20])
 def test_from_evaluator_samples_in_bounded_blocks(monkeypatch, chunk):
-    # rhombi-3464's det K on its 7 x 7 grid: blocks of whole rows (20), one
-    # row (7) or part of a row (6) give the same bits as one block
+    # rhombi-3464's det K on its 7 x 7 grid and the 6 off-grid check points:
+    # blocks of 6, 7 or 20 points give the same bits as the one block of 55
     dom = lattice.builtin("rhombi-3464", a=1.1, b=0.9, c=1.2)
     bz, bw = lattice.leibniz_bound(dom)
     assert (2 * bz + 1, 2 * bw + 1) == (7, 7)
-
-    def det(z, w):
-        return np.linalg.det(dom.K(z, w))
-
-    whole = LaurentPoly2.from_evaluator(det, (bz, bw))
     sizes = []
 
     def recorded(z, w):
         sizes.append(np.broadcast(z, w).size)
-        return det(z, w)
+        return np.linalg.det(dom.K(z, w))
 
+    whole = LaurentPoly2.from_evaluator(recorded, (bz, bw))
+    assert sizes == [49 + 6]
+    sizes.clear()
     monkeypatch.setattr(laurent, "SAMPLE_CHUNK", chunk)
     blocked = LaurentPoly2.from_evaluator(recorded, (bz, bw))
     assert list(blocked.coeffs.items()) == list(whole.coeffs.items())
-    # the grid in blocks, then the 6 off-grid check points in one call
-    assert max(sizes) <= chunk and sum(sizes[:-1]) == 49 and len(sizes) > 2
+    assert max(sizes) <= chunk and sum(sizes) == 49 + 6 and len(sizes) > 2
 
 
 def test_a_tensor_grid_is_the_pointwise_call_on_its_broadcast():
@@ -188,9 +185,42 @@ def test_one_block_size_bounds_both_samplers(monkeypatch):
 
 
 def test_every_builtin_is_sampled_in_one_block():
+    # the grid and from_evaluator's 6 off-grid check points
     for name in lattice.BUILTIN_NAMES:
         bz, bw = lattice.leibniz_bound(lattice.builtin(name))
-        assert (2 * bz + 1) * (2 * bw + 1) <= laurent.SAMPLE_CHUNK
+        assert (2 * bz + 1) * (2 * bw + 1) + 6 <= laurent.SAMPLE_CHUNK
+
+
+def test_cached_boxes_are_read_only():
+    p = LaurentPoly2({(0, 0): 1 + 2j, (2, 1): -0.5, (1, -1): 3j})
+    mat, _zmin, _wmin = p._dense()
+    assert p._dense()[0] is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 1.0
+    for table in charpoly._jet_table(p):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    zc, _wc = laurent._check_points()
+    with pytest.raises(ValueError):
+        zc[0] = 1.0
+
+
+def test_a_derived_polynomial_builds_its_own_box():
+    # products, reciprocals and real parts are new polynomials: none of them
+    # reads the box, degrees or jet table its parent has already built
+    p = LaurentPoly2({(0, 0): 1 + 2j, (2, 1): -0.5, (1, -1): 3j})
+    q = LaurentPoly2({(1, 0): 2.0, (0, 2): 1j})
+    mat, table = p._dense()[0], charpoly._jet_table(p)
+    assert p.degree_box() == (0, 2, -1, 1)
+    for child, box in ((p * q, (0, 3, -1, 3)), (p.reciprocal_vars(), (-2, 0, -1, 1)),
+                       (p.real_part(), (0, 2, 0, 1))):
+        got, zmin, wmin = child._dense()
+        want = np.zeros_like(got)
+        for (i, j), c in child.coeffs.items():
+            want[i - zmin, j - wmin] = c
+        assert child.degree_box() == box
+        assert got is not mat and np.array_equal(got, want)
+        assert charpoly._jet_table(child) is not table
 
 
 def test_arithmetic():
