@@ -61,12 +61,9 @@ from .fsc import (
     normalized_node_data,
     winding_law,
     winding_distribution_gaussian,
-    square_fsc,
-    square_tau,
     CURVE_FAMILIES,
     curve_values,
     square_quotient,
-    SQUARE_F0,
     kappa,
     ising_weights,
     ising_critical_check,

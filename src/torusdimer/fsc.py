@@ -11,9 +11,10 @@ and the slot at boundary phases ((-1)^a, (-1)^b) has magnitude
 
 with per-node data from conformal_data and m_j = 2 for a real root of Q
 (whose P-zero has order four).  Everything here -- sector laws, the
-fsc1/fsc2/fsc3 correction functions, winding laws, the square-lattice
-parity table, and the Ising specialization -- is bookkeeping on top of
-that rule.
+fsc1/fsc2/fsc3 correction functions, winding laws, the correction curves
+that fsc-curve sweeps, and the Ising specialization -- is bookkeeping on
+top of that rule.  The square lattice's row-parity table is that rule read
+at its doubled cell's nodes, so predict_logZ takes the unit square there.
 
 predict, winding_law and winding_distribution_gaussian take the spectral
 curve (cp, E) and read its domain as cp.dom; predict_logZ
@@ -201,15 +202,13 @@ def predict(cp, E):
     return FscResult(rep.kind, table.log_Z - det * f0, per_sector, data[0].tau, f0, table.log_Z)
 
 
-SQUARE_F0 = 0.9159655941772190 / math.pi  # Catalan / pi, per site
-
-
 def predict_logZ(dom, E):
-    """Predicted log Z_E = detE * f0 + fsc, dispatching on criticality class.
+    """Predicted log Z_E = |det E| f0 + fsc, from predict on a spectral curve built here.
 
-    The unit square lattice (odd cell) is dispatched through the parity
-    table of its row vectors; a coverless parity returns -inf.  Any other
-    domain goes through predict on its spectral curve, built here.
+    The unit square (an odd cell, with no curve of its own) goes through its
+    unit-weight doubled cell, square_quotient, plus |det E| log(a) / 2; an odd
+    det E has no dimer cover and gives -inf.  Other odd cells, and a != b,
+    raise FscError.
     """
     E = _kasteleyn._as_E(E)
     if dom.k % 2:
@@ -217,15 +216,13 @@ def predict_logZ(dom, E):
             raise FscError("odd fundamental domains other than the unit square "
                            "must be doubled first")
         if abs(dom.weights["a"] - dom.weights["b"]) > 1e-12:
-            raise FscError("parity-table dispatch covers the isotropic square "
+            raise FscError("the unit-square prediction covers the isotropic square "
                            "lattice; double the domain for anisotropic weights")
-        (a, b), (c, d) = E[0], E[1]
-        value = square_fsc(a, b, c, d)
-        if value == -math.inf:
+        pair = square_quotient(*E.ravel().tolist())
+        if pair is None:
             return -math.inf
-        det = abs(a * d - b * c)
-        scale = 0.5 * math.log(dom.weights["a"])  # one dimer covers two sites
-        return det * (SQUARE_F0 + scale) + value
+        shift = abs(_lattice.int_det(E)) * 0.5 * math.log(dom.weights["a"])  # a dimer per 2 sites
+        return shift + predict(_charpoly.build_charpoly(pair[0]), pair[1]).log_Z
     return predict(_charpoly.build_charpoly(dom), E).log_Z
 
 
@@ -280,6 +277,8 @@ def winding_law(cp, E):
     rep = cp.nodes
     if rep.kind != _charpoly.CLASS_CONJUGATE:
         raise FscError("winding law needs a distinct-conjugate-node curve")
+    if cp.Q is None:
+        raise FscError("winding law needs a 2-colored domain")
     node = rep.nodes[0]
     z0, w0 = node.location
     counts = cp.windings
@@ -335,7 +334,7 @@ def winding_distribution_gaussian(cp, E):
             for e, p in discrete_gaussian(law.mu, law.sigma).items()}
 
 
-# -- square-lattice parity table --------------------------------------------------
+# -- correction curves and the unit square -----------------------------------------
 
 # (name, product of _slot_logs): fsc2(zeta, xi) pairs (zeta, xi) with itself,
 # fsc3(zeta, xi) pairs it with (1, 1)
@@ -357,34 +356,6 @@ HEXAGONAL_CURVES = tuple((name, ((zeta, xi_), (zeta, xi_))) for name, zeta, xi_ 
     ("phase-(w6,-1)", _W6, -1 + 0j),
     ("phase-(w6,-w6)", _W6, -_W6.conjugate()),
 ))
-
-_SQUARE_TABLE = {
-    (0, 0): {(0, 0): "fsc2(1,1)", (0, 1): "fsc3(1,-1)",
-             (1, 0): "fsc3(1,-1)", (1, 1): "fsc2(1,i)"},
-    (0, 1): {(0, 0): "fsc3(-1,1)", (0, 1): "fsc3(-1,-1)"},
-    (1, 0): {(0, 0): "fsc3(-1,1)", (1, 0): "fsc3(-1,-1)"},
-    (1, 1): {(0, 0): "fsc2(i,1)", (1, 1): "fsc2(i,i)"},
-}
-
-
-def square_tau(a, b, c, d):
-    tau = complex(c, d) / complex(a, b)
-    if tau.imag < 0:
-        raise FscError("torus rows (a,b), (c,d) must be positively oriented")
-    return tau
-
-
-def square_fsc(a, b, c, d):
-    """Finite-size correction of the square-lattice torus on rows (a,b),(c,d).
-
-    Returns -inf when the vertex count a d - b c is odd (no dimer covers).
-    """
-    if (a * d - b * c) % 2:
-        return -math.inf
-    curve = _SQUARE_TABLE[(a % 2, b % 2)][(c % 2, d % 2)]
-    tau = square_tau(a, b, c, d)
-    return _correction(dict(SQUARE_CURVES)[curve], tau)
-
 
 # the correction curves that fsc-curve sweeps, per family
 CURVE_FAMILIES = {"square-1x1": SQUARE_CURVES, "hexagonal": HEXAGONAL_CURVES}
@@ -503,7 +474,7 @@ def ising_critical_check(beta_a, beta_b, beta_c, sizes):
     dimer correspondence.  A size that is not an integer of at least 1
     raises ValueError.
     """
-    bad = [m for m in sizes if not (m >= 1 and m == int(m))]
+    bad = [m for m in sizes if not (1 <= m < math.inf and m == int(m))]
     if bad:
         raise ValueError("torus sizes must be integers of at least 1, got %r" % (bad[0],))
     a, b, c = ising_weights(beta_a, beta_b, beta_c)
@@ -521,12 +492,12 @@ def ising_critical_check(beta_a, beta_b, beta_c, sizes):
     checks = []
     logz = {}
     for m in sizes:
-        E = np.array([[m, 0], [0, m]], dtype=int)
-        table = _kasteleyn.sector_table(dom, E)
-        logz[m] = _ising_log_Z(table, m * m, beta_a, beta_b, beta_c)
+        n = int(m)  # E as Python ints, which kasteleyn._as_E range-checks
+        table = _kasteleyn.sector_table(dom, [[n, 0], [0, n]])
+        logz[m] = _ising_log_Z(table, n * n, beta_a, beta_b, beta_c)
         if node_loc is None:
             continue
-        rE, sE = (E @ node_half % 2).tolist()  # the half turns of the node's phases
+        rE, sE = (n * h % 2 for h in node_half)  # the half turns of the node's phases
         twice = 2.0 * table.sectors_scaled[_kasteleyn.SECTOR_ORDER.index((sE, rE))]
         checks.append((m, (sE, rE), abs(table.Z_scaled - twice) <= 1e-10 * abs(table.Z_scaled)))
     return IsingReport(kap, vanishing, lines, node_loc, checks, logz)

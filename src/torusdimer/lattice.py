@@ -175,6 +175,8 @@ class FundamentalDomain:
         if not isinstance(doc, dict):
             raise DomainError("a lattice document is a JSON object, not %s" % type(doc).__name__)
         colors = doc.get("colors") if doc.get("colored") else None
+        if doc.get("colored") and colors is None:
+            raise DomainError("a colored lattice document needs its colors list")
         try:
             vertices, edges = doc["vertices"], doc["edges"]
         except KeyError as exc:

@@ -401,10 +401,54 @@ def test_ising_sizes_below_1_or_not_integers_exit_2(capsys, sizes):
     assert code == 2 and "--sizes" in err
 
 
-@pytest.mark.parametrize("sizes", [(-2, 2), (0,), (2, 1.5)])
+@pytest.mark.parametrize("sizes", [(-2, 2), (0,), (2, 1.5), (math.inf,)])
 def test_ising_check_refuses_sizes_below_1(sizes):
     with pytest.raises(ValueError, match="at least 1"):
         fsc.ising_critical_check(0.3, 0.3, 0.0, sizes=sizes)
+
+
+def test_ising_sizes_past_the_quotient_range_exit_2(capsys):
+    # 2^63 once overflowed the int64 matrix E with a traceback (exit 1), where
+    # 4000000000 exits 2 on the range of kasteleyn._as_E
+    code, err = _one_line_error(capsys, ["ising", "--beta-a", "0.3", "--beta-b", "0.3",
+                                         "--sizes", "9223372036854775808"])
+    assert code == 2 and "entries below 2^62" in err
+
+
+def _hexagonal_file(tmp_path, kind):
+    """A hexagonal a=1.1, b=0.9, c=1.2 lattice file without its colors list: saved
+    uncolored (kind "uncolored"), or still marked colored (kind "missing")."""
+    doc = lattice.builtin("hexagonal", a=1.1, b=0.9, c=1.2).to_json()
+    del doc["colors"]
+    if kind == "uncolored":
+        doc["colored"] = False
+    path = tmp_path / ("hex-%s.json" % kind)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_winding_on_an_uncolored_file_is_a_classification_error(tmp_path, capsys):
+    # its curve has two conjugate nodes but no Q to count slice windings on:
+    # exit 3 with one line, not an AttributeError traceback
+    code = cli.run(["winding", "--lattice", _hexagonal_file(tmp_path, "uncolored"),
+                    "--E", "4,0,0,4"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "classification error: winding law needs a 2-colored domain\n"
+
+
+def test_a_colored_file_without_colors_exits_2(tmp_path, capsys):
+    code, err = _one_line_error(capsys, ["verify", "--lattice",
+                                         _hexagonal_file(tmp_path, "missing")])
+    assert code == 2 and "colors" in err
+
+
+def test_weights_on_a_lattice_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "hex.json"
+    lattice.builtin("hexagonal").save(path)
+    code, err = _one_line_error(capsys, ["partition", "--lattice", str(path),
+                                         "--weights", "a=2", "--E", "2,0,0,2"])
+    assert code == 2 and "--weights applies to builtin lattices only" in err
 
 
 @pytest.mark.parametrize("argv", [["winding", "--lattice", "hexagonal", "--E", "4,0,0,4"],

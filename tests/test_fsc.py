@@ -19,7 +19,6 @@ from torusdimer.fsc import (
     predict,
     predict_logZ,
     sector_table_auto,
-    square_fsc,
     square_quotient,
     winding_law,
 )
@@ -432,8 +431,71 @@ def test_winding_gaussian_total_variation_small():
 
 
 def test_square_fsc_odd_determinant_is_minus_infinity():
-    assert square_fsc(3, 0, 0, 3) == -math.inf
-    assert square_fsc(2, 1, 1, 2) == -math.inf
+    dom0 = lattice.builtin("square-1x1")
+    assert predict_logZ(dom0, [[3, 0], [0, 3]]) == -math.inf
+    assert predict_logZ(dom0, [[2, 1], [1, 2]]) == -math.inf
+
+
+# The paper's row-parity table of the unit square torus on rows (a, b), (c, d)
+# of even det: the correction per (a, b) mod 2 and (c, d) mod 2, at
+# tau = (c + i d) / (a + i b), positively oriented (det > 0).  Catalan / pi
+# is the free energy per site.
+_SQUARE_PARITY_TABLE = {
+    (0, 0): {(0, 0): lambda t: fsc2(1, 1, t), (0, 1): lambda t: fsc3(1, -1, t),
+             (1, 0): lambda t: fsc3(1, -1, t), (1, 1): lambda t: fsc2(1, 1j, t)},
+    (0, 1): {(0, 0): lambda t: fsc3(-1, 1, t), (0, 1): lambda t: fsc3(-1, -1, t)},
+    (1, 0): {(0, 0): lambda t: fsc3(-1, 1, t), (1, 0): lambda t: fsc3(-1, -1, t)},
+    (1, 1): {(0, 0): lambda t: fsc2(1j, 1, t), (1, 1): lambda t: fsc2(1j, 1j, t)},
+}
+_SQUARE_F0 = 0.9159655941772190 / math.pi
+
+
+def square_parity_log_Z(a, b, c, d):
+    det = a * d - b * c
+    assert det > 0 and det % 2 == 0
+    curve = _SQUARE_PARITY_TABLE[(a % 2, b % 2)][(c % 2, d % 2)]
+    return det * _SQUARE_F0 + curve(complex(c, d) / complex(a, b))
+
+
+def test_unit_square_prediction_reproduces_the_parity_table():
+    # predict_logZ reads the unit square through its doubled cell's nodes; the
+    # paper's table is the reference on all ten even-det parity classes
+    dom0 = lattice.builtin("square-1x1")
+    rng = random.Random(41)
+    seen = set()
+    shapes = [[[10**6, 0], [0, 10**6 + 2]], [[10**6 + 1, 1], [3, 10**6 + 1]],
+              [[2 * 10**6, 4], [3, 10**6 + 1]], [[10**6, 3 * 10**5], [-2 * 10**5, 10**6 + 4]]]
+    while len(shapes) < 64:
+        E = [[rng.randint(-30, 30) for _ in range(2)] for _ in range(2)]
+        det = E[0][0] * E[1][1] - E[0][1] * E[1][0]
+        if det and det % 2 == 0:
+            shapes.append(E)
+    for E in shapes:
+        (a, b), (c, d) = E if E[0][0] * E[1][1] > E[0][1] * E[1][0] else E[::-1]
+        seen.add(((a % 2, b % 2), (c % 2, d % 2)))
+        want = square_parity_log_Z(a, b, c, d)
+        for rows in (E, E[::-1]):  # either orientation: the torus of the row swap
+            got = predict_logZ(dom0, rows)
+            assert abs(got - want) <= 1e-12 * abs(want), (rows, got, want)
+    assert len(seen) == 10
+
+
+def test_predict_logZ_refuses_other_odd_cells_and_anisotropic_squares():
+    square = lattice.builtin("square-1x1")
+    other = lattice.FundamentalDomain(1, [(e.tail, e.head, e.dx, e.dy, e.weight, e.sign)
+                                          for e in square.edges], square.faces, [],
+                                      name="my-square")
+    with pytest.raises(FscError, match="other than the unit square"):
+        predict_logZ(other, [[2, 0], [0, 2]])
+    with pytest.raises(FscError, match="isotropic"):
+        predict_logZ(lattice.builtin("square-1x1", a=1.0, b=2.0), [[2, 0], [0, 2]])
+
+
+def test_unit_square_weight_shifts_log_Z_by_half_a_log_per_site():
+    E = [[6, 1], [2, 8]]  # det 46: 23 dimers of weight a each
+    base = predict_logZ(lattice.builtin("square-1x1"), E)
+    got = predict_logZ(lattice.builtin("square-1x1", a=1.7, b=1.7), E)
+    assert abs(got - (base + 23 * math.log(1.7))) < 1e-12 * got
 
 
 def brute_Z(dom, E):

@@ -217,6 +217,16 @@ def test_bipartite_flags():
     assert not builtin("square-1x1").bipartite
 
 
+def test_json_refuses_a_colored_document_without_colors():
+    # once loaded as an uncolored domain
+    doc = builtin("hexagonal").to_json()
+    del doc["colors"]
+    with pytest.raises(DomainError, match="colors"):
+        FundamentalDomain.from_json(doc)
+    doc["colored"] = False
+    assert FundamentalDomain.from_json(doc).colors is None
+
+
 def test_json_rejects_truncated_edge_rows(tmp_path):
     doc = builtin("hexagonal").to_json()
     doc["edges"][1] = doc["edges"][1][:4]  # drop weight and sign
