@@ -50,10 +50,7 @@ from .fsc import (
     FscResult,
     WindingLaw,
     ConformalData,
-    fsc1,
-    fsc2,
     fsc2_gaussian,
-    fsc3,
     conformal_data,
     predict,
     predict_logZ,
@@ -63,7 +60,7 @@ from .fsc import (
     winding_distribution_gaussian,
     CURVE_FAMILIES,
     curve_values,
-    square_quotient,
+    doubled_quotient,
     kappa,
     ising_weights,
     ising_critical_check,

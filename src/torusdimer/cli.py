@@ -201,7 +201,17 @@ def _matrix_dump(dom, E):
     return {"zeta": [1.0, 0.0], "xi": [1.0, 0.0], "entries": entries}
 
 
+def _refuse_csv_blocks(args, *options):
+    """_Usage when --format csv comes with an option whose block the CSV table
+    has no column for; checked before any domain or table is built."""
+    given = ["--" + name.replace("_", "-") for name in options if getattr(args, name)]
+    if args.format == "csv" and given:
+        raise _Usage("--format csv has no column for %s; use --format json"
+                     % " and ".join(given))
+
+
 def _cmd_partition(args):
+    _refuse_csv_blocks(args, "dump_matrix")
     dom = _load_domain(args)
     E = _parse_E(args.E)
     table, method = fsc.sector_table_auto(dom, E)
@@ -225,6 +235,7 @@ def _cmd_partition(args):
 
 
 def _cmd_sectors(args):
+    _refuse_csv_blocks(args, "double_dimer", "dump_matrix")
     dom = _load_domain(args)
     E = _parse_E(args.E)
     table, method = fsc.sector_table_auto(dom, E)

@@ -10,17 +10,17 @@ and the slot at boundary phases ((-1)^a, (-1)^b) has magnitude
     exp(det E * f0) * prod_j Xi((-1)^a zeta_j, (-1)^b xi_j | tau_j) ^ m_j,
 
 with per-node data from conformal_data and m_j = 2 for a real root of Q
-(whose P-zero has order four).  Everything here -- sector laws, the
-fsc1/fsc2/fsc3 correction functions, winding laws, the correction curves
-that fsc-curve sweeps, and the Ising specialization -- is bookkeeping on
-top of that rule.  The square lattice's row-parity table is that rule read
-at its doubled cell's nodes, so predict_logZ takes the unit square there.
+(whose P-zero has order four).  Everything here -- sector laws, winding
+laws, the correction curves that fsc-curve sweeps (the one place that names
+a product of Xi factors, as fsc2(1,i)), and the Ising specialization -- is
+bookkeeping on top of that rule.  The rule depends on the torus alone, so
+predict_logZ reads an odd cell at its doubled cell's nodes.
 
 predict, winding_law and winding_distribution_gaussian take the spectral
-curve (cp, E) and read its domain as cp.dom; predict_logZ
-(which also serves the curveless unit square) and sector_table_auto take
-(dom, E).  A singular or non-2x2 E, or one past the range of
-kasteleyn._as_E, raises kasteleyn.QuotientError.
+curve (cp, E) and read its domain as cp.dom; predict_logZ (which also
+serves odd cells) and sector_table_auto take (dom, E).  A singular or
+non-2x2 E, or one past the range of kasteleyn._as_E, raises
+kasteleyn.QuotientError.
 """
 
 import cmath
@@ -73,7 +73,7 @@ def _logsumexp(vals):
     return out.reshape(top.shape) if top.ndim else float(out[0])
 
 
-# -- the three universal correction functions ----------------------------------
+# -- correction products -----------------------------------------------------------
 
 
 def _slot_logs(products, tau):
@@ -91,27 +91,13 @@ def _slot_logs(products, tau):
 
 
 def _corrections(products, tau):
-    """log of (1/2) sum over the slots of each product's slot values (_slot_logs)."""
+    """log of (1/2) sum over the slots of each product's slot values (_slot_logs),
+    shaped tau.shape + (len(products),); the curve tables name the products."""
     return _logsumexp(_slot_logs(products, tau)) - LOG2
 
 
-def _correction(product, tau):
-    value = _corrections([product], tau)[..., 0]
-    return value if value.ndim else float(value)
-
-
-def fsc1(tau):
-    """log of (1/2) sum over sign pairs of Xi(z, w | tau); tau a number or an array."""
-    return _correction(((1, 1),), tau)
-
-
-def fsc2(zeta, xi_, tau):
-    """log of (1/2) sum over sign pairs of Xi(z zeta, w xi | tau)^2; tau a number or an array."""
-    return _correction(((zeta, xi_), (zeta, xi_)), tau)
-
-
 def fsc2_gaussian(r, s, tau):
-    """fsc2(e^{i pi r}, e^{i pi s} | tau) as a lattice Gaussian sum."""
+    """fsc2's product at zeta, xi = e^{i pi r}, e^{i pi s} as a lattice Gaussian sum."""
     tau = complex(tau)
     rad = 3
     prev = None
@@ -128,16 +114,6 @@ def fsc2_gaussian(r, s, tau):
         - 2 * log_abs_eta(tau)
         - 0.5 * math.log(2 * tau.imag)
     )
-
-
-def fsc3(zeta, xi_, tau):
-    """log of (1/2) sum over sign pairs of Xi(z, w) Xi(z zeta, w xi); phases +-1.
-
-    tau is a number or an array.
-    """
-    if zeta not in (1, -1) or xi_ not in (1, -1):
-        raise FscError("fsc3 is defined for sign phases only")
-    return _correction(((1, 1), (zeta, xi_)), tau)
 
 
 # -- per-node conformal data ----------------------------------------------------
@@ -205,24 +181,16 @@ def predict(cp, E):
 def predict_logZ(dom, E):
     """Predicted log Z_E = |det E| f0 + fsc, from predict on a spectral curve built here.
 
-    The unit square (an odd cell, with no curve of its own) goes through its
-    unit-weight doubled cell, square_quotient, plus |det E| log(a) / 2; an odd
-    det E has no dimer cover and gives -inf.  Other odd cells, and a != b,
-    raise FscError.
+    An odd cell (whose spectral curve has no dimer meaning) is predicted on
+    the same torus of its doubled cell, doubled_quotient; an odd det E then
+    has no dimer cover and gives -inf.
     """
     E = _kasteleyn._as_E(E)
     if dom.k % 2:
-        if dom.name != "square-1x1":
-            raise FscError("odd fundamental domains other than the unit square "
-                           "must be doubled first")
-        if abs(dom.weights["a"] - dom.weights["b"]) > 1e-12:
-            raise FscError("the unit-square prediction covers the isotropic square "
-                           "lattice; double the domain for anisotropic weights")
-        pair = square_quotient(*E.ravel().tolist())
+        pair = doubled_quotient(dom, E)
         if pair is None:
             return -math.inf
-        shift = abs(_lattice.int_det(E)) * 0.5 * math.log(dom.weights["a"])  # a dimer per 2 sites
-        return shift + predict(_charpoly.build_charpoly(pair[0]), pair[1]).log_Z
+        dom, E = pair
     return predict(_charpoly.build_charpoly(dom), E).log_Z
 
 
@@ -271,7 +239,15 @@ def winding_law(cp, E):
     Conventions follow the stored 2-coloring: windings count black-to-white
     cell offsets of the matching against the reference m0, and mu is built
     from the stored distinguished node and the -1-arc slice windings
-    (completed continuously when the node sits at z = -1 or w = -1).
+    ell = (lh, lv), added as adj(E)^T ell.  When the node's z-argument
+    passes pi and wraps by -2 pi, both of its slice w-roots leave the
+    z = -1 slice (the distinguished root moves inside |w| = 1 as z turns
+    forward, order_conjugate_pair, and its conjugate outside), so lv drops
+    by 2 and mu stays continuous; at w = -1 a node's z-roots move the other
+    way, as w turns forward, and lh rises by 2.  A node at z = -1 or w = -1
+    takes argument pi and the count just before the wrap: lv = v(+1) + 1,
+    the distinguished node having crossed the upper z-arc inward, and
+    lh = h(+1) - 1.
     """
     E = _kasteleyn._as_E(E)
     rep = cp.nodes
@@ -285,7 +261,7 @@ def winding_law(cp, E):
 
     if abs(z0 + 1) < 1e-9:
         argz = math.pi
-        lv = counts[("v", 1)] - 1
+        lv = counts[("v", 1)] + 1
     else:
         argz = cmath.phase(z0)
         lv = counts[("v", -1)]
@@ -300,7 +276,7 @@ def winding_law(cp, E):
     ell = np.array([lh, lv], dtype=float)
     adj = _lattice.adjugate(E)  # its transpose det(E) (E^T)^-1 is the jump
     mu = (1.0 / math.pi) * np.array([x * argz + y * argw, -u * argz - v * argw])
-    mu = mu - adj.T @ ell
+    mu = mu + adj.T @ ell
     # printed keys turn on floor(mu) (discrete_gaussian's box) and on ties at half
     # integers (the exact window's centre): snap a node's rounding noise away
     mu = np.where(np.abs(2 * mu - np.round(2 * mu)) <= 2e-9, np.round(2 * mu) / 2, mu)
@@ -334,7 +310,7 @@ def winding_distribution_gaussian(cp, E):
             for e, p in discrete_gaussian(law.mu, law.sigma).items()}
 
 
-# -- correction curves and the unit square -----------------------------------------
+# -- correction curves and cell doubling --------------------------------------------
 
 # (name, product of _slot_logs): fsc2(zeta, xi) pairs (zeta, xi) with itself,
 # fsc3(zeta, xi) pairs it with (1, 1)
@@ -391,17 +367,18 @@ def curve_values(family, logrho):
     return list(zip(names, np.moveaxis(values, -1, 0).tolist()))
 
 
-def square_quotient(a, b, c, d):
-    """(oriented domain, E') with the same torus as the 1x1 square rows.
+def doubled_quotient(dom, E):
+    """(doubled cell, E') whose E'-quotient is the E-quotient of dom, or None
+    when det E is odd.
 
-    Picks a cell doubling compatible with the row parities: the diagonal
-    doubling when both row sums are even, else the horizontal or vertical
-    one.  Returns None when a d - b c is odd.
+    The doubled cell is lattice.sublattice_domain(dom, F) for the
+    DOUBLE_MODES F whose row lattice holds E's rows: the diagonal doubling
+    when both row sums are even, else the horizontal or vertical one.
     """
-    E = np.array([[a, b], [c, d]], dtype=int)
+    E = _kasteleyn._as_E(E)
     if _lattice.int_det(E) % 2:
         return None
-    base = _lattice.builtin("square-1x1")
+    (a, b), (c, d) = E.tolist()
     if (a + b) % 2 == 0 and (c + d) % 2 == 0:
         mode = "diagonal"
     elif a % 2 == 0 and c % 2 == 0:
@@ -409,7 +386,7 @@ def square_quotient(a, b, c, d):
     else:  # an even det puts both rows mod 2 on one F2 line, here the line of (1, 0)
         mode = "vertical"
     F = _lattice.DOUBLE_MODES[mode]
-    return _lattice.sublattice_domain(base, F), _lattice.lattice_coords(E, F)
+    return _lattice.sublattice_domain(dom, F), _lattice.lattice_coords(E, F)
 
 
 # -- Fisher lattice / Ising specialization ----------------------------------------

@@ -279,8 +279,8 @@ def builtin(name, **weights):
                                  weights={"a": a, "b": b, "c": c})
 
     if name == "square-1x1":
-        # single-vertex square cell; carries no valid signs (odd cell) but
-        # its enlargements by DOUBLE_MODES do (fsc.square_quotient)
+        # single-vertex square cell: odd, with no valid signs; fsc predicts it
+        # on its doubled cell (fsc.doubled_quotient), which orient() signs
         a, b = w.get("a", 1.0), w.get("b", 1.0)
         return FundamentalDomain(1, [(0, 0, 1, 0, a, 1), (0, 0, 0, 1, b, 1)],
                                  [[(0, 1), (1, 1), (0, -1), (1, -1)]], [],

@@ -892,3 +892,64 @@ def test_winding_past_the_phase_range_exits_2(capsys):
                                         "281474976710656,0,0,2"])
     assert code == 0 and out["det_E"] == 2 ** 49
     assert abs(out["log_Z"] / out["det_E"] - math.log(2) / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("command,csv", [
+    ("partition", "det_E,log_Z,Z\n4,2.19722457733622,9\n"),
+    ("sectors", "sector,value\nZ00,3\nZ10,2\nZ01,2\nZ11,2\nZ,9\n"),
+])
+def test_csv_tables_are_pinned(capsys, command, csv):
+    # the 2 x 2 hexagonal torus has 9 matchings
+    assert cli.run([command, "--lattice", "hexagonal", "--E", "2,0,0,2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == csv
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["partition", "--dump-matrix"], "--dump-matrix"),
+    (["sectors", "--dump-matrix"], "--dump-matrix"),
+    (["sectors", "--double-dimer"], "--double-dimer"),
+    (["sectors", "--double-dimer", "--dump-matrix"], "--double-dimer and --dump-matrix"),
+])
+def test_csv_with_a_block_it_has_no_column_for_exits_2(monkeypatch, capsys, argv, named):
+    # the CSV table once dropped these blocks in silence, after building them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(kasteleyn, "sector_table", refuse)
+    monkeypatch.setattr(kasteleyn, "quotient_terms", refuse)
+    monkeypatch.setattr(lattice, "builtin", refuse)
+    code, err = _one_line_error(capsys, argv + ["--lattice", "hexagonal", "--E", "2,0,0,2",
+                                                "--format", "csv"])
+    assert code == 2
+    assert err == "error: --format csv has no column for %s; use --format json\n" % named
+
+
+def _broken_document(mutation):
+    """A builtin's lattice document with one structural fault."""
+    name, change = {
+        "colors-length": ("hexagonal", lambda doc: doc.update(colors=[0])),
+        "like-colored": ("hexagonal", lambda doc: doc.update(colors=[0, 0])),
+        "bad-face-step": ("hexagonal", lambda doc: doc["faces"][0].__setitem__(0, [7, 1])),
+        "side-used-twice": ("hexagonal", lambda doc: doc["faces"][0][0].__setitem__(1, -1)),
+        "euler": ("fisher", lambda doc: doc.update(
+            faces=[doc["faces"][0] + doc["faces"][1]] + doc["faces"][2:])),
+        "m0-not-perfect": ("fisher", lambda doc: doc.update(m0=[2, 4])),
+    }[mutation]
+    doc = lattice.builtin(name).to_json()
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("mutation,message", [
+    ("colors-length", "colors must be one 0/1 entry per vertex"),
+    ("like-colored", "edge joins like-colored vertices"),
+    ("bad-face-step", "bad face step (7,1)"),
+    ("side-used-twice", "edge 0 not used once per side in faces"),
+    ("euler", "face count violates the torus Euler relation"),
+    ("m0-not-perfect", "m0 is not a perfect matching"),
+])
+def test_verify_refuses_a_malformed_lattice_file(tmp_path, capsys, mutation, message):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_broken_document(mutation)))
+    code, err = _one_line_error(capsys, ["verify", "--lattice", str(path)])
+    assert code == 2 and message in err

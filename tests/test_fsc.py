@@ -9,21 +9,23 @@ from torusdimer import charpoly, fsc, kasteleyn, lattice
 from torusdimer.fsc import (
     FscError,
     conformal_data,
-    fsc1,
-    fsc2,
+    doubled_quotient,
     fsc2_gaussian,
-    fsc3,
     ising_critical_check,
     ising_log_Z_transfer,
     kappa,
     predict,
     predict_logZ,
     sector_table_auto,
-    square_quotient,
     winding_law,
 )
 
 TAU_I = 1j
+
+# the products of Xi factors that the square-1x1 correction curves name, and the
+# single factor Xi(z, w), which no curve table names
+CURVES = dict(fsc.SQUARE_CURVES)
+SINGLE = ((1, 1),)
 
 # values of the seven limiting curves at tau = i, frozen from the defining
 # theta expressions (exp of the first one is the silver ratio 1 + sqrt 2)
@@ -44,15 +46,7 @@ def critical_fisher():
 
 
 def test_frozen_values_at_tau_i():
-    vals = {
-        "fsc2(1,1)": fsc2(1, 1, TAU_I),
-        "fsc2(i,1)": fsc2(1j, 1, TAU_I),
-        "fsc2(1,i)": fsc2(1, 1j, TAU_I),
-        "fsc2(i,i)": fsc2(1j, 1j, TAU_I),
-        "fsc3(1,-1)": fsc3(1, -1, TAU_I),
-        "fsc3(-1,1)": fsc3(-1, 1, TAU_I),
-        "fsc3(-1,-1)": fsc3(-1, -1, TAU_I),
-    }
+    vals = dict(zip(CURVES, fsc._corrections(list(CURVES.values()), TAU_I).tolist()))
     for key, want in SEVEN_AT_I.items():
         assert abs(vals[key] - want) < 1e-12, key
     assert abs(math.exp(vals["fsc2(1,1)"]) - (1 + math.sqrt(2))) < 1e-12
@@ -69,7 +63,8 @@ def test_fsc2_gaussian_expression():
         tau = random_tau(rng)
         r = rng.uniform(-1, 1)
         s = rng.uniform(-1, 1)
-        a = fsc2(cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s), tau)
+        phase = (cmath.exp(1j * math.pi * r), cmath.exp(1j * math.pi * s))
+        a = fsc._corrections([(phase, phase)], tau)[0]
         b = fsc2_gaussian(r, s, tau)
         assert abs(a - b) < 1e-10
 
@@ -78,23 +73,16 @@ def test_fsc3_simplifications():
     from torusdimer.specialfn import log_xi
 
     rng = random.Random(22)
+    names = ("fsc3(1,-1)", "fsc3(-1,1)", "fsc3(-1,-1)")
     for _ in range(50):
         tau = random_tau(rng)
-        assert abs(fsc3(1, 1, tau) - fsc2(1, 1, tau)) < 1e-10
-        a = fsc3(1, -1, tau)
+        a, b, c = fsc._corrections([CURVES[name] for name in names], tau).tolist()
         assert abs(a - (log_xi(-1, -1, tau) + log_xi(-1, 1, tau))) < 1e-10
         assert abs(a - log_xi(-1, 1, 2 * tau)) < 1e-10
-        b = fsc3(-1, 1, tau)
         assert abs(b - (log_xi(-1, -1, tau) + log_xi(1, -1, tau))) < 1e-10
         assert abs(b - log_xi(1, -1, tau / 2)) < 1e-10
-        c = fsc3(-1, -1, tau)
         assert abs(c - (log_xi(-1, 1, tau) + log_xi(1, -1, tau))) < 1e-10
         assert abs(c - log_xi(1, -1, (1 + tau) / 2)) < 1e-10
-
-
-def test_fsc3_rejects_generic_phases():
-    with pytest.raises(FscError):
-        fsc3(cmath.exp(0.3j), 1, TAU_I)
 
 
 def test_sector_decompositions_sum_up():
@@ -138,7 +126,7 @@ def test_fsc1_modular_invariance():
         g = mobius(T, tau)
         if g.imag < 0:
             g = -g.conjugate()
-        assert abs(fsc1(tau) - fsc1(g)) < 1e-10
+        assert abs(fsc._corrections([SINGLE], tau)[0] - fsc._corrections([SINGLE], g)[0]) < 1e-10
 
 
 def test_fsc2_modular_covariance():
@@ -150,13 +138,13 @@ def test_fsc2_modular_covariance():
     node = rep.nodes[0]
     E = np.array([[4, 2], [-1, 3]])
     base = conformal_data(E, node)
-    val = fsc2(base.zeta, base.xi, base.tau)
+    val = fsc._corrections([((base.zeta, base.xi),) * 2], base.tau)[0]
     for _ in range(10):
         T = random_sl2(rng)
         if round(np.linalg.det(T)) != 1:
             continue
         data = conformal_data(T @ E, node)
-        assert abs(fsc2(data.zeta, data.xi, data.tau) - val) < 1e-10
+        assert abs(fsc._corrections([((data.zeta, data.xi),) * 2], data.tau)[0] - val) < 1e-10
 
 
 def test_conformal_data_composition():
@@ -172,7 +160,8 @@ def test_conformal_data_composition():
         T = random_sl2(rng)
         data = conformal_data(T @ E, node)
         assert data.tau.imag > 0
-        assert abs(fsc1(data.tau) - fsc1(base.tau)) < 1e-10
+        got, want = (fsc._corrections([SINGLE], t)[0] for t in (data.tau, base.tau))
+        assert abs(got - want) < 1e-10
         assert -1 < data.r <= 1 and -1 < data.s <= 1
 
 
@@ -438,14 +427,14 @@ def test_square_fsc_odd_determinant_is_minus_infinity():
 
 # The paper's row-parity table of the unit square torus on rows (a, b), (c, d)
 # of even det: the correction per (a, b) mod 2 and (c, d) mod 2, at
-# tau = (c + i d) / (a + i b), positively oriented (det > 0).  Catalan / pi
-# is the free energy per site.
+# tau = (c + i d) / (a + i b), positively oriented (det > 0), named as in
+# fsc.SQUARE_CURVES.  Catalan / pi is the free energy per site.
 _SQUARE_PARITY_TABLE = {
-    (0, 0): {(0, 0): lambda t: fsc2(1, 1, t), (0, 1): lambda t: fsc3(1, -1, t),
-             (1, 0): lambda t: fsc3(1, -1, t), (1, 1): lambda t: fsc2(1, 1j, t)},
-    (0, 1): {(0, 0): lambda t: fsc3(-1, 1, t), (0, 1): lambda t: fsc3(-1, -1, t)},
-    (1, 0): {(0, 0): lambda t: fsc3(-1, 1, t), (1, 0): lambda t: fsc3(-1, -1, t)},
-    (1, 1): {(0, 0): lambda t: fsc2(1j, 1, t), (1, 1): lambda t: fsc2(1j, 1j, t)},
+    (0, 0): {(0, 0): "fsc2(1,1)", (0, 1): "fsc3(1,-1)", (1, 0): "fsc3(1,-1)",
+             (1, 1): "fsc2(1,i)"},
+    (0, 1): {(0, 0): "fsc3(-1,1)", (0, 1): "fsc3(-1,-1)"},
+    (1, 0): {(0, 0): "fsc3(-1,1)", (1, 0): "fsc3(-1,-1)"},
+    (1, 1): {(0, 0): "fsc2(i,1)", (1, 1): "fsc2(i,i)"},
 }
 _SQUARE_F0 = 0.9159655941772190 / math.pi
 
@@ -453,8 +442,8 @@ _SQUARE_F0 = 0.9159655941772190 / math.pi
 def square_parity_log_Z(a, b, c, d):
     det = a * d - b * c
     assert det > 0 and det % 2 == 0
-    curve = _SQUARE_PARITY_TABLE[(a % 2, b % 2)][(c % 2, d % 2)]
-    return det * _SQUARE_F0 + curve(complex(c, d) / complex(a, b))
+    product = CURVES[_SQUARE_PARITY_TABLE[(a % 2, b % 2)][(c % 2, d % 2)]]
+    return det * _SQUARE_F0 + fsc._corrections([product], complex(c, d) / complex(a, b))[0]
 
 
 def test_unit_square_prediction_reproduces_the_parity_table():
@@ -478,17 +467,6 @@ def test_unit_square_prediction_reproduces_the_parity_table():
             got = predict_logZ(dom0, rows)
             assert abs(got - want) <= 1e-12 * abs(want), (rows, got, want)
     assert len(seen) == 10
-
-
-def test_predict_logZ_refuses_other_odd_cells_and_anisotropic_squares():
-    square = lattice.builtin("square-1x1")
-    other = lattice.FundamentalDomain(1, [(e.tail, e.head, e.dx, e.dy, e.weight, e.sign)
-                                          for e in square.edges], square.faces, [],
-                                      name="my-square")
-    with pytest.raises(FscError, match="other than the unit square"):
-        predict_logZ(other, [[2, 0], [0, 2]])
-    with pytest.raises(FscError, match="isotropic"):
-        predict_logZ(lattice.builtin("square-1x1", a=1.0, b=2.0), [[2, 0], [0, 2]])
 
 
 def test_unit_square_weight_shifts_log_Z_by_half_a_log_per_site():
@@ -516,7 +494,7 @@ def test_square_quotient_identity_small():
     dom0 = lattice.builtin("square-1x1")
     for a, b, c, d in ((2, 0, 0, 2), (2, 0, 1, 3), (4, 2, 0, 2)):
         z = brute_Z(dom0, [[a, b], [c, d]])
-        pair = square_quotient(a, b, c, d)
+        pair = doubled_quotient(dom0, [[a, b], [c, d]])
         assert pair is not None
         dom2, E2 = pair
         tab = kasteleyn.sector_table(dom2, E2)
@@ -535,10 +513,57 @@ def test_predict_logZ_square_converges():
     errs = []
     for n in (8, 16):
         E = np.array([[n, 0], [0, n]])
-        pair = square_quotient(*E.ravel())
+        pair = doubled_quotient(dom0, E)
         tab = kasteleyn.sector_table(*pair)
         errs.append(abs(predict_logZ(dom0, E) - tab.log_Z))
     assert errs[1] < errs[0] < 5e-2
+
+
+# one vertex, edges to the cells (1, 0), (0, 1) and (1, 1) and two triangular faces:
+# an odd cell of the triangular lattice, whose one-cell K has no dimer meaning
+TRIANGULAR_1X1 = lattice.FundamentalDomain(
+    1, [(0, 0, 1, 0, 1.0, 1), (0, 0, 0, 1, 1.0, 1), (0, 0, 1, 1, 1.0, 1)],
+    [[(0, 1), (1, 1), (2, -1)], [(2, 1), (0, -1), (1, -1)]], [], name="triangular-1x1")
+
+
+def odd_cell_residuals(dom, shapes):
+    """Exact log Z of each shape, from its doubled cell, less the odd cell's prediction."""
+    return [kasteleyn.sector_table(*doubled_quotient(dom, E)).log_Z - predict_logZ(dom, E)
+            for E in shapes]
+
+
+def test_triangular_identity_small():
+    # Z of the one-vertex triangular torus equals Z of its doubled cell's torus
+    for E in ([[2, 0], [0, 2]], [[2, 1], [0, 3]], [[4, 0], [1, 2]]):
+        z = brute_Z(TRIANGULAR_1X1, E)
+        tab = kasteleyn.sector_table(*doubled_quotient(TRIANGULAR_1X1, E))
+        assert abs(tab.Z_scaled * math.exp(tab.logscale) - z) < 1e-9 * z
+
+
+def test_odd_triangular_cell_is_predicted_through_its_doubled_cell():
+    # non-bipartite and gaseous: the residual decays exponentially in the size
+    e8, e16 = odd_cell_residuals(TRIANGULAR_1X1, ([[8, 0], [0, 8]], [[16, 0], [0, 16]]))
+    assert abs(e8) < 2e-5 and abs(e16) < 1e-10
+    assert predict_logZ(TRIANGULAR_1X1, [[3, 0], [1, 5]]) == -math.inf
+
+
+def test_anisotropic_unit_square_is_predicted_through_its_doubled_cell():
+    # a = 1.3, b = 0.8: the doubled cell's own nodes, with no isotropy assumed
+    shapes = ([[16, 0], [0, 16]], [[32, 0], [3, 33]], [[64, 2], [0, 64]], [[128, 0], [0, 96]])
+    errs = [abs(e) for e in odd_cell_residuals(lattice.builtin("square-1x1", a=1.3, b=0.8),
+                                               shapes)]
+    assert errs[0] < 2e-2 and errs[-1] < 2e-4
+    assert all(later < earlier / 3 for earlier, later in zip(errs, errs[1:])), errs
+
+
+def test_unit_square_weight_comes_from_its_doubled_cell():
+    # at a = b = 2 the residuals are those of unit weights: the doubled cell's
+    # f0 carries the weight, with no shift added by hand
+    shapes = ([[16, 0], [0, 16]], [[6, 1], [2, 8]], [[32, 0], [3, 33]])
+    unit = odd_cell_residuals(lattice.builtin("square-1x1"), shapes)
+    heavy = odd_cell_residuals(lattice.builtin("square-1x1", a=2.0, b=2.0), shapes)
+    for u, h, E in zip(unit, heavy, shapes):
+        assert abs(u - h) < 1e-13 * lattice.int_det(E), (E, u, h)
 
 
 def test_square_curve_values_at_zero():
@@ -607,6 +632,18 @@ def test_ising_pattern_check_beyond_overflow():
     assert [ok for _, _, ok in report.pattern_checks] == [True]
 
 
+def test_ising_check_off_the_critical_lines():
+    # no kappa vanishes: no node, so no sector pattern to check, and log Z from
+    # the dimer tables still matches the transfer matrix
+    beta = (0.3, 0.2, 0.1)
+    report = ising_critical_check(*beta, sizes=(2, 3, 4))
+    assert report.vanishing == [] and report.critical_line == []
+    assert report.node_location is None and report.pattern_checks == []
+    assert sorted(report.log_Z_ising) == [2, 3, 4]
+    for m, log_z in report.log_Z_ising.items():
+        assert abs(log_z - ising_log_Z_transfer(m, m, *beta)) < 1e-12
+
+
 def test_kappa_frozen_example():
     k = kappa(2.0, 3.0, 5.0)
     assert k == (-20.0, 36.0, 34.0, 30.0)
@@ -667,8 +704,8 @@ def test_ordinary_shape_predictions_unchanged(name, weights, E, value):
 
 
 def reference_curves(tau):
-    """fsc1, fsc2(i, e^0.7i) and fsc3(-1, 1) as one log_xi call and one
-    logsumexp per curve, the oracle of the batched evaluation."""
+    """The single factor, fsc2(i, e^0.7i) and fsc3(-1, 1) as one log_xi call and
+    one logsumexp per curve, the oracle of the batched evaluation."""
     from torusdimer.specialfn import log_xi
 
     def logsumexp(vals):
@@ -684,14 +721,17 @@ def reference_curves(tau):
 
 
 def test_fsc_functions_take_tau_arrays():
+    # one call takes products of one length at an array of taus; each value is
+    # the one of its tau alone
     taus = np.array([[1j, complex(0.3, 0.2)], [complex(-1.4, 0.6), 2.5j]])
-    funs = (fsc1, lambda t: fsc2(1j, cmath.exp(0.7j), t), lambda t: fsc3(-1, 1, t))
-    for f, fun in enumerate(funs):
-        got = fun(taus)
-        assert got.shape == taus.shape
+    for products, curves in (([SINGLE], [0]),
+                             ([((1j, cmath.exp(0.7j)),) * 2, CURVES["fsc3(-1,1)"]], [1, 2])):
+        got = fsc._corrections(products, taus)
+        assert got.shape == taus.shape + (len(products),)
         for k in np.ndindex(taus.shape):
-            one = fun(complex(taus[k]))
-            assert isinstance(one, float) and got[k] == one == reference_curves(complex(taus[k]))[f]
+            one = fsc._corrections(products, complex(taus[k]))
+            want = [reference_curves(complex(taus[k]))[f] for f in curves]
+            assert one.shape == (len(products),) and got[k].tolist() == one.tolist() == want
     values = fsc.curve_values("square-1x1", [0.0, -0.8])
     at_zero = fsc.curve_values("square-1x1", 0.0)
     assert [name for name, _ in values] == [name for name, _ in at_zero]

@@ -263,3 +263,56 @@ def test_printed_windings_do_not_turn_on_the_rounding_of_a_node(monkeypatch, cap
 
     monkeypatch.setattr(charpoly, "build_charpoly", moved)
     assert printed_keys() == want
+
+
+# Enlargements of hexagonal whose conjugate node pair lies on a -1 arc: a
+# right angle opposite c (a^2 + b^2 = c^2) puts the base node at z = +-i, so
+# the doubled z of diag(2, 1) sits at -1; opposite b, diag(1, 2) takes w there.
+# Scaling the hypotenuse by 1 +- 1e-4 moves the node to either side of the arc.
+_SQRT2 = math.sqrt(2.0)
+_ARC_CELLS = {
+    "z-arc": ([[2, 0], [0, 1]], "c", ({"a": 1.0, "b": 1.0, "c": _SQRT2},
+                                      {"a": 0.6, "b": 0.8, "c": 1.0}), [[8, 0], [3, 9]]),
+    "w-arc": ([[1, 0], [0, 2]], "b", ({"a": 1.0, "b": _SQRT2, "c": 1.0},
+                                      {"a": 0.8, "b": 1.0, "c": 0.6}), [[9, 3], [0, 8]]),
+}
+
+
+def _arc_cell(F, weights):
+    return lattice.sublattice_domain(lattice.builtin("hexagonal", **weights), F)
+
+
+@pytest.mark.parametrize("weights", [
+    {"a": 0.7729, "b": 0.935, "c": 1.3879},  # ell = (0, 2), off the arc
+    {"a": 1.0, "b": 1.0, "c": _SQRT2 * (1 + 1e-4)},  # ell = (0, 2), by the arc
+    {"a": 1.0, "b": 1.0, "c": _SQRT2},  # the node on z = -1
+], ids=["ell-0-2", "above-arc", "on-arc"])
+def test_winding_command_on_an_enlarged_file_past_the_z_arc(tmp_path, capsys, weights):
+    # the -1-arc windings enter mu as + adj(E)^T ell: subtracting them put the
+    # model at TV 1 from the exact law whenever ell != 0, and so did the old
+    # completion on the arc
+    from torusdimer import cli
+
+    path = tmp_path / "cell.json"
+    _arc_cell([[2, 0], [0, 1]], weights).save(path)
+    assert cli.run(["winding", "--lattice", str(path), "--E", "8,0,3,9", "--window", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["tv_distance"] < 0.1
+
+
+@pytest.mark.parametrize("arc", sorted(_ARC_CELLS))
+def test_winding_law_is_continuous_across_a_minus_one_arc(arc):
+    # on the arc, just above it and just below it (where ell differs by 2) the
+    # models match their exact laws and each other
+    F, side, bases, E = _ARC_CELLS[arc]
+    for base in bases:
+        models = []
+        for scale in (1.0, 1 + 1e-4, 1 - 1e-4):
+            weights = dict(base, **{side: base[side] * scale})
+            dom = _arc_cell(F, weights)
+            model = fsc.winding_distribution_gaussian(charpoly.build_charpoly(dom), E)
+            assert kasteleyn.winding_distribution_exact(dom, E, M=32).tv_against(model) < 0.1
+            models.append(model)
+        for other in models[1:]:
+            cells = set(models[0]) | set(other)
+            tv = 0.5 * sum(abs(models[0].get(c, 0.0) - other.get(c, 0.0)) for c in cells)
+            assert tv < 0.01, (base, tv)
